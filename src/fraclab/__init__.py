@@ -122,6 +122,7 @@ from .analysis import (
     run_verify,
     solve_context,
     spectrum_report,
+    verify_steps,
 )
 
 __version__ = "0.1.0"
@@ -226,4 +227,5 @@ __all__ = [
     "run_verify",
     "solve_context",
     "spectrum_report",
+    "verify_steps",
 ]

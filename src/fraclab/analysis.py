@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import (
     assemble_deformation,
@@ -37,7 +36,13 @@ from .domain import (
 from .errors import ArgumentError, SupportError, WindowError
 from .fields import VectorField, identity_field
 from .quadrature import adaptive_panels, gauss_legendre_01
-from .solve import EigenPair, SemilinearSolution, restrict_even, solve_geig
+from .solve import (
+    EigenPair,
+    SemilinearSolution,
+    _geig_spectrum,
+    restrict_even,
+    solve_semilinear,
+)
 
 __all__ = [
     "TraceEstimate",
@@ -55,6 +60,8 @@ __all__ = [
     "hadamard_check",
     "spectrum_report",
     "solve_context",
+    "IDENTITIES",
+    "verify_steps",
     "run_verify",
     "report_to_dict",
 ]
@@ -126,6 +133,22 @@ def _history_flag(history) -> str:
         1 for (_, r0), (_, r1) in zip(history, history[1:]) if r1 > r0
     )
     return "OK" if rises == 0 else ("WARN" if rises == 1 else "FAIL")
+
+
+def _report(identity, lhs, rhs, rel, n, s, history) -> PohozaevReport:
+    """Report of one refinement step, with (n, rel) appended to the history."""
+    hist = tuple(history) + ((n, rel),)
+    return PohozaevReport(
+        identity=identity,
+        lhs=lhs,
+        rhs=rhs,
+        abs_residual=abs(lhs - rhs),
+        rel_residual=rel,
+        n=n,
+        s=s,
+        history=hist,
+        flag=_history_flag(hist),
+    )
 
 
 def _rel(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
@@ -252,18 +275,7 @@ def pohozaev_check(
         u @ (B @ u)
     )
     rel = _rel(lhs, rhs)
-    hist = tuple(history) + ((mesh.n_per_interval[0], rel),)
-    return PohozaevReport(
-        identity="generalized",
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs(lhs - rhs),
-        rel_residual=rel,
-        n=mesh.n_per_interval[0],
-        s=s,
-        history=hist,
-        flag=_history_flag(hist),
-    )
+    return _report("generalized", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
 
 
 def ros_oton_serra_check(
@@ -288,18 +300,7 @@ def ros_oton_serra_check(
         1.0 - 2.0 * s
     ) * integrate_density(mesh, u, transform=uf)
     rel = _rel(lhs, rhs)
-    hist = tuple(history) + ((mesh.n_per_interval[0], rel),)
-    return PohozaevReport(
-        identity="ros-oton-serra",
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs(lhs - rhs),
-        rel_residual=rel,
-        n=mesh.n_per_interval[0],
-        s=s,
-        history=hist,
-        flag=_history_flag(hist),
-    )
+    return _report("ros-oton-serra", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
 
 
 def _int_grad_dot_X_times(mesh: Mesh1D, u, X: VectorField, v) -> tuple[float, float]:
@@ -375,18 +376,7 @@ def ibp_check(
         _RESID_FLOOR,
     )
     rel = abs(lhs - rhs) / scale
-    hist = tuple(history) + ((mesh.n_per_interval[0], rel),)
-    return PohozaevReport(
-        identity="ibp",
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs(lhs - rhs),
-        rel_residual=rel,
-        n=mesh.n_per_interval[0],
-        s=s,
-        history=hist,
-        flag=_history_flag(hist),
-    )
+    return _report("ibp", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
 
 
 def l2_identity_check(
@@ -412,18 +402,7 @@ def l2_identity_check(
         * sum(t.psi**2 * t.bp.x * t.bp.normal for t in tr)
     )
     rel = _rel(lhs, rhs)
-    hist = tuple(history) + ((mesh.n_per_interval[0], rel),)
-    return PohozaevReport(
-        identity="l2-radial",
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs(lhs - rhs),
-        rel_residual=rel,
-        n=mesh.n_per_interval[0],
-        s=s,
-        history=hist,
-        flag=_history_flag(hist),
-    )
+    return _report("l2-radial", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +510,7 @@ def lemma21_check(
         xq = a + (b - a) * tg
         mag_acc += float(b - a) * float(np.dot(np.abs(integrand(xq)), wg))
     rel = _rel(lhs, rhs, scale=2.0 * mag_acc)
-    hist = tuple(history) + ((n_f, rel),)
-    return PohozaevReport(
-        identity="lemma21",
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs(lhs - rhs),
-        rel_residual=rel,
-        n=n_f,
-        s=s,
-        history=hist,
-        flag=_history_flag(hist),
-    )
+    return _report("lemma21", lhs, rhs, rel, n_f, s, history)
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +543,23 @@ def solve_context(
     A, M = forms.stiffness, forms.mass
     if even_only:
         Ae, Me, P = restrict_even(mesh, A, M)
-        raw = solve_geig(Ae, Me, min(_K_KEEP, Ae.shape[0]))
-        pairs = tuple(
+        values, raw = _geig_spectrum(Ae, Me, min(_K_KEEP, Ae.shape[0]))
+        pairs = [
             EigenPair(k=p.k, value=p.value, vector=P @ p.vector, residual=p.residual)
             for p in raw
-        )
-        values = scipy.linalg.eigh(Ae, Me, eigvals_only=True)
+        ]
     else:
-        pairs = tuple(solve_geig(A, M, min(_K_KEEP, A.shape[0])))
-        values = scipy.linalg.eigh(A, M, eigvals_only=True)
+        values, pairs = _geig_spectrum(A, M, min(_K_KEEP, A.shape[0]))
     return SolveContext(
-        mesh=mesh, forms=forms, pairs=pairs, values=values, even_only=even_only
+        mesh=mesh, forms=forms, pairs=tuple(pairs), values=values, even_only=even_only
     )
+
+
+def _mode(ctx: SolveContext, k: int) -> EigenPair:
+    """The k-th solved eigenpair (1-based) of a context."""
+    if not 1 <= k <= len(ctx.pairs):
+        raise ArgumentError(f"mode k = {k} is outside the {len(ctx.pairs)} solved modes")
+    return ctx.pairs[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +587,7 @@ def hadamard_check(
     if h is None:
         h = 1e-3 * domain.diameter
     ctx = solve_context(domain, s, n, beta, even_only)
-    if k > len(ctx.pairs):
-        raise ArgumentError(f"k = {k} exceeds the {len(ctx.pairs)} solved modes")
-    pair = ctx.pairs[k - 1]
+    pair = _mode(ctx, k)
     psi = extract_trace(ctx.mesh, pair.vector, s, bp).psi
     formula = -_gamma2(s) * psi**2
     # Moving one endpoint breaks the x -> -x symmetry, so the perturbed
@@ -696,6 +667,83 @@ def spectrum_report(
 # refinement driver
 # ---------------------------------------------------------------------------
 
+# identity name -> its check, in the order `fraclab verify` lists them
+IDENTITIES = {
+    "pohozaev": pohozaev_check,
+    "ros-oton-serra": ros_oton_serra_check,
+    "ibp": ibp_check,
+    "l2-radial": l2_identity_check,
+    "lemma21": lemma21_check,
+    "hadamard": hadamard_check,
+}
+
+
+def verify_steps(
+    identity: str,
+    domain: Domain1D,
+    s: float,
+    ns: Sequence[int],
+    *,
+    beta: float = 2.0,
+    k: int = 1,
+    k2: int = 2,
+    X: Optional[VectorField] = None,
+    p: Optional[float] = None,
+    bump: Optional[Bump] = None,
+    quad_tols: Sequence[float] = (1e-6, 1e-8),
+    bp_side: str = "right",
+    h: Optional[float] = None,
+    even_only: bool = False,
+    semilinear_tol: float = 1e-12,
+) -> Iterator:
+    """Yield the report of each refinement step of one identity check.
+
+    pohozaev, ros-oton-serra, ibp and l2-radial run once per n of ``ns``,
+    ascending, each report carrying the (n, rel_residual) history so far;
+    lemma21 runs once per tolerance of ``quad_tols``, largest first; hadamard
+    yields one HadamardReport at ``max(ns)`` (the finite-difference step is
+    its own refinement axis).  With ``p`` set, pohozaev and ros-oton-serra
+    check the semilinear solution instead of the k-th eigenpair.  Both
+    ``fraclab verify`` and run_verify go through this driver.
+    """
+    check = IDENTITIES.get(identity)
+    if check is None:
+        raise ArgumentError(
+            f"unknown identity '{identity}'; expected one of {', '.join(IDENTITIES)}"
+        )
+    if not (quad_tols if identity == "lemma21" else ns):
+        raise ArgumentError(f"'{identity}' needs a non-empty refinement list")
+    if X is None:
+        lo, hi = domain.hull
+        X = identity_field(1, box=[(lo - 1.0, hi + 1.0)])
+    if identity == "hadamard":
+        bps = [b for b in boundary_points(domain) if b.side == bp_side]
+        yield hadamard_check(domain, s, k, bps[-1], h, even_only, n=max(ns), beta=beta)
+        return
+    history: tuple = ()
+    if identity == "lemma21":
+        bump = bump if bump is not None else polynomial_bump()
+        for tol in sorted(quad_tols, reverse=True):
+            rep = lemma21_check(bump, X, s, tol, domain=domain, history=history)
+            history = rep.history
+            yield rep
+        return
+    for n in sorted(ns):
+        ctx = solve_context(domain, s, n, beta, even_only)
+        sol = _mode(ctx, k)
+        if identity == "ibp":
+            args = (sol, _mode(ctx, k2), X)
+        elif identity == "l2-radial":
+            args = (sol,)
+        else:
+            if p is not None:
+                sol = solve_semilinear(ctx.forms, p, tol=semilinear_tol)
+            args = (sol, X) if identity == "pohozaev" else (sol,)
+        rep = check(domain, s, *args, mesh=ctx.mesh, history=history)
+        history = rep.history
+        yield rep
+
+
 def run_verify(
     identity: str,
     domain: Domain1D,
@@ -712,73 +760,16 @@ def run_verify(
     bp_side: str = "right",
     h: Optional[float] = None,
     even_only: bool = False,
-    semilinear_tol: float = 1e-10,
+    semilinear_tol: float = 1e-12,
 ):
-    """Run one identity check over a refinement list and collect the history.
+    """Run one identity check over a refinement list; see verify_steps.
 
-    Returns the report at the finest resolution with the history of
-    (n, rel_residual) attached.  For ``lemma21`` the refinement parameter is
-    the quadrature tolerance list; for ``hadamard`` only the largest n runs
-    (the finite-difference step is its own refinement axis).
+    Returns the report of the last (finest) step, with the history of
+    (n, rel_residual) attached.
     """
-    lo, hi = domain.hull
-    box = [(lo - 1.0, hi + 1.0)]
-    if X is None:
-        X = identity_field(1, box=box)
-
-    if identity == "hadamard":
-        bps = [b for b in boundary_points(domain) if b.side == bp_side]
-        return hadamard_check(
-            domain, s, k, bps[-1], h, even_only, n=max(ns), beta=beta
-        )
-
-    if identity == "lemma21":
-        if bump is None:
-            bump = polynomial_bump(0.0, 0.5, 3)
-        history: tuple = ()
-        rep = None
-        for tol in sorted(quad_tols, reverse=True):
-            rep = lemma21_check(
-                bump, X, s, tol, domain=domain, history=history
-            )
-            history = rep.history
-        return rep
-
-    history = ()
-    rep = None
-    for n in sorted(ns):
-        ctx = solve_context(domain, s, n, beta, even_only)
-        if identity in ("pohozaev", "generalized"):
-            if p is not None:
-                from .solve import solve_semilinear
-
-                sol = solve_semilinear(ctx.forms, p, tol=semilinear_tol)
-            else:
-                sol = ctx.pairs[k - 1]
-            rep = pohozaev_check(domain, s, sol, X, mesh=ctx.mesh, history=history)
-        elif identity == "ros-oton-serra":
-            if p is not None:
-                from .solve import solve_semilinear
-
-                sol = solve_semilinear(ctx.forms, p, tol=semilinear_tol)
-            else:
-                sol = ctx.pairs[k - 1]
-            rep = ros_oton_serra_check(domain, s, sol, mesh=ctx.mesh, history=history)
-        elif identity == "ibp":
-            rep = ibp_check(
-                domain,
-                s,
-                ctx.pairs[k - 1],
-                ctx.pairs[k2 - 1],
-                X,
-                mesh=ctx.mesh,
-                history=history,
-            )
-        elif identity == "l2-radial":
-            rep = l2_identity_check(
-                domain, s, ctx.pairs[k - 1], mesh=ctx.mesh, history=history
-            )
-        else:
-            raise ArgumentError(f"unknown identity '{identity}'")
-        history = rep.history
-    return rep
+    *_, last = verify_steps(
+        identity, domain, s, ns, beta=beta, k=k, k2=k2, X=X, p=p, bump=bump,
+        quad_tols=quad_tols, bp_side=bp_side, h=h, even_only=even_only,
+        semilinear_tol=semilinear_tol,
+    )
+    return last

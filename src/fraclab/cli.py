@@ -32,15 +32,12 @@ from typing import Optional
 import numpy as np
 
 from .analysis import (
-    hadamard_check,
-    ibp_check,
-    l2_identity_check,
-    lemma21_check,
-    pohozaev_check,
+    IDENTITIES,
+    HadamardReport,
     polynomial_bump,
     report_to_dict,
-    ros_oton_serra_check,
     solve_context,
+    verify_steps,
 )
 from .domain import (
     Domain1D,
@@ -66,7 +63,6 @@ from .fields import (
     check_c1_c2,
     check_c_condition,
     field_from_json,
-    identity_field,
     min_flux,
     nonexistence_threshold,
 )
@@ -74,15 +70,6 @@ from .assembly import frac_laplacian_pointwise
 from .solve import pairs_to_json, solve_semilinear
 
 __all__ = ["RunConfig", "main"]
-
-_IDENTITIES = (
-    "pohozaev",
-    "ros-oton-serra",
-    "ibp",
-    "l2-radial",
-    "lemma21",
-    "hadamard",
-)
 
 _CONFIG_ERRORS = (
     ConfigError,
@@ -243,9 +230,9 @@ def make_config(command: str, data: dict, given=None) -> RunConfig:
     beta = _one_float(data.get("beta", 2.0), "beta")
 
     identity = data.get("identity")
-    if identity is not None and identity not in _IDENTITIES:
+    if identity is not None and identity not in IDENTITIES:
         raise ConfigError(
-            f"identity must be one of {', '.join(_IDENTITIES)}; got '{identity}'"
+            f"identity must be one of {', '.join(IDENTITIES)}; got '{identity}'"
         )
 
     k = _one_int(data.get("k", 1), "k")
@@ -455,13 +442,6 @@ def _domain_1d(cfg: RunConfig) -> Domain1D:
     return dom
 
 
-def _field_or_default(cfg: RunConfig, dom: Domain1D):
-    if cfg.field is not None:
-        return field_from_json(cfg.field)
-    lo, hi = dom.hull
-    return identity_field(1, box=[(lo - 1.0, hi + 1.0)])
-
-
 def _run_tasks(fn, tasks, jobs):
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -540,83 +520,27 @@ def cmd_eigen(cfg: RunConfig) -> int:
 def _verify_task(arg):
     cfg, s = arg
     dom = _domain_1d(cfg)
+    reports = list(
+        verify_steps(
+            cfg.identity, dom, s, cfg.n_list,
+            beta=cfg.beta, k=cfg.k, k2=cfg.k2,
+            X=field_from_json(cfg.field) if cfg.field is not None else None,
+            p=cfg.p,
+            bump=polynomial_bump(**cfg.bump) if cfg.bump else None,
+            quad_tols=cfg.quad_tols, bp_side=cfg.bp_side, h=cfg.h,
+            even_only=cfg.even_only, semilinear_tol=cfg.semilinear_tol,
+        )
+    )
     rows = []
-
-    if cfg.identity == "hadamard":
-        bps = [b for b in boundary_points(dom) if b.side == cfg.bp_side]
-        rep = hadamard_check(
-            dom, s, cfg.k, bps[-1], cfg.h, cfg.even_only, n=max(cfg.n_list), beta=cfg.beta
-        )
-        ok = rep.rel_error <= cfg.tol
-        rows.append(("hadamard", s, rep.n, rep.fd_slope, rep.formula, rep.rel_error, ok))
-        rd = report_to_dict(rep)
-        rd["identity"] = "hadamard"
-        return {"rows": rows, "report": rd, "passed": ok}
-
-    if cfg.identity == "lemma21":
-        bump = polynomial_bump(**cfg.bump) if cfg.bump else polynomial_bump()
-        X = _field_or_default(cfg, dom)
-        history: tuple = ()
-        rep = None
-        for qt in sorted(cfg.quad_tols, reverse=True):
-            rep = lemma21_check(bump, X, s, qt, domain=dom, history=history)
-            history = rep.history
-            rows.append(
-                (
-                    "lemma21",
-                    s,
-                    rep.n,
-                    rep.lhs,
-                    rep.rhs,
-                    rep.rel_residual,
-                    rep.rel_residual <= cfg.tol,
-                )
-            )
-        return {
-            "rows": rows,
-            "report": report_to_dict(rep),
-            "passed": rep.rel_residual <= cfg.tol,
-        }
-
-    X = _field_or_default(cfg, dom)
-    history = ()
-    rep = None
-    for n in sorted(cfg.n_list):
-        ctx = solve_context(dom, s, n, cfg.beta, cfg.even_only)
-        if max(cfg.k, cfg.k2 if cfg.identity == "ibp" else 1) > len(ctx.pairs):
-            raise ConfigError("requested mode index exceeds the solved modes")
-        if cfg.identity in ("pohozaev", "ros-oton-serra") and cfg.p is not None:
-            sol = solve_semilinear(ctx.forms, cfg.p, tol=cfg.semilinear_tol)
+    for rep in reports:
+        if isinstance(rep, HadamardReport):
+            sides = (rep.fd_slope, rep.formula, rep.rel_error)
         else:
-            sol = ctx.pairs[cfg.k - 1]
-        if cfg.identity == "pohozaev":
-            rep = pohozaev_check(dom, s, sol, X, mesh=ctx.mesh, history=history)
-        elif cfg.identity == "ros-oton-serra":
-            rep = ros_oton_serra_check(dom, s, sol, mesh=ctx.mesh, history=history)
-        elif cfg.identity == "ibp":
-            rep = ibp_check(
-                dom, s, ctx.pairs[cfg.k - 1], ctx.pairs[cfg.k2 - 1], X,
-                mesh=ctx.mesh, history=history,
-            )
-        elif cfg.identity == "l2-radial":
-            rep = l2_identity_check(dom, s, sol, mesh=ctx.mesh, history=history)
-        history = rep.history
-        rows.append(
-            (
-                cfg.identity,
-                s,
-                n,
-                rep.lhs,
-                rep.rhs,
-                rep.rel_residual,
-                rep.rel_residual <= cfg.tol,
-            )
-        )
-    return {
-        "rows": rows,
-        "report": report_to_dict(rep),
-        "passed": rep.rel_residual <= cfg.tol,
-    }
+            sides = (rep.lhs, rep.rhs, rep.rel_residual)
+        rows.append((cfg.identity, s, rep.n) + sides + (sides[2] <= cfg.tol,))
+    report = report_to_dict(reports[-1])
+    report.setdefault("identity", cfg.identity)  # HadamardReport has no identity
+    return {"rows": rows, "report": report, "passed": rows[-1][-1]}
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -879,7 +803,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     pv = sub.add_parser("verify", parents=[common], help="run an identity check")
-    pv.add_argument("--identity", choices=_IDENTITIES)
+    pv.add_argument("--identity", choices=list(IDENTITIES))
     pv.add_argument("--k", type=int, help="mode index")
     pv.add_argument("--k2", type=int, help="second mode index (ibp)")
     pv.add_argument("--p", type=float, help="semilinear exponent (pohozaev)")

@@ -166,7 +166,6 @@ class Mesh1D:
     elem_interval: np.ndarray = field(repr=False)
     elem_dof: np.ndarray = field(repr=False)
     interior_x: np.ndarray = field(repr=False)
-    dof_interval: np.ndarray = field(repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -187,11 +186,6 @@ class Mesh1D:
             pos += n_int
             out.append(full)
         return tuple(out)
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        xs = np.concatenate(self.nodes)
-        scale = max(abs(xs[0]), abs(xs[-1]), 1.0)
-        return bool(np.all(np.abs(xs + xs[::-1]) <= tol * scale))
 
 
 def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1D:
@@ -215,7 +209,7 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
         nodes.append(nd)
 
     ex0, ex1, eiv, edof_l, edof_r = [], [], [], [], []
-    interior, div = [], []
+    interior = []
     dof = 0
     for i, nd in enumerate(nodes):
         for j in range(len(nd) - 1):
@@ -225,7 +219,6 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
             edof_l.append(dof + j - 1 if j > 0 else -1)
             edof_r.append(dof + j if j < len(nd) - 2 else -1)
         interior.append(nd[1:-1])
-        div.append(np.full(len(nd) - 2, i))
         dof += len(nd) - 2
 
     def _arr(v, dtype=float):
@@ -246,7 +239,6 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
         elem_interval=_arr(eiv, int),
         elem_dof=_arr(np.column_stack([edof_l, edof_r]), int),
         interior_x=_arr(np.concatenate(interior)),
-        dof_interval=_arr(np.concatenate(div), int),
     )
 
 

@@ -73,6 +73,11 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     scipy.  Vectors are sign-fixed so the entry of largest magnitude is
     positive.
     """
+    return _geig_spectrum(A, M, k_max)[1]
+
+
+def _geig_spectrum(A, M, k_max: int) -> tuple[np.ndarray, list[EigenPair]]:
+    """(every eigenvalue, first k_max pairs) of one dense solve; see solve_geig."""
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
     if A.shape != M.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -98,7 +103,7 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
         av = A @ v
         res = float(np.linalg.norm(av - vals[k] * (M @ v)) / np.linalg.norm(av))
         pairs.append(EigenPair(k=k + 1, value=float(vals[k]), vector=v, residual=res))
-    return pairs
+    return vals, pairs
 
 
 def restrict_even(mesh: Mesh1D, A: np.ndarray, M: np.ndarray):

@@ -328,8 +328,30 @@ def test_run_verify_hadamard_route():
 
 
 def test_run_verify_unknown_identity():
+    misses = fl.solve_context.cache_info().misses
     with pytest.raises(ArgumentError):
-        fl.run_verify("not-an-identity", INTERVAL, 0.5, [64])
+        fl.run_verify("not-an-identity", INTERVAL, 0.37, [16])
+    assert fl.solve_context.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("identity", ["pohozaev", "ibp", "l2-radial", "hadamard"])
+def test_run_verify_rejects_mode_zero(identity):
+    with pytest.raises(ArgumentError):
+        fl.run_verify(identity, INTERVAL, 0.5, [16], k=0)
+
+
+def test_run_verify_rejects_k2_beyond_solved_modes():
+    with pytest.raises(ArgumentError):
+        fl.run_verify("ibp", INTERVAL, 0.5, [64], k2=13)
+
+
+@pytest.mark.parametrize("even_only", [False, True])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_solve_context_values_and_pairs_share_one_spectrum(n, even_only):
+    ctx = fl.solve_context(INTERVAL, 0.5, n, 2.0, even_only)
+    assert np.array_equal(
+        ctx.values[: len(ctx.pairs)], [p.value for p in ctx.pairs]
+    )
 
 
 def test_solve_context_is_cached():

@@ -184,6 +184,17 @@ def test_verify_hadamard_route(tmp_path):
     assert rows[0][0] == "hadamard"
 
 
+@pytest.mark.parametrize("identity", ["ibp", "hadamard"])
+def test_verify_mode_beyond_solved_modes_exit_2(tmp_path, identity):
+    # n = 8 with even_only solves only 4 modes
+    cfg = write_config(
+        tmp_path,
+        {"identity": identity, "n": 8, "even_only": True, "k": 5, "k2": 5,
+         "out": str(tmp_path)},
+    )
+    assert main(["verify", "--config", cfg]) == 2
+
+
 def test_verify_lemma21_bump_touching_boundary_exit_2(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -176,10 +176,6 @@ def _diff_stdout(got: str, want: str, out):
                 out.append(f"stdout line {i}: {a} != {b}")
 
 
-def _expected_files(case_dir: pathlib.Path) -> list[str]:
-    return sorted(p.name for p in case_dir.iterdir() if p.name not in ("stdout.txt", "exit_code"))
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(tmp_path, name):
     case_dir = GOLDEN / name
@@ -187,7 +183,9 @@ def test_golden_outputs(tmp_path, name):
     assert rc == int((case_dir / "exit_code").read_text())
     problems = []
     _diff_stdout(stdout, (case_dir / "stdout.txt").read_text(), problems)
-    files = _expected_files(case_dir)
+    files = sorted(
+        p.name for p in case_dir.iterdir() if p.name not in ("stdout.txt", "exit_code")
+    )
     assert sorted(os.listdir(tmp_path / "out")) == files
     for fname in files:
         got = (tmp_path / "out" / fname).read_text()
