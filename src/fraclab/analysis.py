@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .quadrature import adaptive_panels, gauss_legendre_01
 from .solve import (
     EigenPair,
     SemilinearSolution,
-    _geig_spectrum,
     restrict_even,
+    solve_geig,
     solve_semilinear,
 )
 
@@ -543,15 +543,16 @@ def solve_context(
     A, M = forms.stiffness, forms.mass
     if even_only:
         Ae, Me, P = restrict_even(mesh, A, M)
-        values, raw = _geig_spectrum(Ae, Me, min(_K_KEEP, Ae.shape[0]))
-        pairs = [
+        raw = solve_geig(Ae, Me, min(_K_KEEP, Ae.shape[0]))
+        pairs = tuple(
             EigenPair(k=p.k, value=p.value, vector=P @ p.vector, residual=p.residual)
             for p in raw
-        ]
+        )
     else:
-        values, pairs = _geig_spectrum(A, M, min(_K_KEEP, A.shape[0]))
+        raw = solve_geig(A, M, min(_K_KEEP, A.shape[0]))
+        pairs = tuple(raw)
     return SolveContext(
-        mesh=mesh, forms=forms, pairs=tuple(pairs), values=values, even_only=even_only
+        mesh=mesh, forms=forms, pairs=pairs, values=raw.values, even_only=even_only
     )
 
 
@@ -667,15 +668,8 @@ def spectrum_report(
 # refinement driver
 # ---------------------------------------------------------------------------
 
-# identity name -> its check, in the order `fraclab verify` lists them
-IDENTITIES = {
-    "pohozaev": pohozaev_check,
-    "ros-oton-serra": ros_oton_serra_check,
-    "ibp": ibp_check,
-    "l2-radial": l2_identity_check,
-    "lemma21": lemma21_check,
-    "hadamard": hadamard_check,
-}
+# the identities `fraclab verify` accepts, in the order it lists them
+IDENTITIES = ("pohozaev", "ros-oton-serra", "ibp", "l2-radial", "lemma21", "hadamard")
 
 
 def verify_steps(
@@ -695,7 +689,7 @@ def verify_steps(
     h: Optional[float] = None,
     even_only: bool = False,
     semilinear_tol: float = 1e-12,
-) -> Iterator:
+):
     """Yield the report of each refinement step of one identity check.
 
     pohozaev, ros-oton-serra, ibp and l2-radial run once per n of ``ns``,
@@ -706,18 +700,19 @@ def verify_steps(
     check the semilinear solution instead of the k-th eigenpair.  Both
     ``fraclab verify`` and run_verify go through this driver.
     """
-    check = IDENTITIES.get(identity)
-    if check is None:
+    if identity not in IDENTITIES:
         raise ArgumentError(
             f"unknown identity '{identity}'; expected one of {', '.join(IDENTITIES)}"
         )
     if not (quad_tols if identity == "lemma21" else ns):
         raise ArgumentError(f"'{identity}' needs a non-empty refinement list")
+    bps = [b for b in boundary_points(domain) if b.side == bp_side]
+    if not bps:
+        raise ArgumentError(f"no boundary point has side '{bp_side}'")
     if X is None:
         lo, hi = domain.hull
         X = identity_field(1, box=[(lo - 1.0, hi + 1.0)])
     if identity == "hadamard":
-        bps = [b for b in boundary_points(domain) if b.side == bp_side]
         yield hadamard_check(domain, s, k, bps[-1], h, even_only, n=max(ns), beta=beta)
         return
     history: tuple = ()
@@ -731,45 +726,28 @@ def verify_steps(
     for n in sorted(ns):
         ctx = solve_context(domain, s, n, beta, even_only)
         sol = _mode(ctx, k)
-        if identity == "ibp":
-            args = (sol, _mode(ctx, k2), X)
-        elif identity == "l2-radial":
-            args = (sol,)
+        if p is not None and identity in ("pohozaev", "ros-oton-serra"):
+            sol = solve_semilinear(ctx.forms, p, tol=semilinear_tol)
+        if identity == "pohozaev":
+            rep = pohozaev_check(domain, s, sol, X, mesh=ctx.mesh, history=history)
+        elif identity == "ros-oton-serra":
+            rep = ros_oton_serra_check(domain, s, sol, mesh=ctx.mesh, history=history)
+        elif identity == "ibp":
+            rep = ibp_check(
+                domain, s, sol, _mode(ctx, k2), X, mesh=ctx.mesh, history=history
+            )
         else:
-            if p is not None:
-                sol = solve_semilinear(ctx.forms, p, tol=semilinear_tol)
-            args = (sol, X) if identity == "pohozaev" else (sol,)
-        rep = check(domain, s, *args, mesh=ctx.mesh, history=history)
+            rep = l2_identity_check(domain, s, sol, mesh=ctx.mesh, history=history)
         history = rep.history
         yield rep
 
 
-def run_verify(
-    identity: str,
-    domain: Domain1D,
-    s: float,
-    ns: Sequence[int],
-    *,
-    beta: float = 2.0,
-    k: int = 1,
-    k2: int = 2,
-    X: Optional[VectorField] = None,
-    p: Optional[float] = None,
-    bump: Optional[Bump] = None,
-    quad_tols: Sequence[float] = (1e-6, 1e-8),
-    bp_side: str = "right",
-    h: Optional[float] = None,
-    even_only: bool = False,
-    semilinear_tol: float = 1e-12,
-):
+@wraps(verify_steps, assigned=())
+def run_verify(*args, **kwargs):
     """Run one identity check over a refinement list; see verify_steps.
 
-    Returns the report of the last (finest) step, with the history of
-    (n, rel_residual) attached.
+    Takes the arguments of verify_steps and returns the report of the last
+    (finest) step, with the history of (n, rel_residual) attached.
     """
-    *_, last = verify_steps(
-        identity, domain, s, ns, beta=beta, k=k, k2=k2, X=X, p=p, bump=bump,
-        quad_tols=quad_tols, bp_side=bp_side, h=h, even_only=even_only,
-        semilinear_tol=semilinear_tol,
-    )
+    *_, last = verify_steps(*args, **kwargs)
     return last

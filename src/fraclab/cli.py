@@ -803,7 +803,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     pv = sub.add_parser("verify", parents=[common], help="run an identity check")
-    pv.add_argument("--identity", choices=list(IDENTITIES))
+    pv.add_argument("--identity", choices=IDENTITIES)
     pv.add_argument("--k", type=int, help="mode index")
     pv.add_argument("--k2", type=int, help="second mode index (ibp)")
     pv.add_argument("--p", type=float, help="semilinear exponent (pohozaev)")

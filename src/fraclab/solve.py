@@ -59,6 +59,12 @@ class SemilinearSolution:
     nehari_gap: float = 0.0  # |u'Au - int u_+^p| / u'Au
 
 
+class _Pairs(list):
+    """solve_geig's eigenpairs; ``values`` holds the whole spectrum."""
+
+    values: np.ndarray
+
+
 def _check_sym(name: str, T: np.ndarray) -> None:
     scale = np.max(np.abs(T)) or 1.0
     if np.max(np.abs(T - T.T)) > _SYM_TOL * scale:
@@ -71,13 +77,9 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     The reduction is the classical dense path (Cholesky factor of M,
     tridiagonalization, implicit-shift QL) as provided by LAPACK through
     scipy.  Vectors are sign-fixed so the entry of largest magnitude is
-    positive.
+    positive.  The returned list also carries ``values``, every eigenvalue
+    of the same solve, ascending.
     """
-    return _geig_spectrum(A, M, k_max)[1]
-
-
-def _geig_spectrum(A, M, k_max: int) -> tuple[np.ndarray, list[EigenPair]]:
-    """(every eigenvalue, first k_max pairs) of one dense solve; see solve_geig."""
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
     if A.shape != M.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -95,7 +97,8 @@ def _geig_spectrum(A, M, k_max: int) -> tuple[np.ndarray, list[EigenPair]]:
         vals, vecs = scipy.linalg.eigh(A, M)
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
-    pairs = []
+    pairs = _Pairs()
+    pairs.values = vals
     for k in range(k_max):
         v = vecs[:, k].copy()
         if v[np.argmax(np.abs(v))] < 0:
@@ -103,7 +106,7 @@ def _geig_spectrum(A, M, k_max: int) -> tuple[np.ndarray, list[EigenPair]]:
         av = A @ v
         res = float(np.linalg.norm(av - vals[k] * (M @ v)) / np.linalg.norm(av))
         pairs.append(EigenPair(k=k + 1, value=float(vals[k]), vector=v, residual=res))
-    return vals, pairs
+    return pairs
 
 
 def restrict_even(mesh: Mesh1D, A: np.ndarray, M: np.ndarray):

@@ -345,6 +345,13 @@ def test_run_verify_rejects_k2_beyond_solved_modes():
         fl.run_verify("ibp", INTERVAL, 0.5, [64], k2=13)
 
 
+def test_run_verify_rejects_unknown_bp_side_before_solving():
+    misses = fl.solve_context.cache_info().misses
+    with pytest.raises(ArgumentError):
+        fl.run_verify("hadamard", INTERVAL, 0.5, [16], bp_side="top")
+    assert fl.solve_context.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("even_only", [False, True])
 @pytest.mark.parametrize("n", [64, 1024])
 def test_solve_context_values_and_pairs_share_one_spectrum(n, even_only):
