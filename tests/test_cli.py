@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import fraclab
+from fraclab import cli
 from fraclab.cli import main
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -105,20 +106,102 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"n": 100},
-        {"n": 4},
-        {"k_max": 13},
-        {"zeta": 1.0},
-        {"s": 1.5},
+# One invalid value for every validated config key, with the stderr line it
+# prints.  The ids are positional, so the first six keep their names.
+CONFIG_ERRORS = [
+    ({"n": 100}, "n must be a power of two between 8 and 2048, got 100"),
+    ({"n": 4}, "n must be a power of two between 8 and 2048, got 4"),
+    ({"k_max": 13}, "mode indices are limited to k <= 12"),
+    ({"zeta": 1.0}, "unknown config keys: zeta"),
+    ({"s": 1.5}, "s must lie in (0, 1), got 1.5"),
+    (
         {"domain": {"intervals": [[0.0, 1.0], [0.5, 2.0]]}},
-    ],
+        "intervals (0.0, 1.0) and (0.5, 2.0) touch or overlap",
+    ),
+    ({"zeta": 1.0, "eta": 2}, "unknown config keys: eta, zeta"),
+    ({"domain": [1]}, "'domain' must be an object"),
+    ({"s": []}, "'s' must be a number or non-empty list of numbers"),
+    ({"s": True}, "'s' must be a number or list of numbers"),
+    ({"n": 16.5}, "'n' entries must be integers, got 16.5"),
+    ({"beta": "2"}, "'beta' must be a number"),
+    ({"beta": None}, "'beta' must be a number"),
+    (
+        {"identity": "bogus"},
+        "identity must be one of pohozaev, ros-oton-serra, ibp, l2-radial, "
+        "lemma21, hadamard; got 'bogus'",
+    ),
+    ({"k": 0}, "'k' must be >= 1, got 0"),
+    ({"k": 13}, "mode indices are limited to k <= 12"),
+    ({"k2": [2]}, "'k2' must be a single integer"),
+    ({"k2": 13}, "mode indices are limited to k <= 12"),
+    ({"k_max": "6"}, "'k_max' must be a number or non-empty list of numbers"),
+    ({"p": 2}, "p must exceed 2, got 2.0"),
+    ({"tol": 0}, "tol must be positive, got 0.0"),
+    ({"quad_tols": [1e-6, -1]}, "quad_tols entries must be positive"),
+    ({"bump": {"width": 1}}, "'bump' must be an object with keys center, halfwidth, power"),
+    ({"bump": [1]}, "'bump' must be an object with keys center, halfwidth, power"),
+    ({"bp_side": "top"}, "bp_side must be 'left' or 'right', got 'top'"),
+    ({"h": -1}, "h must be positive, got -1.0"),
+    ({"semilinear_tol": "tiny"}, "'semilinear_tol' must be a number"),
+    ({"checks": []}, "'checks' must be a non-empty list"),
+    ({"flux_tol": None}, "'flux_tol' must be a number"),
+    ({"samples": 0}, "'samples' must be >= 1, got 0"),
+    ({"boundary_m": 1}, "'boundary_m' must be >= 2, got 1"),
+    ({"seed": -1}, "'seed' must be >= 0, got -1"),
+    ({"jobs": 0}, "'jobs' must be >= 1, got 0"),
+    ({"out": 5}, "'out' must be a directory path string"),
+    ({"points": ["a"]}, "'points' must be a number or non-empty list of numbers"),
+    ({"grid": {"lo": 0, "hi": 1}}, "'grid' must be an object with keys lo, hi, count"),
+    ({"grid": {"lo": 0, "hi": 1, "count": 0}}, "'grid.count' must be >= 1, got 0"),
+    ({"R": 0}, "R must be positive, got 0.0"),
+    ({"quad_tol": 0}, "quad_tol must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, message", CONFIG_ERRORS, ids=[f"data{i}" for i in range(len(CONFIG_ERRORS))]
 )
-def test_config_errors_exit_2(tmp_path, data):
-    cfg = write_config(tmp_path, dict(data, out=str(tmp_path)))
+def test_config_errors_exit_2(tmp_path, capsys, data, message):
+    cfg = write_config(tmp_path, {"out": str(tmp_path), **data})
     assert main(["eigen", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"fraclab: config error: {message}\n"
+
+
+# (command, file entries, flags, RunConfig field, the value the flag sets)
+FLAG_OVERRIDES = [
+    ("eigen", {"s": 0.3}, ["--s", "0.6"], "s_list", (0.6,)),
+    ("eigen", {"n": 64}, ["--n", "16"], "n_list", (16,)),
+    ("eigen", {"tol": 0.1}, ["--tol", "0.2"], "tol", 0.2),
+    ("eigen", {"seed": 1}, ["--seed", "7"], "seed", 7),
+    ("eigen", {"jobs": 1}, ["--jobs", "2"], "jobs", 2),
+    ("eigen", {"out": "file-dir"}, ["--out", "flag-dir"], "out", "flag-dir"),
+    ("eigen", {"k_max": 6}, ["--k-max", "3"], "k_max", 3),
+    ("eigen", {"even_only": False}, ["--even-only"], "even_only", True),
+    ("eigen", {"dump_matrices": False}, ["--dump-matrices"], "dump_matrices", True),
+    ("verify", {"identity": "ibp"}, ["--identity", "pohozaev"], "identity", "pohozaev"),
+    ("verify", {"k": 1}, ["--k", "3"], "k", 3),
+    ("verify", {"k2": 2}, ["--k2", "4"], "k2", 4),
+    ("verify", {"p": 3.0}, ["--p", "5"], "p", 5.0),
+    ("verify", {"even_only": False}, ["--even-only"], "even_only", True),
+    ("semilinear", {"p": 3.0}, ["--p", "5"], "p", 5.0),
+    ("fraclap", {"R": 1.0}, ["--R", "2"], "R", 2.0),
+    ("fraclap", {"quad_tol": 1e-6}, ["--quad-tol", "1e-8"], "quad_tol", 1e-8),
+]
+
+
+@pytest.mark.parametrize(
+    "command, data, flags, name, value",
+    FLAG_OVERRIDES,
+    ids=[f"{c}{f[0]}" for c, _, f, _, _ in FLAG_OVERRIDES],
+)
+def test_flag_beats_file_value(tmp_path, monkeypatch, command, data, flags, name, value):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg, *flags]) == 0
+    (run,) = seen
+    assert getattr(run, name) == value
+    assert set(data) <= run.given
 
 
 def test_config_not_an_object_exit_2(tmp_path):
