@@ -25,8 +25,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,7 @@ from .domain import (
 from .errors import (
     ArgumentError,
     ConfigError,
+    DegenerateError,
     DimensionMismatchError,
     DomainCollisionError,
     ExpressionError,
@@ -74,6 +76,7 @@ __all__ = ["RunConfig", "main"]
 _CONFIG_ERRORS = (
     ConfigError,
     ArgumentError,
+    DegenerateError,
     RangeError,
     SupportError,
     SupercriticalError,
@@ -81,6 +84,8 @@ _CONFIG_ERRORS = (
     DomainCollisionError,
     ExpressionError,
     OverlapError,
+    OSError,
+    json.JSONDecodeError,
 )
 
 
@@ -92,76 +97,6 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
-
-_ALLOWED_KEYS = {
-    "domain",
-    "s",
-    "n",
-    "beta",
-    "field",
-    "identity",
-    "k",
-    "k2",
-    "k_max",
-    "even_only",
-    "p",
-    "tol",
-    "quad_tols",
-    "bump",
-    "bp_side",
-    "h",
-    "semilinear_tol",
-    "checks",
-    "flux_tol",
-    "samples",
-    "boundary_m",
-    "seed",
-    "jobs",
-    "out",
-    "dump_matrices",
-    "points",
-    "grid",
-    "R",
-    "quad_tol",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, normalized run description (sweep lists already expanded)."""
-
-    command: str
-    domain: dict
-    s_list: tuple[float, ...]
-    n_list: tuple[int, ...]
-    beta: float
-    field: Optional[dict]
-    identity: Optional[str]
-    k: int
-    k2: int
-    k_max: int
-    even_only: bool
-    p: Optional[float]
-    tol: float
-    quad_tols: tuple[float, ...]
-    bump: Optional[dict]
-    bp_side: str
-    h: Optional[float]
-    semilinear_tol: float
-    checks: Optional[tuple]
-    flux_tol: float
-    samples: int
-    boundary_m: int
-    seed: int
-    jobs: Optional[int]
-    out: str
-    dump_matrices: bool
-    points: Optional[tuple[float, ...]]
-    grid: Optional[dict]
-    R: Optional[float]
-    quad_tol: Optional[float]
-    given: frozenset
-
 
 def _numbers(v, name) -> tuple[float, ...]:
     if isinstance(v, bool):
@@ -202,159 +137,181 @@ def _one_float(v, name) -> float:
     return float(v)
 
 
+# Checks: each takes a config value and its key, and returns the normalized
+# value or raises ConfigError.
+
+
+def _object(v, name) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    return v
+
+
+def _s_values(v, name) -> tuple[float, ...]:
+    vals = _numbers(v, name)
+    for s in vals:
+        if not (0.0 < s < 1.0):
+            raise ConfigError(f"s must lie in (0, 1), got {s}")
+    return vals
+
+
+def _mesh_sizes(v, name) -> tuple[int, ...]:
+    vals = _integers(v, name)
+    for n in vals:
+        if not (8 <= n <= 2048) or (n & (n - 1)) != 0:
+            raise ConfigError(f"n must be a power of two between 8 and 2048, got {n}")
+    return vals
+
+
+def _identity(v, name) -> str:
+    if v not in IDENTITIES:
+        raise ConfigError(f"identity must be one of {', '.join(IDENTITIES)}; got '{v}'")
+    return v
+
+
+def _mode(v, name) -> int:
+    k = _one_int(v, name)
+    if k > 12:
+        raise ConfigError("mode indices are limited to k <= 12")
+    return k
+
+
+def _flag(v, name) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"'{name}' must be true or false")
+    return v
+
+
+def _exponent(v, name) -> float:
+    p = _one_float(v, name)
+    if p <= 2.0:
+        raise ConfigError(f"p must exceed 2, got {p}")
+    return p
+
+
+def _positive(v, name) -> float:
+    x = _one_float(v, name)
+    if x <= 0.0:
+        raise ConfigError(f"{name} must be positive, got {x}")
+    return x
+
+
+def _positives(v, name) -> tuple[float, ...]:
+    vals = _numbers(v, name)
+    if any(t <= 0.0 for t in vals):
+        raise ConfigError(f"{name} entries must be positive")
+    return vals
+
+
+def _bump(v, name) -> dict:
+    if not isinstance(v, dict) or set(v) - {"center", "halfwidth", "power"}:
+        raise ConfigError("'bump' must be an object with keys center, halfwidth, power")
+    for key, x in v.items():
+        _one_float(x, f"bump.{key}")
+    return v
+
+
+def _side(v, name) -> str:
+    if v not in ("left", "right"):
+        raise ConfigError(f"bp_side must be 'left' or 'right', got '{v}'")
+    return v
+
+
+def _checks(v, name) -> tuple:
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ConfigError("'checks' must be a non-empty list")
+    return tuple(v)
+
+
+def _path(v, name) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"'{name}' must be a directory path string")
+    return v
+
+
+def _grid(v, name) -> dict:
+    if not isinstance(v, dict) or set(v) != {"lo", "hi", "count"}:
+        raise ConfigError("'grid' must be an object with keys lo, hi, count")
+    _one_int(v["count"], "grid.count")
+    _one_float(v["lo"], "grid.lo")
+    _one_float(v["hi"], "grid.hi")
+    return v
+
+
+def _entry(default, check=None, key=None):
+    """A config key (default: the field name), its default and its check.
+
+    A check runs on every value except a None that is also the default.
+    """
+    return field(metadata={"key": key, "default": default, "check": check})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated, normalized run description (sweep lists already expanded).
+
+    Every field but ``command`` and ``given`` is one config key; its
+    metadata is the whole schema that :func:`make_config` applies.
+    """
+
+    command: str
+    domain: dict = _entry({"intervals": [[-1.0, 1.0]]}, _object)
+    s_list: tuple[float, ...] = _entry(0.5, _s_values, key="s")
+    n_list: tuple[int, ...] = _entry(256, _mesh_sizes, key="n")
+    beta: float = _entry(2.0, _one_float)
+    field: Optional[dict] = _entry(None)
+    identity: Optional[str] = _entry(None, _identity)
+    k: int = _entry(1, _mode)
+    k2: int = _entry(2, _mode)
+    k_max: int = _entry(6, _mode)
+    even_only: bool = _entry(False, _flag)
+    p: Optional[float] = _entry(None, _exponent)
+    tol: float = _entry(0.05, _positive)
+    quad_tols: tuple[float, ...] = _entry([1e-6, 1e-8], _positives)
+    bump: Optional[dict] = _entry(None, _bump)
+    bp_side: str = _entry("right", _side)
+    h: Optional[float] = _entry(None, _positive)
+    semilinear_tol: float = _entry(1e-12, _positive)
+    checks: Optional[tuple] = _entry(None, _checks)
+    flux_tol: float = _entry(-1e-6, _one_float)
+    samples: int = _entry(10_000, _one_int)
+    boundary_m: int = _entry(400, partial(_one_int, lo=2))
+    seed: int = _entry(DEFAULT_SEED, partial(_one_int, lo=0))
+    jobs: Optional[int] = _entry(None, _one_int)
+    out: str = _entry(".", _path)
+    dump_matrices: bool = _entry(False, _flag)
+    points: Optional[tuple[float, ...]] = _entry(None, _numbers)
+    grid: Optional[dict] = _entry(None, _grid)
+    R: Optional[float] = _entry(None, _positive)
+    quad_tol: Optional[float] = _entry(None, _positive)
+    given: frozenset
+
+
 def make_config(command: str, data: dict, given=None) -> RunConfig:
     """Validate a plain config dict (from JSON + overrides) into a RunConfig."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(data) - _ALLOWED_KEYS)
+    entries = {f.metadata["key"] or f.name: f for f in fields(RunConfig) if f.metadata}
+    unknown = sorted(set(data) - set(entries))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, f in entries.items():
+        default, check = f.metadata["default"], f.metadata["check"]
+        v = data.get(key, default)
+        if check is not None and (v is not None or default is not None):
+            v = check(v, key)
+        values[f.name] = v
     given = frozenset(given if given is not None else data.keys())
-
-    domain = data.get("domain", {"intervals": [[-1.0, 1.0]]})
-    if not isinstance(domain, dict):
-        raise ConfigError("'domain' must be an object")
-
-    s_list = _numbers(data.get("s", 0.5), "s")
-    for s in s_list:
-        if not (0.0 < s < 1.0):
-            raise ConfigError(f"s must lie in (0, 1), got {s}")
-
-    n_list = _integers(data.get("n", 256), "n")
-    for n in n_list:
-        if not (8 <= n <= 2048) or (n & (n - 1)) != 0:
-            raise ConfigError(
-                f"n must be a power of two between 8 and 2048, got {n}"
-            )
-
-    beta = _one_float(data.get("beta", 2.0), "beta")
-
-    identity = data.get("identity")
-    if identity is not None and identity not in IDENTITIES:
-        raise ConfigError(
-            f"identity must be one of {', '.join(IDENTITIES)}; got '{identity}'"
-        )
-
-    k = _one_int(data.get("k", 1), "k")
-    k2 = _one_int(data.get("k2", 2), "k2")
-    k_max = _one_int(data.get("k_max", 6), "k_max")
-    if max(k, k2, k_max) > 12:
-        raise ConfigError("mode indices are limited to k <= 12")
-
-    p = data.get("p")
-    if p is not None:
-        p = _one_float(p, "p")
-        if p <= 2.0:
-            raise ConfigError(f"p must exceed 2, got {p}")
-
-    tol = _one_float(data.get("tol", 0.05), "tol")
-    if tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-
-    quad_tols = _numbers(data.get("quad_tols", [1e-6, 1e-8]), "quad_tols")
-    if any(t <= 0.0 for t in quad_tols):
-        raise ConfigError("quad_tols entries must be positive")
-
-    bump = data.get("bump")
-    if bump is not None:
-        if not isinstance(bump, dict) or set(bump) - {"center", "halfwidth", "power"}:
-            raise ConfigError(
-                "'bump' must be an object with keys center, halfwidth, power"
-            )
-
-    bp_side = data.get("bp_side", "right")
-    if bp_side not in ("left", "right"):
-        raise ConfigError(f"bp_side must be 'left' or 'right', got '{bp_side}'")
-
-    h = data.get("h")
-    if h is not None:
-        h = _one_float(h, "h")
-        if h <= 0.0:
-            raise ConfigError(f"h must be positive, got {h}")
-
-    semilinear_tol = _one_float(data.get("semilinear_tol", 1e-12), "semilinear_tol")
-
-    checks = data.get("checks")
-    if checks is not None:
-        if not isinstance(checks, (list, tuple)) or not checks:
-            raise ConfigError("'checks' must be a non-empty list")
-        checks = tuple(checks)
-
-    flux_tol = _one_float(data.get("flux_tol", -1e-6), "flux_tol")
-    samples = _one_int(data.get("samples", 10_000), "samples")
-    boundary_m = _one_int(data.get("boundary_m", 400), "boundary_m", lo=2)
-    seed = _one_int(data.get("seed", DEFAULT_SEED), "seed", lo=0)
-
-    jobs = data.get("jobs")
-    if jobs is not None:
-        jobs = _one_int(jobs, "jobs")
-
-    out = data.get("out", ".")
-    if not isinstance(out, str):
-        raise ConfigError("'out' must be a directory path string")
-
-    points = data.get("points")
-    if points is not None:
-        points = _numbers(points, "points")
-
-    grid = data.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict) or set(grid) != {"lo", "hi", "count"}:
-            raise ConfigError("'grid' must be an object with keys lo, hi, count")
-        if _one_int(grid["count"], "grid.count") < 1:
-            raise ConfigError("grid.count must be >= 1")
-
-    R = data.get("R")
-    if R is not None:
-        R = _one_float(R, "R")
-        if R <= 0.0:
-            raise ConfigError(f"R must be positive, got {R}")
-
-    quad_tol = data.get("quad_tol")
-    if quad_tol is not None:
-        quad_tol = _one_float(quad_tol, "quad_tol")
-        if quad_tol <= 0.0:
-            raise ConfigError(f"quad_tol must be positive, got {quad_tol}")
-
-    return RunConfig(
-        command=command,
-        domain=domain,
-        s_list=s_list,
-        n_list=n_list,
-        beta=beta,
-        field=data.get("field"),
-        identity=identity,
-        k=k,
-        k2=k2,
-        k_max=k_max,
-        even_only=bool(data.get("even_only", False)),
-        p=p,
-        tol=tol,
-        quad_tols=quad_tols,
-        bump=bump,
-        bp_side=bp_side,
-        h=h,
-        semilinear_tol=semilinear_tol,
-        checks=checks,
-        flux_tol=flux_tol,
-        samples=samples,
-        boundary_m=boundary_m,
-        seed=seed,
-        jobs=jobs,
-        out=out,
-        dump_matrices=bool(data.get("dump_matrices", False)),
-        points=points,
-        grid=grid,
-        R=R,
-        quad_tol=quad_tol,
-        given=given,
-    )
+    return RunConfig(command=command, given=given, **values)
 
 
 def _load_config(args) -> RunConfig:
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    command = flags.pop("command")
     data: dict = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
+    if "config" in flags:
+        with open(flags.pop("config"), "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
@@ -370,30 +327,10 @@ def _load_config(args) -> RunConfig:
             ) from None
         given.add("seed")
 
-    for attr, key in (
-        ("s", "s"),
-        ("n", "n"),
-        ("tol", "tol"),
-        ("seed", "seed"),
-        ("jobs", "jobs"),
-        ("out", "out"),
-        ("identity", "identity"),
-        ("k", "k"),
-        ("k2", "k2"),
-        ("k_max", "k_max"),
-        ("p", "p"),
-        ("R", "R"),
-        ("quad_tol", "quad_tol"),
-    ):
-        v = getattr(args, attr, None)
-        if v is not None:
-            data[key] = v
-            given.add(key)
-    for flag in ("even_only", "dump_matrices"):
-        if getattr(args, flag, None):
-            data[flag] = True
-            given.add(flag)
-    return make_config(args.command, data, given)
+    # every argparse dest but command and config is the key it overrides
+    data.update(flags)
+    given.update(flags)
+    return make_config(command, data, given)
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +763,6 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
     except _CONFIG_ERRORS as exc:
-        print(f"fraclab: config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
         print(f"fraclab: config error: {exc}", file=sys.stderr)
         return 2
     except FracLabError as exc:

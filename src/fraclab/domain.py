@@ -75,12 +75,18 @@ class BoundaryPoint1D:
 def make_domain(intervals: Sequence[Sequence[float]]) -> Domain1D:
     """Validate and sort intervals into a :class:`Domain1D`.
 
-    Raises DegenerateError for an empty/inverted interval and OverlapError
-    when two intervals touch or overlap.
+    Raises ArgumentError when an entry is not a pair of numbers,
+    DegenerateError for an empty/inverted interval and OverlapError when two
+    intervals touch or overlap.
     """
     if not intervals:
         raise DegenerateError("domain needs at least one interval")
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
+    try:
+        ivs = sorted((float(a), float(b)) for a, b in intervals)
+    except (TypeError, ValueError):
+        raise ArgumentError(
+            f"intervals must be pairs of numbers, got {intervals!r}"
+        ) from None
     for a, b in ivs:
         if not (b > a):
             raise DegenerateError(f"interval ({a}, {b}) has non-positive length")

@@ -1,5 +1,28 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "FracLabError",
+    "ExpressionError",
+    "OverlapError",
+    "DegenerateError",
+    "ArgumentError",
+    "NoBoundaryError",
+    "SingularGradientError",
+    "CoincidentPointsError",
+    "RangeError",
+    "DimensionMismatchError",
+    "QuadratureError",
+    "ToleranceError",
+    "NotPositiveDefiniteError",
+    "ConvergenceError",
+    "AsymmetricMeshError",
+    "SupercriticalError",
+    "WindowError",
+    "SupportError",
+    "DomainCollisionError",
+    "ConfigError",
+]
+
 
 class FracLabError(Exception):
     """Base class for all package-specific errors."""

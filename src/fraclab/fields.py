@@ -25,6 +25,7 @@ from .errors import (
 from .expressions import Expr, parse_expression
 
 __all__ = [
+    "DEFAULT_SEED",
     "VectorField",
     "ConditionCertificate",
     "frac_constant",

@@ -7,6 +7,7 @@ in a fresh interpreter, and one runs the installed script where it exists.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -155,6 +156,27 @@ CONFIG_ERRORS = [
     ({"grid": {"lo": 0, "hi": 1, "count": 0}}, "'grid.count' must be >= 1, got 0"),
     ({"R": 0}, "R must be positive, got 0.0"),
     ({"quad_tol": 0}, "quad_tol must be positive, got 0.0"),
+    # malformed values that ran, failed late or raised a traceback before they
+    # were checked with the config; every command now rejects them up front
+    ({"even_only": "false"}, "'even_only' must be true or false"),
+    ({"dump_matrices": "no"}, "'dump_matrices' must be true or false"),
+    ({"bump": {"center": "x"}}, "'bump.center' must be a number"),
+    ({"grid": {"lo": "x", "hi": 1, "count": 3}}, "'grid.lo' must be a number"),
+    ({"grid": {"lo": 0, "hi": "y", "count": 3}}, "'grid.hi' must be a number"),
+    (
+        {"domain": {"intervals": [[1.0, 0.0]]}},
+        "interval (1.0, 0.0) has non-positive length",
+    ),
+    ({"domain": {"intervals": []}}, "domain needs at least one interval"),
+    (
+        {"domain": {"intervals": [[0, 1, 2]]}},
+        "intervals must be pairs of numbers, got [[0, 1, 2]]",
+    ),
+    (
+        {"domain": {"intervals": [[0, "a"]]}},
+        "intervals must be pairs of numbers, got [[0, 'a']]",
+    ),
+    ({"semilinear_tol": 0}, "semilinear_tol must be positive, got 0.0"),
 ]
 
 
@@ -202,6 +224,19 @@ def test_flag_beats_file_value(tmp_path, monkeypatch, command, data, flags, name
     (run,) = seen
     assert getattr(run, name) == value
     assert set(data) <= run.given
+
+
+def test_readme_config_table_matches_schema():
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    documented = [(key.strip("| `"), default.strip("`")) for key, default, _ in rows]
+    schema = [
+        (f.metadata["key"] or f.name,
+         "—" if f.metadata["default"] is None else json.dumps(f.metadata["default"]))
+        for f in dataclasses.fields(cli.RunConfig) if f.metadata
+    ]
+    assert documented == schema
 
 
 def test_config_not_an_object_exit_2(tmp_path):
