@@ -124,24 +124,19 @@ def _element_hats(mesh, elems, pts):
 
 def assemble_mass(mesh: Mesh1D) -> np.ndarray:
     """Exact P1 mass matrix on interior dofs (tridiagonal per interval)."""
-    K = mesh.n_interior
-    M = np.zeros((K, K))
     h = mesh.elem_h
-    dl = mesh.elem_dof[:, 0]
-    dr = mesh.elem_dof[:, 1]
-    sel = dl >= 0
-    np.add.at(M, (dl[sel], dl[sel]), h[sel] / 3.0)
-    sel = dr >= 0
-    np.add.at(M, (dr[sel], dr[sel]), h[sel] / 3.0)
-    sel = (dl >= 0) & (dr >= 0)
-    np.add.at(M, (dl[sel], dr[sel]), h[sel] / 6.0)
-    np.add.at(M, (dr[sel], dl[sel]), h[sel] / 6.0)
-    return M
+    return _scatter(_sym_blocks(h / 3.0, h / 6.0), mesh.elem_dof, mesh.n_interior)
 
 
 # ---------------------------------------------------------------------------
-# scatter helper
+# local blocks and scatter
 # ---------------------------------------------------------------------------
+
+def _sym_blocks(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """(E, 2, 2) element blocks [[diag, off], [off, diag]]."""
+    rows = (np.stack([diag, off], axis=1), np.stack([off, diag], axis=1))
+    return np.stack(rows, axis=1)
+
 
 def _scatter(local: np.ndarray, dofs: np.ndarray, K: int) -> np.ndarray:
     """Accumulate (P, D, D) local blocks into a K x K matrix (dof -1 dropped)."""
@@ -163,12 +158,7 @@ def _identical_gagliardo(mesh, s, coeff) -> np.ndarray:
     h = mesh.elem_h
     w = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
     base = coeff * w / h**2  # slope product magnitude 1/h^2
-    local = np.empty((h.size, 2, 2))
-    local[:, 0, 0] = base
-    local[:, 1, 1] = base
-    local[:, 0, 1] = -base
-    local[:, 1, 0] = -base
-    return _scatter(local, mesh.elem_dof, K)
+    return _scatter(_sym_blocks(base, -base), mesh.elem_dof, K)
 
 
 def _touch_geometry(mesh, touching):
@@ -244,12 +234,7 @@ def _identical_deformation(mesh, s, rfun) -> np.ndarray:
     inner = span * (rv @ wg)  # (E, J)
     vals = 2.0 * h ** (2.0 - 2.0 * s) * (inner @ wj)  # (E,)
     base = vals / h**2
-    local = np.empty((h.size, 2, 2))
-    local[:, 0, 0] = base
-    local[:, 1, 1] = base
-    local[:, 0, 1] = -base
-    local[:, 1, 0] = -base
-    return _scatter(local, mesh.elem_dof, K)
+    return _scatter(_sym_blocks(base, -base), mesh.elem_dof, K)
 
 
 def _touching_deformation(mesh, s, rfun, touching) -> np.ndarray:
@@ -293,7 +278,7 @@ def _touching_deformation(mesh, s, rfun, touching) -> np.ndarray:
 def _separated(mesh, kernel, sep) -> np.ndarray:
     """Chunked 8x8 tensor GL over subdivided separated pairs."""
     K = mesh.n_interior
-    A = np.zeros(K * K)
+    A = np.zeros((K, K))
     tg, wg = gauss_legendre_01(_GL_SEP)
     n = sep["kx0"].size
     for lo in range(0, n, _CHUNK):
@@ -322,14 +307,8 @@ def _separated(mesh, kernel, sep) -> np.ndarray:
         )  # (P, 4, 4)
         dofs = np.concatenate([mesh.elem_dof[ke], mesh.elem_dof[le]], axis=1)
         # unordered pair counted once; double for (e,f)+(f,e)
-        P, D = dofs.shape
-        rows = np.broadcast_to(dofs[:, :, None], (P, D, D))
-        cols = np.broadcast_to(dofs[:, None, :], (P, D, D))
-        valid = (rows >= 0) & (cols >= 0)
-        lin = np.where(valid, rows * K + cols, 0).ravel()
-        w = np.where(valid, 2.0 * local, 0.0).ravel()
-        A += np.bincount(lin, weights=w, minlength=K * K)
-    return A.reshape(K, K)
+        A += _scatter(2.0 * local, dofs, K)
+    return A
 
 
 # ---------------------------------------------------------------------------

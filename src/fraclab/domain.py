@@ -11,6 +11,7 @@ field certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -194,11 +195,17 @@ class Mesh1D:
         return tuple(out)
 
 
+@lru_cache(maxsize=32)
 def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1D:
     """Graded mesh with ``n_per_interval`` elements on every interval.
 
     Requires n_per_interval >= 2 (at least one interior node per interval)
     and beta >= 1; beta = 1 is the uniform mesh.
+
+    Memoized: equal arguments, passed the same way, return the same
+    read-only mesh, so tables cached per mesh (element-pair classes) are
+    shared by every ``s``.  ``beta`` by keyword and by position are
+    separate cache entries.
     """
     n = int(n_per_interval)
     if n < 2:

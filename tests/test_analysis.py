@@ -365,3 +365,14 @@ def test_solve_context_is_cached():
     a = fl.solve_context(INTERVAL, 0.5, 64, 2.0, False)
     b = fl.solve_context(INTERVAL, 0.5, 64, 2.0, False)
     assert a is b
+
+
+def test_contexts_differing_only_in_s_share_pair_tables():
+    from fraclab.assembly import _pair_tables
+
+    dom = fl.make_domain([(-1.0, 0.75)])  # no other test meshes this domain
+    before = _pair_tables.cache_info().misses
+    a = fl.solve_context(dom, 0.3, 32, 2.0, False)
+    b = fl.solve_context(dom, 0.7, 32, 2.0, False)
+    assert a.mesh is b.mesh
+    assert _pair_tables.cache_info().misses == before + 1
