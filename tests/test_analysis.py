@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraclab as fl
+from fraclab.assembly import _pair_tables
 from fraclab.errors import ArgumentError, SupportError, WindowError
 
 BOX1 = [(-3.0, 3.0)]
@@ -368,8 +369,6 @@ def test_solve_context_is_cached():
 
 
 def test_contexts_differing_only_in_s_share_pair_tables():
-    from fraclab.assembly import _pair_tables
-
     dom = fl.make_domain([(-1.0, 0.75)])  # no other test meshes this domain
     before = _pair_tables.cache_info().misses
     a = fl.solve_context(dom, 0.3, 32, 2.0, False)
