@@ -6,6 +6,8 @@ unit-test scale (n <= 512).  The full acceptance sweep lives in
 test_acceptance.py.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,15 @@ def test_lemma21_residual_tracks_tolerance():
     assert res[1] / res[2] >= 3.0
 
 
+def test_polynomial_bump_power_must_be_an_integer():
+    with pytest.raises(ArgumentError, match="bump power must be an integer, got 2.5"):
+        fl.polynomial_bump(power=2.5)
+    with pytest.raises(ArgumentError, match=r"power >= 2 needed for a C\^1 bump"):
+        fl.polynomial_bump(power=1)
+    x = np.linspace(-0.6, 0.6, 13)
+    assert np.array_equal(fl.polynomial_bump(power=3.0)(x), fl.polynomial_bump(power=3)(x))
+
+
 def test_lemma21_support_margin_enforced():
     X = fl.identity_field(1, box=BOX1)
     with pytest.raises(SupportError):
@@ -360,6 +371,26 @@ def test_solve_context_values_and_pairs_share_one_spectrum(n, even_only):
     assert np.array_equal(
         ctx.values[: len(ctx.pairs)], [p.value for p in ctx.pairs]
     )
+
+
+def test_semilinear_verify_runs_one_eigensolve(monkeypatch):
+    calls = []
+    for name in ("fraclab.solve", "fraclab.analysis"):
+        module = importlib.import_module(name)
+        if hasattr(module, "solve_geig"):
+            def counted(*args, _original=module.solve_geig, **kwargs):
+                calls.append(args[0].shape)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve_geig", counted)
+    # s = 0.41, n = 16: a context no other test builds
+    fl.run_verify("pohozaev", INTERVAL, 0.41, [16], p=3)
+    assert len(calls) == 1
+
+
+def test_solve_context_is_one_object_in_every_namespace():
+    solve = importlib.import_module("fraclab.solve")
+    assert fl.analysis.solve_context is solve.solve_context is fl.solve_context
 
 
 def test_solve_context_is_cached():

@@ -177,6 +177,47 @@ CONFIG_ERRORS = [
         "intervals must be pairs of numbers, got [[0, 'a']]",
     ),
     ({"semilinear_tol": 0}, "semilinear_tol must be positive, got 0.0"),
+    # malformed implicit2d domains raised KeyError/ValueError/TypeError
+    ({"domain": {"implicit2d": {}}}, "'implicit2d' must be an object with keys g, bbox"),
+    ({"domain": {"implicit2d": []}}, "'implicit2d' must be an object with keys g, bbox"),
+    (
+        {"domain": {"implicit2d": {"g": "x^2 + y^2 - 1", "bbox": ["a", 1, 2, 3]}}},
+        "bbox must be (xmin, xmax, ymin, ymax)",
+    ),
+    (
+        {"domain": {"implicit2d": {"g": "x^2 + y^2 - 1", "bbox": 5}}},
+        "bbox must be (xmin, xmax, ymin, ymax)",
+    ),
+    # certify checks are checked with the config, before any check runs
+    ({"checks": ["c-condition", "bogus"]}, "unknown certify check kind 'bogus'"),
+    ({"checks": [5]}, "each check must be a kind string or {'kind': ...}"),
+    (
+        {"checks": ["min-flux", "threshold"]},
+        "threshold check needs c1/c2 or a preceding certificate",
+    ),
+    (
+        {"checks": [{"kind": "threshold", "c1": "a", "c2": 1.0}]},
+        "'threshold.c1' must be a number",
+    ),
+    (
+        {"checks": [{"kind": "threshold", "c1": 1.5}]},
+        "'threshold.c2' must be a number",
+    ),
+    (
+        {"checks": ["c-condition", {"kind": "threshold", "N": "x"}]},
+        "'threshold.N' must be a number or non-empty list of numbers",
+    ),
+    (
+        {"checks": ["c-condition", {"kind": "threshold", "N": 1.7}]},
+        "'threshold.N' entries must be integers, got 1.7",
+    ),
+    (
+        {"checks": ["c-condition", {"kind": "threshold", "N": 0}]},
+        "'threshold.N' must be >= 1, got 0",
+    ),
+    # a fractional bump power was truncated to an integer
+    ({"bump": {"power": 2.5}}, "bump power must be an integer, got 2.5"),
+    ({"bump": {"power": 1}}, "power >= 2 needed for a C^1 bump"),
 ]
 
 
@@ -382,6 +423,17 @@ def test_certify_threshold_outside_admissible_s_exit_2(tmp_path):
          "out": str(tmp_path)},
     )
     assert main(["certify", "--config", cfg]) == 2
+
+
+def test_certify_bad_check_exits_before_any_check_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {"field": ANISOTROPIC_FIELD, "checks": ["c-condition", "bogus"], "out": str(out)},
+    )
+    assert main(["certify", "--config", cfg]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 def test_certify_seed_precedence(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fraclab as fl
 from fraclab.errors import (
@@ -49,6 +50,23 @@ def test_geig_diagonal():
 def test_geig_not_positive_definite_mass():
     with pytest.raises(NotPositiveDefiniteError):
         fl.solve_geig(np.eye(2), np.diag([1.0, -1.0]), 1)
+
+
+def test_geig_factors_the_mass_matrix_once(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(M) or cholesky(M))
+    fl.solve_geig(np.diag([3.0, 2.0]), np.eye(2), 2)
+    assert calls == []
+
+
+def test_geig_failure_with_definite_mass_is_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError):
+        fl.solve_geig(np.eye(2), np.eye(2), 1)
 
 
 def test_geig_k_max_out_of_range():
