@@ -11,15 +11,14 @@ near the boundary point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from functools import lru_cache, wraps
+from dataclasses import asdict, dataclass
+from functools import wraps
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .assembly import (
     assemble_deformation,
-    assemble_forms,
     frac_laplacian_pointwise,
     integrate_density,
     _full_nodal,
@@ -39,8 +38,8 @@ from .quadrature import adaptive_panels, gauss_legendre_01
 from .solve import (
     EigenPair,
     SemilinearSolution,
-    restrict_even,
-    solve_geig,
+    SolveContext,
+    solve_context,
     solve_semilinear,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "lemma21_check",
     "hadamard_check",
     "spectrum_report",
-    "solve_context",
     "IDENTITIES",
     "verify_steps",
     "run_verify",
@@ -425,6 +423,8 @@ def polynomial_bump(center: float = 0.0, halfwidth: float = 0.5, power: int = 3)
     """(1 - z^2)_+^power with z = (x-center)/halfwidth; C^{power-1} at the edge."""
     if power < 2:
         raise ArgumentError("power >= 2 needed for a C^1 bump")
+    if not float(power).is_integer():
+        raise ArgumentError(f"bump power must be an integer, got {power}")
     c, w, q = float(center), float(halfwidth), int(power)
 
     def f(x):
@@ -511,49 +511,6 @@ def lemma21_check(
         mag_acc += float(b - a) * float(np.dot(np.abs(integrand(xq)), wg))
     rel = _rel(lhs, rhs, scale=2.0 * mag_acc)
     return _report("lemma21", lhs, rhs, rel, n_f, s, history)
-
-
-# ---------------------------------------------------------------------------
-# cached solve context
-# ---------------------------------------------------------------------------
-
-_K_KEEP = 12  # eigenvectors kept per cached context
-
-
-@dataclass(frozen=True, eq=False)
-class SolveContext:
-    mesh: Mesh1D
-    forms: object
-    pairs: tuple[EigenPair, ...]
-    values: np.ndarray = field(repr=False)  # full ascending spectrum
-    even_only: bool = False
-
-
-@lru_cache(maxsize=24)
-def solve_context(
-    domain: Domain1D,
-    s: float,
-    n: int,
-    beta: float = 2.0,
-    even_only: bool = False,
-) -> SolveContext:
-    """Mesh + assembled forms + leading eigenpairs, memoized."""
-    mesh = make_mesh(domain, n, beta)
-    forms = assemble_forms(mesh, s)
-    A, M = forms.stiffness, forms.mass
-    if even_only:
-        Ae, Me, P = restrict_even(mesh, A, M)
-        raw = solve_geig(Ae, Me, min(_K_KEEP, Ae.shape[0]))
-        pairs = tuple(
-            EigenPair(k=p.k, value=p.value, vector=P @ p.vector, residual=p.residual)
-            for p in raw
-        )
-    else:
-        raw = solve_geig(A, M, min(_K_KEEP, A.shape[0]))
-        pairs = tuple(raw)
-    return SolveContext(
-        mesh=mesh, forms=forms, pairs=pairs, values=raw.values, even_only=even_only
-    )
 
 
 def _mode(ctx: SolveContext, k: int) -> EigenPair:
@@ -727,7 +684,7 @@ def verify_steps(
         ctx = solve_context(domain, s, n, beta, even_only)
         sol = _mode(ctx, k)
         if p is not None and identity in ("pohozaev", "ros-oton-serra"):
-            sol = solve_semilinear(ctx.forms, p, tol=semilinear_tol)
+            sol = solve_semilinear(ctx, p, tol=semilinear_tol)
         if identity == "pohozaev":
             rep = pohozaev_check(domain, s, sol, X, mesh=ctx.mesh, history=history)
         elif identity == "ros-oton-serra":

@@ -7,7 +7,8 @@ Usage::
 A run is described by one JSON config file; the flags ``--s``, ``--n``,
 ``--tol`` (and a few command-specific ones) override single entries for quick
 runs.  ``s`` and ``n`` may be lists, in which case the command sweeps over
-them in a worker pool (``--jobs``) and writes results in config order.  The
+them and writes results in config order; ``eigen`` and ``verify`` run the
+sweep in a worker pool (``--jobs``).  The
 environment variable ``FRACLAB_SEED`` overrides the config seed.
 
 Exit codes: 0 success / all checks pass, 1 a verification or certificate
@@ -37,7 +38,6 @@ from .analysis import (
     HadamardReport,
     polynomial_bump,
     report_to_dict,
-    solve_context,
     verify_steps,
 )
 from .domain import (
@@ -69,7 +69,7 @@ from .fields import (
     nonexistence_threshold,
 )
 from .assembly import frac_laplacian_pointwise
-from .solve import pairs_to_json, solve_semilinear
+from .solve import pairs_to_json, solve_context, solve_semilinear
 
 __all__ = ["RunConfig", "main"]
 
@@ -208,6 +208,7 @@ def _bump(v, name) -> dict:
         raise ConfigError("'bump' must be an object with keys center, halfwidth, power")
     for key, x in v.items():
         _one_float(x, f"bump.{key}")
+    polynomial_bump(**v)  # rejects a power below 2 or not an integer
     return v
 
 
@@ -217,10 +218,35 @@ def _side(v, name) -> str:
     return v
 
 
+_CERTIFICATES = ("c-condition", "c1c2-condition")
+
+
 def _checks(v, name) -> tuple:
+    """Each certify check as a dict {"kind": ...} with numeric c1, c2 and N."""
     if not isinstance(v, (list, tuple)) or not v:
         raise ConfigError("'checks' must be a non-empty list")
-    return tuple(v)
+    out = []
+    for spec in v:
+        if isinstance(spec, str):
+            spec = {"kind": spec}
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ConfigError("each check must be a kind string or {'kind': ...}")
+        kind = spec["kind"]
+        if kind not in _CERTIFICATES + ("min-flux", "threshold"):
+            raise ConfigError(f"unknown certify check kind '{kind}'")
+        if kind == "threshold":
+            spec = dict(spec)
+            if "c1" in spec or "c2" in spec:
+                spec["c1"] = _one_float(spec.get("c1"), "threshold.c1")
+                spec["c2"] = _one_float(spec.get("c2"), "threshold.c2")
+            elif not any(prev["kind"] in _CERTIFICATES for prev in out):
+                raise ConfigError(
+                    "threshold check needs c1/c2 or a preceding certificate"
+                )
+            if "N" in spec:
+                spec["N"] = _one_int(spec["N"], "threshold.N")
+        out.append(spec)
+    return tuple(out)
 
 
 def _path(v, name) -> str:
@@ -528,7 +554,9 @@ def cmd_certify(cfg: RunConfig) -> int:
     X = field_from_json(cfg.field)
     checks = cfg.checks
     if checks is None:
-        checks = ("c-condition",) + (("min-flux",) if "domain" in cfg.given else ())
+        checks = ({"kind": "c-condition"},)
+        if "domain" in cfg.given:
+            checks += ({"kind": "min-flux"},)
 
     rows = []
     docs = []
@@ -536,10 +564,6 @@ def cmd_certify(cfg: RunConfig) -> int:
     last_constants: Optional[tuple] = None  # (c1, c2) from the latest certificate
 
     for spec in checks:
-        if isinstance(spec, str):
-            spec = {"kind": spec}
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError("each check must be a kind string or {'kind': ...}")
         kind = spec["kind"]
 
         if kind == "c-condition":
@@ -568,17 +592,9 @@ def cmd_certify(cfg: RunConfig) -> int:
             docs.append({"kind": kind, "min_flux": flux, "verdict": verdict})
             failed = failed or verdict != "pass"
             print(f"min-flux: min_flux = {_fmt(flux)}  verdict = {verdict}")
-        elif kind == "threshold":
-            if "c1" in spec or "c2" in spec:
-                c1 = _one_float(spec.get("c1"), "threshold.c1")
-                c2 = _one_float(spec.get("c2"), "threshold.c2")
-            elif last_constants is not None:
-                c1, c2 = last_constants
-            else:
-                raise ConfigError(
-                    "threshold check needs c1/c2 or a preceding certificate"
-                )
-            N = int(spec.get("N", X.dim))
+        else:  # threshold
+            c1, c2 = (spec["c1"], spec["c2"]) if "c1" in spec else last_constants
+            N = spec.get("N", X.dim)
             d0 = 2 * Fraction(c1).limit_denominator(10**6) / Fraction(
                 c2
             ).limit_denominator(10**6) - N
@@ -605,8 +621,6 @@ def cmd_certify(cfg: RunConfig) -> int:
                     "values": values,
                 }
             )
-        else:
-            raise ConfigError(f"unknown certify check kind '{kind}'")
 
     _write_csv(
         _outpath(cfg, "certify.csv"),
@@ -629,7 +643,7 @@ def cmd_semilinear(cfg: RunConfig) -> int:
     multi = len(combos) > 1
     for s, n in combos:
         ctx = solve_context(dom, s, n, cfg.beta, even_only=False)
-        sol = solve_semilinear(ctx.forms, cfg.p, tol=cfg.semilinear_tol)
+        sol = solve_semilinear(ctx, cfg.p, tol=cfg.semilinear_tol)
         base = "semilinear" + _suffix(s, n, multi)
         segs = ctx.mesh.interior_to_full(sol.u)
         doc = {

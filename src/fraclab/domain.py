@@ -286,9 +286,10 @@ class ImplicitDomain2D:
 
 
 def make_implicit_domain(g: str, bbox: Sequence[float]) -> ImplicitDomain2D:
-    if len(bbox) != 4:
-        raise ArgumentError("bbox must be (xmin, xmax, ymin, ymax)")
-    xmin, xmax, ymin, ymax = map(float, bbox)
+    try:
+        xmin, xmax, ymin, ymax = map(float, bbox)
+    except (TypeError, ValueError):
+        raise ArgumentError("bbox must be (xmin, xmax, ymin, ymax)") from None
     if not (xmax > xmin and ymax > ymin):
         raise ArgumentError("bbox must have positive extent")
     expr = parse_expression(g)
@@ -398,5 +399,7 @@ def domain_from_json(obj: dict):
         return make_domain(obj["intervals"])
     if "implicit2d" in obj:
         spec = obj["implicit2d"]
+        if not isinstance(spec, dict) or not {"g", "bbox"} <= set(spec):
+            raise ArgumentError("'implicit2d' must be an object with keys g, bbox")
         return make_implicit_domain(spec["g"], spec["bbox"])
     raise ArgumentError("domain JSON needs 'intervals' or 'implicit2d'")

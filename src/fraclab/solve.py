@@ -1,5 +1,5 @@
-"""Generalized symmetric eigensolver, even-subspace restriction, and a
-subcritical semilinear fixed-point solver.
+"""Generalized symmetric eigensolver, even-subspace restriction, the cached
+solve context, and a subcritical semilinear fixed-point solver.
 
 The eigenproblem is A u = lambda M u on the interior P1 basis (Dirichlet).
 In one dimension the "radial" subspace is the span of even functions; the
@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import AssembledForms, assemble_mass, integrate_density
-from .domain import Mesh1D
+from .assembly import AssembledForms, assemble_forms, integrate_density
+from .domain import Domain1D, Mesh1D, make_mesh
 from .errors import (
     ArgumentError,
     AsymmetricMeshError,
@@ -30,6 +31,7 @@ __all__ = [
     "SemilinearSolution",
     "solve_geig",
     "restrict_even",
+    "solve_context",
     "solve_semilinear",
     "pairs_to_json",
     "pairs_to_nodal_rows",
@@ -90,12 +92,13 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     _check_sym("A", A)
     _check_sym("M", M)
     try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("M is not positive definite") from exc
-    try:
         vals, vecs = scipy.linalg.eigh(A, M)
     except scipy.linalg.LinAlgError as exc:
+        # only a failed solve pays for telling the two causes apart
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError("M is not positive definite") from exc
         raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
     pairs = _Pairs()
     pairs.values = vals
@@ -131,8 +134,47 @@ def restrict_even(mesh: Mesh1D, A: np.ndarray, M: np.ndarray):
     return P.T @ A @ P, P.T @ M @ P, P
 
 
+_K_KEEP = 12  # eigenvectors kept per cached context
+
+
+@dataclass(frozen=True, eq=False)
+class SolveContext:
+    mesh: Mesh1D
+    forms: AssembledForms
+    pairs: tuple[EigenPair, ...]
+    values: np.ndarray = field(repr=False)  # full ascending spectrum
+    even_only: bool = False
+
+
+@lru_cache(maxsize=24)
+def solve_context(
+    domain: Domain1D,
+    s: float,
+    n: int,
+    beta: float = 2.0,
+    even_only: bool = False,
+) -> SolveContext:
+    """Mesh + assembled forms + leading eigenpairs, memoized."""
+    mesh = make_mesh(domain, n, beta)
+    forms = assemble_forms(mesh, s)
+    A, M = forms.stiffness, forms.mass
+    if even_only:
+        Ae, Me, P = restrict_even(mesh, A, M)
+        raw = solve_geig(Ae, Me, min(_K_KEEP, Ae.shape[0]))
+        pairs = tuple(
+            EigenPair(k=p.k, value=p.value, vector=P @ p.vector, residual=p.residual)
+            for p in raw
+        )
+    else:
+        raw = solve_geig(A, M, min(_K_KEEP, A.shape[0]))
+        pairs = tuple(raw)
+    return SolveContext(
+        mesh=mesh, forms=forms, pairs=pairs, values=raw.values, even_only=even_only
+    )
+
+
 def solve_semilinear(
-    forms: AssembledForms,
+    ctx: SolveContext,
     p: float,
     tol: float = 1e-12,
     max_iter: int = 200,
@@ -141,7 +183,7 @@ def solve_semilinear(
 
     Each step solves A z = M f(u) and rescales t z so that
     t^2 z'Az = t^p int z_+^p; iteration stops when the nodal sup-change
-    drops below tol.  Started from the positive ground-state eigenvector.
+    drops below tol.  Started from the ground-state eigenvector ctx.pairs[0].
 
     The reported ``residual`` is |Au - M u_+^{p-1}| / |Au| at the fixed
     point.  The Nehari rescale normalizes against the exact piecewise
@@ -153,13 +195,13 @@ def solve_semilinear(
     """
     if p <= 2.0:
         raise ArgumentError(f"need p > 2, got {p}")
-    s = forms.s
+    s = ctx.forms.s
     if s < 0.5 and p >= 2.0 / (1.0 - 2.0 * s):
         raise SupercriticalError(
             f"p = {p} is supercritical for s = {s} (critical exponent "
             f"{2.0 / (1.0 - 2.0 * s):g}); no positive solution exists"
         )
-    A, M, mesh = forms.stiffness, forms.mass, forms.mesh
+    A, M, mesh = ctx.forms.stiffness, ctx.forms.mass, ctx.mesh
 
     def nehari(z: np.ndarray) -> np.ndarray:
         e = float(z @ (A @ z))
@@ -168,7 +210,7 @@ def solve_semilinear(
             raise ConvergenceError("iterate lost positivity (zero nonlinear term)")
         return (e / g) ** (1.0 / (p - 2.0)) * z
 
-    u = nehari(solve_geig(A, M, 1)[0].vector)
+    u = nehari(ctx.pairs[0].vector)
     chol = scipy.linalg.cho_factor(A)
     for it in range(1, max_iter + 1):
         f = np.maximum(u, 0.0) ** (p - 1.0)

@@ -280,7 +280,7 @@ def test_criterion_11_eigenvalue_oracle():
 def test_criterion_12_semilinear_pohozaev():
     s, p = 0.75, 4.0
     ctx = fl.solve_context(INTERVAL, s, 512, 2.0, False)
-    sol = fl.solve_semilinear(ctx.forms, p)
+    sol = fl.solve_semilinear(ctx, p)
     X = fl.identity_field(1, box=BOX1)
     rep = fl.pohozaev_check(INTERVAL, s, sol, X, mesh=ctx.mesh)
     assert rep.rel_residual <= 0.05

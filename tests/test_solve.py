@@ -21,6 +21,10 @@ def interval_forms(n, s, beta=2.0, lo=-1.0, hi=1.0):
     return mesh, fl.assemble_forms(mesh, s)
 
 
+def interval_context(n, s, beta=2.0):
+    return fl.solve_context(fl.make_domain([(-1.0, 1.0)]), s, n, beta, False)
+
+
 # ---------------------------------------------------------------------------
 # dense generalized eigensolver
 # ---------------------------------------------------------------------------
@@ -161,8 +165,9 @@ def test_restrict_even_requires_symmetric_mesh():
 # ---------------------------------------------------------------------------
 
 def test_semilinear_nehari_identity():
-    mesh, F = interval_forms(128, 0.75)
-    sol = fl.solve_semilinear(F, 4.0, tol=1e-10)
+    ctx = interval_context(128, 0.75)
+    mesh, F = ctx.mesh, ctx.forms
+    sol = fl.solve_semilinear(ctx, 4.0, tol=1e-10)
     energy = float(sol.u @ (F.stiffness @ sol.u))
     power = fl.integrate_density(
         mesh, sol.u, transform=lambda t: np.maximum(t, 0.0) ** 4.0
@@ -173,36 +178,36 @@ def test_semilinear_nehari_identity():
 
 
 def test_semilinear_even_and_nonnegative():
-    mesh, F = interval_forms(128, 0.75)
-    sol = fl.solve_semilinear(F, 4.0, tol=1e-10)
+    ctx = interval_context(128, 0.75)
+    sol = fl.solve_semilinear(ctx, 4.0, tol=1e-10)
     assert np.max(np.abs(sol.u - sol.u[::-1])) < 10 * 1e-10
     assert np.min(sol.u) >= -1e-12
     assert np.max(sol.u) > 0
 
 
 def test_semilinear_converges_within_budget():
-    _, F = interval_forms(256, 0.75)
-    sol = fl.solve_semilinear(F, 4.0)
+    ctx = interval_context(256, 0.75)
+    sol = fl.solve_semilinear(ctx, 4.0)
     assert sol.iterations <= 200
 
 
 def test_semilinear_supercritical_rejected():
-    _, F = interval_forms(32, 0.3)
+    ctx = interval_context(32, 0.3)
     # N = 1, s = 0.3: critical exponent 2/(1-2s) = 5
     with pytest.raises(SupercriticalError):
-        fl.solve_semilinear(F, 6.0)
+        fl.solve_semilinear(ctx, 6.0)
 
 
 def test_semilinear_p_must_exceed_two():
-    _, F = interval_forms(32, 0.75)
+    ctx = interval_context(32, 0.75)
     with pytest.raises(ArgumentError):
-        fl.solve_semilinear(F, 2.0)
+        fl.solve_semilinear(ctx, 2.0)
 
 
 def test_semilinear_iteration_cap():
-    _, F = interval_forms(32, 0.75)
+    ctx = interval_context(32, 0.75)
     with pytest.raises(ConvergenceError):
-        fl.solve_semilinear(F, 4.0, tol=1e-14, max_iter=2)
+        fl.solve_semilinear(ctx, 4.0, tol=1e-14, max_iter=2)
 
 
 # ---------------------------------------------------------------------------
