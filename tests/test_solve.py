@@ -21,8 +21,8 @@ def interval_forms(n, s, beta=2.0, lo=-1.0, hi=1.0):
     return mesh, fl.assemble_forms(mesh, s)
 
 
-def interval_context(n, s, beta=2.0):
-    return fl.solve_context(fl.make_domain([(-1.0, 1.0)]), s, n, beta, False)
+def interval_context(n, s):
+    return fl.solve_context(fl.make_domain([(-1.0, 1.0)]), s, n, 2.0, False)
 
 
 # ---------------------------------------------------------------------------
