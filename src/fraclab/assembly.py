@@ -10,8 +10,14 @@ classes:
   difference variable (deformation);
 * touching   -- Duffy split of the corner singularity; exact power
   integrals (Gagliardo) / Jacobi(2-2s) x GL (deformation);
-* separated  -- 8x8 Gauss-Legendre after halving elements until the gap
-  is at least the element size (cap -> QuadratureError).
+* near       -- separated, gap < 16 max(h_k, h_l): 8x8 Gauss-Legendre
+  after halving elements until the gap is at least the element size
+  (cap -> QuadratureError);
+* far        -- gap >= 16 max(h_k, h_l): dense order-4 point-kernel blocks
+  over the upper triangle, contracted with the hat values by matmul.
+
+One geometry pass per mesh (``_pair_tables``) classifies the pairs and
+lists only the near sub-pairs; both forms share it and the kernel pass.
 
 Also provides the pointwise principal-value fractional Laplacian used as
 an independent cross-check, and weighted density integrals.
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,22 +54,52 @@ __all__ = [
     "integrate_density",
 ]
 
-_GL_SEP = 8  # separated-pair tensor order
+_GL_SEP = 8  # near separated-pair tensor order
+_GL_FAR = 4  # per-element order for far pairs
+_FAR_RATIO = 16  # far pair: gap >= _FAR_RATIO * max(h_k, h_l)
 _GL_TOUCH = 16  # tau direction on Duffy triangles
 _GL_INNER = 8  # inner direction for identical deformation pairs
 _GL_EXTERIOR = 16  # smooth exterior terms
 _JACOBI_ORDER = 12  # singular directions
 _SUBDIV_CAP = 16  # per-element halvings for separated pairs
-_CHUNK = 16384
+_CHUNK = 16384  # near sub-pairs per chunk
+_FAR_BYTES = 1 << 23  # point-kernel block per far row chunk
 
 
 # ---------------------------------------------------------------------------
 # mesh-derived tables
 # ---------------------------------------------------------------------------
 
+class _PairTables(NamedTuple):
+    """Per-mesh geometry shared by every kernel and every s."""
+
+    touching: np.ndarray  # left element k of each touching pair (k, k+1)
+    near: dict  # subdivided near sub-pairs: kx0, kx1, ly0, ly1, k, l
+    far_x: np.ndarray  # (E, _GL_FAR) far-rule points of each element
+    dof_runs: tuple  # (a, lo, hi, shift): slot-a dof of elements lo:hi is k + shift
+    counts: dict  # unordered element pairs by class
+
+
+def _far_chunks(mesh):
+    """Row chunks (k0, k1, far) of the upper triangle of element pairs.
+
+    ``far[i, j]`` says whether (k0 + i, k0 + j) is a far pair; chunks are
+    sized so one point-kernel block of rows k0:k1 by columns k0:E stays
+    within _FAR_BYTES.
+    """
+    E = mesh.elem_h.size
+    h = mesh.elem_h
+    rows = max(1, _FAR_BYTES // (8 * _GL_FAR**2 * E))
+    for k0 in range(0, E, rows):
+        k1 = min(k0 + rows, E)
+        gap = mesh.elem_x0[None, k0:] - mesh.elem_x1[k0:k1, None]
+        far = gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, k0:])
+        yield k0, k1, far
+
+
 @lru_cache(maxsize=32)
-def _pair_tables(mesh: Mesh1D):
-    """Classify all unordered element pairs and expand subdivisions."""
+def _pair_tables(mesh: Mesh1D) -> _PairTables:
+    """Classify all unordered element pairs; expand near subdivisions."""
     E = mesh.elem_h.size
     iv = mesh.elem_interval
 
@@ -71,10 +107,18 @@ def _pair_tables(mesh: Mesh1D):
     k = np.arange(E - 1)
     touching = k[iv[k] == iv[k + 1]]
 
-    # separated: every remaining unordered pair (k < l)
-    ku, lu = np.triu_indices(E, 1)
-    adjacent = (lu == ku + 1) & (iv[ku] == iv[lu])
-    ku, lu = ku[~adjacent], lu[~adjacent]
+    # separated: every remaining unordered pair (k < l); near unless far
+    near_k, near_l, n_far = [], [], 0
+    for k0, k1, far in _far_chunks(mesh):
+        kk = np.arange(k0, k1)[:, None]
+        ll = np.arange(k0, E)[None, :]
+        separated = (ll > kk) & ~((ll == kk + 1) & (iv[kk] == iv[ll]))
+        ki, li = np.nonzero(separated & ~far)
+        near_k.append(ki + k0)
+        near_l.append(li + k0)
+        n_far += int(np.count_nonzero(far))
+    ku = np.concatenate(near_k)
+    lu = np.concatenate(near_l)
     gap = mesh.elem_x0[lu] - mesh.elem_x1[ku]
     if np.any(gap <= 0):
         raise QuadratureError("element ordering broke; separated pair with gap <= 0")
@@ -95,7 +139,7 @@ def _pair_tables(mesh: Mesh1D):
     h2s = mesh.elem_h[lu][parent] / m2[parent]
     sx0 = mesh.elem_x0[ku][parent] + i1 * h1s
     sy0 = mesh.elem_x0[lu][parent] + i2 * h2s
-    sep = {
+    near = {
         "kx0": sx0,
         "kx1": sx0 + h1s,
         "ly0": sy0,
@@ -103,7 +147,27 @@ def _pair_tables(mesh: Mesh1D):
         "k": ku[parent],
         "l": lu[parent],
     }
-    return touching, sep
+    tf, _ = gauss_legendre_01(_GL_FAR)
+    far_x = mesh.elem_x0[:, None] + mesh.elem_h[:, None] * tf[None, :]
+    # elements whose slot-a node is a dof, in runs where dof - k is constant
+    dof_runs = []
+    for a in (0, 1):
+        dof = mesh.elem_dof[:, a]
+        shift = np.where(dof >= 0, dof - np.arange(E), -E - 1)
+        edges = np.concatenate([[0], np.flatnonzero(np.diff(shift)) + 1, [E]])
+        dof_runs += [
+            (a, int(lo), int(hi), int(shift[lo]))
+            for lo, hi in zip(edges[:-1], edges[1:])
+            if dof[lo] >= 0
+        ]
+    pair_counts = {
+        "identical": E,
+        "touching": int(touching.size),
+        "near": int(ku.size),
+        "near_subpairs": total,
+        "far": n_far,
+    }
+    return _PairTables(touching, near, far_x, tuple(dof_runs), pair_counts)
 
 
 def _element_hats(mesh, elems, pts):
@@ -275,25 +339,36 @@ def _touching_deformation(mesh, s, rfun, touching) -> np.ndarray:
     return _scatter(2.0 * (t1 + t2), dofs, K)
 
 
-def _separated(mesh, kernel, sep) -> np.ndarray:
-    """Chunked 8x8 tensor GL over subdivided separated pairs."""
+def _separated(mesh, tables, points, kernel) -> np.ndarray:
+    """Separated pairs: near sub-pairs by 8x8 GL, far pairs as dense blocks.
+
+    ``points(x)`` returns the data the kernel reads at points x (x first);
+    ``kernel(p, q)`` evaluates it on two broadcastable point sets.  The
+    result is the separated part of the matrix, each unordered pair counted
+    for both orders.
+    """
+    return _near(mesh, tables.near, points, kernel) + _far(mesh, tables, points, kernel)
+
+
+def _near(mesh, near, points, kernel) -> np.ndarray:
+    """Chunked 8x8 tensor GL over the subdivided near sub-pairs."""
     K = mesh.n_interior
     A = np.zeros((K, K))
     tg, wg = gauss_legendre_01(_GL_SEP)
-    n = sep["kx0"].size
+    n = near["kx0"].size
     for lo in range(0, n, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, n))
-        kx0 = sep["kx0"][sl]
-        kx1 = sep["kx1"][sl]
-        ly0 = sep["ly0"][sl]
-        ly1 = sep["ly1"][sl]
-        ke = sep["k"][sl]
-        le = sep["l"][sl]
+        kx0 = near["kx0"][sl]
+        kx1 = near["kx1"][sl]
+        ly0 = near["ly0"][sl]
+        ly1 = near["ly1"][sl]
+        ke = near["k"][sl]
+        le = near["l"][sl]
         hx = (kx1 - kx0)[:, None]
         hy = (ly1 - ly0)[:, None]
         xs = kx0[:, None] + hx * tg[None, :]
         ys = ly0[:, None] + hy * tg[None, :]
-        kv = kernel(xs[:, :, None], ys[:, None, :])
+        kv = kernel(points(xs[:, :, None]), points(ys[:, None, :]))
         kv *= (hx * wg[None, :])[:, :, None] * (hy * wg[None, :])[:, None, :]
         vx = _element_hats(mesh, ke, xs)  # (P, 2, G)
         vy = _element_hats(mesh, le, ys)
@@ -309,6 +384,60 @@ def _separated(mesh, kernel, sep) -> np.ndarray:
         # unordered pair counted once; double for (e,f)+(f,e)
         A += _scatter(2.0 * local, dofs, K)
     return A
+
+
+def _far(mesh, tables, points, kernel) -> np.ndarray:
+    """Far pairs from dense point-kernel blocks over the upper triangle.
+
+    With W the kernel times the order-_GL_FAR weights between the points of
+    far element pairs, the far part is 2 (Phi' diag(W 1) Phi - Phi' W Phi)
+    for the hat values Phi.  Each row chunk holds the points of elements
+    k0:k1 (element-major) against those of k0:E (point-major), and both
+    terms are contracted per element with the reference hats (1 - t, t).
+    """
+    K = mesh.n_interior
+    E = mesh.elem_h.size
+    G = _GL_FAR
+    h = mesh.elem_h
+    dof = mesh.elem_dof
+    tf, wf = gauss_legendre_01(G)
+    hat = np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
+    wh = wf[:, None] * hat
+    pts = points(tables.far_x)  # once per quadrature point, each (E, G)
+    rsum = np.zeros((E, G))  # sum over far partners of h_l w_j k(x_i, y_j)
+    cross = np.zeros((K, K))
+    for k0, k1, far in _far_chunks(mesh):
+        if not far.any():
+            continue
+        c, m = k1 - k0, E - k0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kv = kernel(
+                tuple(p[k0:k1].reshape(-1, 1) for p in pts),
+                tuple(p[k0:].T.reshape(1, -1) for p in pts),
+            )  # (c G, G m): rows (k, i), columns (j, l)
+        own = np.arange(c)[:, None]
+        kv[own * G + np.arange(G), np.arange(G) * m + own] = 0.0  # never far
+        wl = np.where(far, h[None, k0:], 0.0)
+        wk = np.where(far, h[k0:k1, None], 0.0)
+        col = (wh.T @ kv.reshape(c * G, G, m)).reshape(c, G * 2, m)
+        row = (wf @ kv.reshape(c, G, G * m)).reshape(c, G, m)
+        rsum[k0:k1] += (col @ wl[:, :, None]).reshape(c, G, 2).sum(axis=2)
+        rsum[k0:] += np.einsum("kjl,kl->lj", row, wk)
+        z = (wh.T @ col.reshape(c, G, 2 * m)).reshape(c, 2, 2, m)
+        z *= (wk * h[None, k0:])[:, None, None, :]
+        for a, lo, hi, sa in tables.dof_runs:
+            r0, r1 = max(lo, k0), min(hi, k1)
+            for b, clo, chi, sb in tables.dof_runs if r0 < r1 else ():
+                c0 = max(clo, k0)
+                if c0 < chi:
+                    cross[r0 + sa : r1 + sa, c0 + sb : chi + sb] += z[
+                        r0 - k0 : r1 - k0, a, b, c0 - k0 : chi - k0
+                    ]
+    cross += cross.T
+    cross *= -2.0
+    diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
+    cross += _scatter(2.0 * diag, dof, K)
+    return cross
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +601,18 @@ def assemble_gagliardo(mesh: Mesh1D, s: float, include_exterior: bool = True) ->
     _check_s(s)
     c = frac_constant(1, s)
     coeff = 0.5 * c
-    touching, sep = _pair_tables(mesh)
+    tables = _pair_tables(mesh)
     A = _identical_gagliardo(mesh, s, coeff)
-    A += _touching_gagliardo(mesh, s, coeff, touching)
+    A += _touching_gagliardo(mesh, s, coeff, tables.touching)
     expo = -1.0 - 2.0 * s
 
-    def kernel(x, y):
-        return coeff * np.abs(x - y) ** expo
+    def kernel(p, q):
+        d = p[0] - q[0]
+        np.abs(d, out=d)
+        np.power(d, expo, out=d)
+        return d
 
-    A += _separated(mesh, kernel, sep)
+    A += coeff * _separated(mesh, tables, lambda x: (x,), kernel)
     if include_exterior:
         A += _gagliardo_exterior(mesh, s, coeff)
     return 0.5 * (A + A.T)
@@ -491,11 +623,14 @@ def assemble_forms(mesh: Mesh1D, s: float) -> AssembledForms:
     A = assemble_gagliardo(mesh, s)
     M = assemble_mass(mesh)
     meta = {
-        "gl_separated": _GL_SEP,
+        "gl_near": _GL_SEP,
+        "gl_far": _GL_FAR,
+        "far_gap_ratio": _FAR_RATIO,
+        "subdivision_cap": _SUBDIV_CAP,
         "gl_touch": _GL_TOUCH,
         "jacobi_order": _JACOBI_ORDER,
-        "subdivision_cap": _SUBDIV_CAP,
         "exterior": "closed-form",
+        "pairs": dict(_pair_tables(mesh).counts),
     }
     return AssembledForms(mesh=mesh, s=s, mass=M, stiffness=A, meta=meta)
 
@@ -513,18 +648,33 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
     c = frac_constant(1, s)
     expo = -1.0 - 2.0 * s
 
+    def points(x):
+        return x, X.at1(x), X.div1(x)
+
+    def smooth(p, q):
+        # R(x,y) = |x-y|^{1+2s} K_X(x,y) without the factor c/2
+        (x, fx, dx), (y, fy, dy) = p, q
+        dq = fx - fy
+        dq /= x - y
+        dq *= 1.0 + 2.0 * s
+        r = dx + dy
+        r -= dq
+        return r
+
     def rfun(x, y):
-        # smooth part R(x,y) = |x-y|^{1+2s} K_X(x,y)
-        dq = (X.at1(x) - X.at1(y)) / (x - y)
-        return 0.5 * c * (X.div1(x) + X.div1(y) - (1.0 + 2.0 * s) * dq)
+        return 0.5 * c * smooth(points(x), points(y))
 
-    def kernel(x, y):
-        return rfun(x, y) * np.abs(x - y) ** expo
+    def kernel(p, q):
+        d = p[0] - q[0]
+        np.abs(d, out=d)
+        np.power(d, expo, out=d)
+        d *= smooth(p, q)
+        return d
 
-    touching, sep = _pair_tables(mesh)
+    tables = _pair_tables(mesh)
     B = _identical_deformation(mesh, s, rfun)
-    B += _touching_deformation(mesh, s, rfun, touching)
-    B += _separated(mesh, kernel, sep)
+    B += _touching_deformation(mesh, s, rfun, tables.touching)
+    B += 0.5 * c * _separated(mesh, tables, points, kernel)
     B += _deformation_exterior(mesh, X, s, c)
     B = 0.5 * (B + B.T)
     return DeformationMatrix(mesh=mesh, s=s, X=X, matrix=B)

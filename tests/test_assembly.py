@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import fraclab as fl
+from fraclab import assembly
+from fraclab.assembly import _pair_tables
 from fraclab.errors import (
     ArgumentError,
     QuadratureError,
@@ -107,6 +109,135 @@ def test_stiffness_tiny_gap_refuses_loudly():
     d = fl.make_domain([(-1.0, -1e-9), (1e-9, 1.0)])
     with pytest.raises(QuadratureError):
         fl.assemble_gagliardo(fl.make_mesh(d, 8, beta=1.0), 0.5)
+
+
+def test_near_pair_table_stays_linear_in_elements():
+    # far pairs are assembled as dense blocks, so the cached table lists
+    # only the near sub-pairs: O(E), not one row per separated pair
+    mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 1024, 2.0)
+    near = _pair_tables(mesh)[1]
+    assert near["k"].size < 32 * mesh.elem_h.size
+
+
+def test_forms_meta_records_rule_and_pair_counts():
+    mesh = fl.make_mesh(fl.make_domain([(-2.0, -1.0), (1.0, 2.0)]), 64, 2.0)
+    meta = fl.assemble_forms(mesh, 0.5).meta
+    assert (meta["gl_near"], meta["gl_far"]) == (8, 4)
+    assert (meta["far_gap_ratio"], meta["subdivision_cap"]) == (16, 16)
+    pairs = meta["pairs"]
+    E = mesh.elem_h.size
+    assert pairs["identical"] == E
+    assert pairs["touching"] == E - 2  # one fewer per interval
+    assert pairs["near"] > 0 and pairs["far"] > 0
+    assert pairs["near_subpairs"] >= pairs["near"]
+    total = pairs["identical"] + pairs["touching"] + pairs["near"] + pairs["far"]
+    assert total == E * (E + 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# separated pairs against an all-pairs reference
+# ---------------------------------------------------------------------------
+
+def _all_pairs_separated(mesh, kernels, chunk=8192):
+    """Separated part of each kernel's matrix by a plain 8x8 Gauss-Legendre
+    rule on every separated pair, both elements halved until the gap is at
+    least their size; each unordered pair counted for both orders."""
+    E, K = mesh.elem_h.size, mesh.n_interior
+    x0, h, iv, dof = mesh.elem_x0, mesh.elem_h, mesh.elem_interval, mesh.elem_dof
+    k, l = np.triu_indices(E, 1)
+    keep = ~((l == k + 1) & (iv[k] == iv[l]))
+    k, l = k[keep], l[keep]
+    gap = x0[l] - mesh.elem_x1[k]
+    m1 = np.ceil(h[k] / gap).astype(int)
+    m2 = np.ceil(h[l] / gap).astype(int)
+    t, w = np.polynomial.legendre.leggauss(8)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    out = [np.zeros((K, K)) for _ in kernels]
+    for p, q in set(zip(m1, m2)):
+        sel = np.flatnonzero((m1 == p) & (m2 == q))
+        for lo in range(0, sel.size, chunk):
+            kk, ll = k[sel[lo : lo + chunk]], l[sel[lo : lo + chunk]]
+            rows = np.concatenate([dof[kk], dof[ll]], axis=1)[:, :, None]
+            cols = rows.transpose(0, 2, 1)
+            ok = (rows >= 0) & (cols >= 0)
+            for i1 in range(p):
+                for i2 in range(q):
+                    hx, hy = h[kk, None] / p, h[ll, None] / q
+                    xs = x0[kk, None] + (i1 + t) * hx
+                    ys = x0[ll, None] + (i2 + t) * hy
+                    # hats of each element's two dofs: (P, 2, 8)
+                    ux = (xs - x0[kk, None]) / h[kk, None]
+                    uy = (ys - x0[ll, None]) / h[ll, None]
+                    vx = np.stack([1.0 - ux, ux], axis=1)
+                    vy = np.stack([1.0 - uy, uy], axis=1)
+                    wxy = (hx * w)[:, :, None] * (hy * w)[:, None, :]
+                    for A, kernel in zip(out, kernels):
+                        kv = kernel(xs[:, :, None], ys[:, None, :]) * wxy
+                        # (v(x) - v(y)) (u(x) - u(y)) k(x, y) summed over x, y
+                        xx = (vx * kv.sum(axis=2)[:, None, :]) @ vx.transpose(0, 2, 1)
+                        yy = (vy * kv.sum(axis=1)[:, None, :]) @ vy.transpose(0, 2, 1)
+                        xy = vx @ kv @ vy.transpose(0, 2, 1)
+                        local = np.concatenate(
+                            [
+                                np.concatenate([xx, -xy], axis=2),
+                                np.concatenate([-xy.transpose(0, 2, 1), yy], axis=2),
+                            ],
+                            axis=1,
+                        )
+                        r, c = np.broadcast_arrays(rows, cols)
+                        np.add.at(A, (r[ok], c[ok]), 2.0 * local[ok])
+    return out
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("intervals", [[(-1.0, 1.0)], [(-2.0, -1.0), (1.0, 2.0)]])
+def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypatch):
+    mesh = fl.make_mesh(fl.make_domain(intervals), 256, beta)
+    c = fl.frac_constant(1, s)
+    expo = -1.0 - 2.0 * s
+    fields = {
+        "quadratic": (lambda x: x + 0.25 * x**2, lambda x: 1.0 + 0.5 * x),
+        "cubic": (lambda x: x + 0.25 * x**3, lambda x: 1.0 + 0.75 * x**2),
+    }
+
+    def gagliardo(x, y):
+        return 0.5 * c * np.abs(x - y) ** expo
+
+    def deformation(X, dX):
+        def kernel(x, y):
+            dq = (X(x) - X(y)) / (x - y)
+            return 0.5 * c * (dX(x) + dX(y) - (1.0 + 2.0 * s) * dq) * np.abs(x - y) ** expo
+        return kernel
+
+    refs = _all_pairs_separated(
+        mesh, [gagliardo] + [deformation(*f) for f in fields.values()]
+    )
+    X = {name: fl.make_field([expr], box=BOX1) for name, expr in
+         (("quadratic", "x + 0.25*x^2"), ("cubic", "x + 0.25*x^3"))}
+    got = [fl.assemble_gagliardo(mesh, s)] + [
+        fl.assemble_deformation(mesh, X[name], s).matrix for name in fields
+    ]
+    # the identical, touching and exterior parts, with no separated pairs
+    monkeypatch.setattr(
+        assembly, "_separated", lambda mesh, *args: np.zeros((mesh.n_interior,) * 2)
+    )
+    rest = [fl.assemble_gagliardo(mesh, s)] + [
+        fl.assemble_deformation(mesh, X[name], s).matrix for name in fields
+    ]
+    A_ref = rest[0] + refs[0]
+    for name, B, R, ref in zip(["gagliardo", *fields], got, rest, refs):
+        full = R + ref
+        scale = np.linalg.norm(full)
+        if name != "gagliardo" and s == 0.5:
+            # at s = 1/2 the kernel X'(x) + X'(y) - 2 (X(x) - X(y)) / (x - y)
+            # cancels to 0 (quadratic X) or to (x - y)^2 / 4 (cubic X), so
+            # rounding is set by the cancelled terms, which are of the size
+            # of the Gagliardo kernel
+            scale = np.linalg.norm(A_ref)
+            if name == "quadratic":
+                assert np.linalg.norm(full) <= 1e-12 * scale
+        assert np.linalg.norm(B - full) <= 1e-12 * scale, name
 
 
 # ---------------------------------------------------------------------------
