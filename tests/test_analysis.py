@@ -399,6 +399,22 @@ def test_solve_context_is_cached():
     assert a is b
 
 
+def test_hadamard_even_only_assembles_each_form_once(monkeypatch):
+    solve = importlib.import_module("fraclab.solve")
+    calls = []
+
+    def counted(mesh, s, _original=solve.assemble_forms):
+        calls.append((mesh, s))
+        return _original(mesh, s)
+
+    monkeypatch.setattr(solve, "assemble_forms", counted)
+    dom = fl.make_domain([(-1.25, 1.25)])  # no other test meshes this domain
+    fl.run_verify("hadamard", dom, 0.5, [32], k=2, even_only=True)
+    # the even and the full context share one mesh; the two perturbed
+    # domains have their own
+    assert len(calls) == len(set(calls)) == 3
+
+
 def test_contexts_differing_only_in_s_share_pair_tables():
     dom = fl.make_domain([(-1.0, 0.75)])  # no other test meshes this domain
     before = _pair_tables.cache_info().misses
