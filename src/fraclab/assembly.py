@@ -427,17 +427,26 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
         z *= (wk * h[None, k0:])[:, None, None, :]
         for a, lo, hi, sa in tables.dof_runs:
             r0, r1 = max(lo, k0), min(hi, k1)
-            for b, clo, chi, sb in tables.dof_runs if r0 < r1 else ():
-                c0 = max(clo, k0)
-                if c0 < chi:
-                    cross[r0 + sa : r1 + sa, c0 + sb : chi + sb] += z[
-                        r0 - k0 : r1 - k0, a, b, c0 - k0 : chi - k0
+            if r0 >= r1:
+                continue
+            for b, c0, c1, sb in tables.dof_runs:
+                c0 = max(c0, k0)
+                if c0 < c1:
+                    cross[r0 + sa : r1 + sa, c0 + sb : c1 + sb] += z[
+                        r0 - k0 : r1 - k0, a, b, c0 - k0 : c1 - k0
                     ]
     cross += cross.T
     cross *= -2.0
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
     cross += _scatter(2.0 * diag, dof, K)
     return cross
+
+
+def _distance_power(x, y, expo) -> np.ndarray:
+    """|x - y|^expo, computed in place in one temporary."""
+    d = x - y
+    np.abs(d, out=d)
+    return np.power(d, expo, out=d)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +616,7 @@ def assemble_gagliardo(mesh: Mesh1D, s: float, include_exterior: bool = True) ->
     expo = -1.0 - 2.0 * s
 
     def kernel(p, q):
-        d = p[0] - q[0]
-        np.abs(d, out=d)
-        np.power(d, expo, out=d)
-        return d
+        return _distance_power(p[0], q[0], expo)
 
     A += coeff * _separated(mesh, tables, lambda x: (x,), kernel)
     if include_exterior:
@@ -665,9 +671,7 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
         return 0.5 * c * smooth(points(x), points(y))
 
     def kernel(p, q):
-        d = p[0] - q[0]
-        np.abs(d, out=d)
-        np.power(d, expo, out=d)
+        d = _distance_power(p[0], q[0], expo)
         d *= smooth(p, q)
         return d
 
