@@ -399,7 +399,6 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
     E = mesh.elem_h.size
     G = _GL_FAR
     h = mesh.elem_h
-    dof = mesh.elem_dof
     tf, wf = gauss_legendre_01(G)
     hat = np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
     wh = wf[:, None] * hat
@@ -416,7 +415,8 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
                 tuple(p[k0:].T.reshape(1, -1) for p in pts),
             )  # (c G, G m): rows (k, i), columns (j, l)
         own = np.arange(c)[:, None]
-        kv[own * G + np.arange(G), np.arange(G) * m + own] = 0.0  # never far
+        # a point against itself: not finite, and never in a far pair
+        kv[own * G + np.arange(G), np.arange(G) * m + own] = 0.0
         wl = np.where(far, h[None, k0:], 0.0)
         wk = np.where(far, h[k0:k1, None], 0.0)
         col = (wh.T @ kv.reshape(c * G, G, m)).reshape(c, G * 2, m)
@@ -435,10 +435,10 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
                     cross[r0 + sa : r1 + sa, c0 + sb : c1 + sb] += z[
                         r0 - k0 : r1 - k0, a, b, c0 - k0 : c1 - k0
                     ]
-    cross += cross.T
+    cross += cross.T  # both orders of every far pair
     cross *= -2.0
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
-    cross += _scatter(2.0 * diag, dof, K)
+    cross += _scatter(2.0 * diag, mesh.elem_dof, K)
     return cross
 
 
