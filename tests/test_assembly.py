@@ -196,9 +196,10 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
     mesh = fl.make_mesh(fl.make_domain(intervals), 256, beta)
     c = fl.frac_constant(1, s)
     expo = -1.0 - 2.0 * s
+    # (expression, X, X') of each field
     fields = {
-        "quadratic": (lambda x: x + 0.25 * x**2, lambda x: 1.0 + 0.5 * x),
-        "cubic": (lambda x: x + 0.25 * x**3, lambda x: 1.0 + 0.75 * x**2),
+        "quadratic": ("x + 0.25*x^2", lambda x: x + 0.25 * x**2, lambda x: 1.0 + 0.5 * x),
+        "cubic": ("x + 0.25*x^3", lambda x: x + 0.25 * x**3, lambda x: 1.0 + 0.75 * x**2),
     }
 
     def gagliardo(x, y):
@@ -211,20 +212,21 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
         return kernel
 
     refs = _all_pairs_separated(
-        mesh, [gagliardo] + [deformation(*f) for f in fields.values()]
+        mesh, [gagliardo] + [deformation(X, dX) for _, X, dX in fields.values()]
     )
-    X = {name: fl.make_field([expr], box=BOX1) for name, expr in
-         (("quadratic", "x + 0.25*x^2"), ("cubic", "x + 0.25*x^3"))}
-    got = [fl.assemble_gagliardo(mesh, s)] + [
-        fl.assemble_deformation(mesh, X[name], s).matrix for name in fields
-    ]
+    X = [fl.make_field([expr], box=BOX1) for expr, _, _ in fields.values()]
+
+    def assembled():
+        return [fl.assemble_gagliardo(mesh, s)] + [
+            fl.assemble_deformation(mesh, Xf, s).matrix for Xf in X
+        ]
+
+    got = assembled()
     # the identical, touching and exterior parts, with no separated pairs
     monkeypatch.setattr(
         assembly, "_separated", lambda mesh, *args: np.zeros((mesh.n_interior,) * 2)
     )
-    rest = [fl.assemble_gagliardo(mesh, s)] + [
-        fl.assemble_deformation(mesh, X[name], s).matrix for name in fields
-    ]
+    rest = assembled()
     A_ref = rest[0] + refs[0]
     for name, B, R, ref in zip(["gagliardo", *fields], got, rest, refs):
         full = R + ref
