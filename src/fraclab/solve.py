@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
+# entries within this relative distance of an eigenvector's largest magnitude
+# tie for it (the mirror entries of a mode antisymmetric on a symmetric mesh
+# differ by rounding only)
+_SIGN_TIE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +77,28 @@ def _check_sym(name: str, T: np.ndarray) -> None:
         raise ArgumentError(f"{name} is not symmetric")
 
 
+def _orientation(v: np.ndarray) -> float:
+    """The number whose sign fixes the sign of eigenvector ``v``.
+
+    It is the entry of largest magnitude.  When entries of both signs tie for
+    that magnitude, as the mirror entries of a mode antisymmetric about the
+    middle of the mesh do, rounding alone would pick one; the first moment
+    sum_i (i - c) v_i about the middle index c decides instead.
+    """
+    a = np.abs(v)
+    top = v[a >= (1.0 - _SIGN_TIE_TOL) * a.max()]
+    if top.min() < 0.0 < top.max():
+        return float(np.dot(np.arange(v.size) - 0.5 * (v.size - 1), v))
+    return float(top[0])
+
+
 def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     """First k_max eigenpairs of A u = lambda M u, M-orthonormal, ascending.
 
     The reduction is the classical dense path (Cholesky factor of M,
     tridiagonalization, implicit-shift QL) as provided by LAPACK through
-    scipy.  Vectors are sign-fixed so the entry of largest magnitude is
-    positive.  The returned list also carries ``values``, every eigenvalue
-    of the same solve, ascending.
+    scipy.  Vectors are sign-fixed by ``_orientation``.  The returned list
+    also carries ``values``, every eigenvalue of the same solve, ascending.
     """
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -104,7 +122,7 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     pairs.values = vals
     for k in range(k_max):
         v = vecs[:, k].copy()
-        if v[np.argmax(np.abs(v))] < 0:
+        if _orientation(v) < 0:
             v = -v
         av = A @ v
         res = float(np.linalg.norm(av - vals[k] * (M @ v)) / np.linalg.norm(av))
