@@ -76,7 +76,6 @@ class _PairTables(NamedTuple):
     touching: np.ndarray  # left element k of each touching pair (k, k+1)
     near: dict  # subdivided near sub-pairs: kx0, kx1, ly0, ly1, k, l
     far_x: np.ndarray  # (E, _GL_FAR) far-rule points of each element
-    dof_runs: tuple  # (a, lo, hi, shift): slot-a dof of elements lo:hi is k + shift
     counts: dict  # unordered element pairs by class
 
 
@@ -149,17 +148,6 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
     }
     tf, _ = gauss_legendre_01(_GL_FAR)
     far_x = mesh.elem_x0[:, None] + mesh.elem_h[:, None] * tf[None, :]
-    # elements whose slot-a node is a dof, in runs where dof - k is constant
-    dof_runs = []
-    for a in (0, 1):
-        dof = mesh.elem_dof[:, a]
-        shift = np.where(dof >= 0, dof - np.arange(E), -E - 1)
-        edges = np.concatenate([[0], np.flatnonzero(np.diff(shift)) + 1, [E]])
-        dof_runs += [
-            (a, int(lo), int(hi), int(shift[lo]))
-            for lo, hi in zip(edges[:-1], edges[1:])
-            if dof[lo] >= 0
-        ]
     pair_counts = {
         "identical": E,
         "touching": int(touching.size),
@@ -167,7 +155,7 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "near_subpairs": total,
         "far": n_far,
     }
-    return _PairTables(touching, near, far_x, tuple(dof_runs), pair_counts)
+    return _PairTables(touching, near, far_x, pair_counts)
 
 
 def _element_hats(mesh, elems, pts):
@@ -404,6 +392,10 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
     wh = wf[:, None] * hat
     pts = points(tables.far_x)  # once per quadrature point, each (E, G)
     rsum = np.zeros((E, G))  # sum over far partners of h_l w_j k(x_i, y_j)
+    # the slot-a dofs other than -1 are 0, 1, ..., K - 1 in element order,
+    # so those of a run of elements fill a run of rows
+    live = mesh.elem_dof >= 0
+    before = np.cumsum(live, axis=0) - live
     cross = np.zeros((K, K))
     for k0, k1, far in _far_chunks(mesh):
         if not far.any():
@@ -425,16 +417,13 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
         rsum[k0:] += np.einsum("kjl,kl->lj", row, wk)
         z = (wh.T @ col.reshape(c, G, 2 * m)).reshape(c, 2, 2, m)
         z *= (wk * h[None, k0:])[:, None, None, :]
-        for a, lo, hi, sa in tables.dof_runs:
-            r0, r1 = max(lo, k0), min(hi, k1)
-            if r0 >= r1:
-                continue
-            for b, c0, c1, sb in tables.dof_runs:
-                c0 = max(c0, k0)
-                if c0 < c1:
-                    cross[r0 + sa : r1 + sa, c0 + sb : c1 + sb] += z[
-                        r0 - k0 : r1 - k0, a, b, c0 - k0 : c1 - k0
-                    ]
+        for a in (0, 1):
+            vr = live[k0:k1, a]
+            rows = slice(before[k0, a], before[k0, a] + vr.sum())
+            for b in (0, 1):
+                vq = live[k0:, b]
+                cols = slice(before[k0, b], before[k0, b] + vq.sum())
+                cross[rows, cols] += z[:, a, b][np.ix_(vr, vq)]
     cross += cross.T  # both orders of every far pair
     cross *= -2.0
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
