@@ -196,10 +196,23 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
     mesh = fl.make_mesh(fl.make_domain(intervals), 256, beta)
     c = fl.frac_constant(1, s)
     expo = -1.0 - 2.0 * s
-    # (expression, X, X') of each field
+    # (expression, its derivative, X, X') of each field; the derivative of a
+    # polynomial is derived symbolically, that of the rational field is given
+    # because the package would otherwise take central differences
     fields = {
-        "quadratic": ("x + 0.25*x^2", lambda x: x + 0.25 * x**2, lambda x: 1.0 + 0.5 * x),
-        "cubic": ("x + 0.25*x^3", lambda x: x + 0.25 * x**3, lambda x: 1.0 + 0.75 * x**2),
+        "quadratic": (
+            "x + 0.25*x^2", None, lambda x: x + 0.25 * x**2, lambda x: 1.0 + 0.5 * x
+        ),
+        "cubic": (
+            "x + 0.25*x^3", None, lambda x: x + 0.25 * x**3, lambda x: 1.0 + 0.75 * x**2
+        ),
+        # its kernel's smooth factor is no polynomial, so no rule is exact for it
+        "rational": (
+            "x/(1 + x^2)",
+            "(1 - x^2)/(1 + x^2)^2",
+            lambda x: x / (1.0 + x**2),
+            lambda x: (1.0 - x**2) / (1.0 + x**2) ** 2,
+        ),
     }
 
     def gagliardo(x, y):
@@ -212,9 +225,9 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
         return kernel
 
     refs = _all_pairs_separated(
-        mesh, [gagliardo] + [deformation(X, dX) for _, X, dX in fields.values()]
+        mesh, [gagliardo] + [deformation(X, dX) for _, _, X, dX in fields.values()]
     )
-    X = [fl.make_field([expr], box=BOX1) for expr, _, _ in fields.values()]
+    X = [fl.make_field([e], box=BOX1, div=div) for e, div, _, _ in fields.values()]
 
     def assembled():
         return [fl.assemble_gagliardo(mesh, s)] + [
@@ -232,10 +245,10 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
         full = R + ref
         scale = np.linalg.norm(full)
         if name != "gagliardo" and s == 0.5:
-            # at s = 1/2 the kernel X'(x) + X'(y) - 2 (X(x) - X(y)) / (x - y)
-            # cancels to 0 (quadratic X) or to (x - y)^2 / 4 (cubic X), so
-            # rounding is set by the cancelled terms, which are of the size
-            # of the Gagliardo kernel
+            # at s = 1/2 the kernel's factor X'(x) + X'(y) - 2 (X(x) - X(y)) / (x - y)
+            # is the trapezoid-rule error of X' over [y, x], O((x - y)^2): 0 for
+            # quadratic X, (x - y)^2 / 4 for cubic X; so rounding is set by the
+            # cancelled terms, which are of the size of the Gagliardo kernel
             scale = np.linalg.norm(A_ref)
             if name == "quadratic":
                 assert np.linalg.norm(full) <= 1e-12 * scale
