@@ -299,32 +299,22 @@ def _touching_deformation(mesh, s, rfun, touching) -> np.ndarray:
     tg, wg = gauss_legendre_01(_GL_TOUCH)
 
     # Duffy split of the corner square along x + y distance from the corner;
-    # each triangle gives int xi^{2-2s} P_a(tau) P_b(tau) (.)^{-1-2s} h1 h2 R
-    # triangle 1: a = h1 xi, b = h2 xi tau
-    a1 = h1[:, None, None] * xj[None, :, None] * np.ones((1, 1, tg.size))
-    b1 = h2[:, None, None] * xj[None, :, None] * tg[None, None, :]
-    r1 = rfun(q[:, None, None] - a1, q[:, None, None] + b1)
-    rs1 = np.einsum("i,tij->tj", wjac, r1)  # (T, G)
-    den1 = (h1[:, None] + h2[:, None] * tg[None, :]) ** (-1.0 - 2.0 * s)
-    p1 = ca[:, :, None] * h1[:, None, None] + cb[:, :, None] * (
-        h2[:, None] * tg[None, :]
-    )[:, None, :]
-    t1 = np.einsum(
-        "tj,taj,tbj->tab", (h1 * h2)[:, None] * den1 * rs1 * wg[None, :], p1, p1
-    )
-    # triangle 2: a = h1 eta tau, b = h2 eta
-    a2 = h1[:, None, None] * xj[None, :, None] * tg[None, None, :]
-    b2 = h2[:, None, None] * xj[None, :, None] * np.ones((1, 1, tg.size))
-    r2 = rfun(q[:, None, None] - a2, q[:, None, None] + b2)
-    rs2 = np.einsum("i,tij->tj", wjac, r2)
-    den2 = (h1[:, None] * tg[None, :] + h2[:, None]) ** (-1.0 - 2.0 * s)
-    p2 = ca[:, :, None] * (h1[:, None] * tg[None, :])[:, None, :] + cb[
-        :, :, None
-    ] * h2[:, None, None]
-    t2 = np.einsum(
-        "tj,taj,tbj->tab", (h1 * h2)[:, None] * den2 * rs2 * wg[None, :], p2, p2
-    )
-    return _scatter(2.0 * (t1 + t2), dofs, K)
+    # each triangle gives int xi^{2-2s} P_a(tau) P_b(tau) (.)^{-1-2s} h1 h2 R,
+    # triangle 1 with (a, b) = (h1 xi, h2 xi tau), triangle 2 with
+    # (h1 xi tau, h2 xi)
+    one = np.ones_like(tg)
+    total = 0.0
+    for ta, tb in ((one, tg), (tg, one)):
+        a = h1[:, None, None] * xj[None, :, None] * ta[None, None, :]
+        b = h2[:, None, None] * xj[None, :, None] * tb[None, None, :]
+        r = rfun(q[:, None, None] - a, q[:, None, None] + b)
+        rs = np.einsum("i,tij->tj", wjac, r)  # (T, G)
+        ha = h1[:, None] * ta[None, :]
+        hb = h2[:, None] * tb[None, :]
+        p = ca[:, :, None] * ha[:, None, :] + cb[:, :, None] * hb[:, None, :]
+        w = (h1 * h2)[:, None] * (ha + hb) ** (-1.0 - 2.0 * s) * rs * wg[None, :]
+        total = total + np.einsum("tj,taj,tbj->tab", w, p, p)
+    return _scatter(2.0 * total, dofs, K)
 
 
 def _separated(mesh, tables, points, kernel) -> np.ndarray:

@@ -212,6 +212,11 @@ def _bump(v, name) -> dict:
     return v
 
 
+def _field(v, name) -> dict:
+    field_from_json(v)  # rejects malformed components, dim, box or expressions
+    return v
+
+
 def _side(v, name) -> str:
     if v not in ("left", "right"):
         raise ConfigError(f"bp_side must be 'left' or 'right', got '{v}'")
@@ -285,7 +290,7 @@ class RunConfig:
     s_list: tuple[float, ...] = _entry(0.5, _s_values, key="s")
     n_list: tuple[int, ...] = _entry(256, _mesh_sizes, key="n")
     beta: float = _entry(2.0, _one_float)
-    field: Optional[dict] = _entry(None)
+    field: Optional[dict] = _entry(None, _field)
     identity: Optional[str] = _entry(None, _identity)
     k: int = _entry(1, _mode)
     k2: int = _entry(2, _mode)

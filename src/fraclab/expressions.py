@@ -2,8 +2,9 @@
 
 Grammar: ``+ - * / ^`` with integer exponents, variables ``x`` and ``y``,
 parentheses, decimal and scientific literals.  Expressions evaluate
-vectorized over numpy arrays.  Polynomial expressions (no division, no
-negative exponents) also differentiate symbolically.
+vectorized over numpy arrays, and every expression differentiates
+symbolically (quotient rule for ``/``, power rule for any integer
+exponent).
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
-    def is_polynomial(self) -> bool:
-        raise NotImplementedError
-
     def variables(self) -> frozenset:
         raise NotImplementedError
 
@@ -54,9 +52,6 @@ class Const(Expr):
 
     def diff(self, var):
         return Const(0.0)
-
-    def is_polynomial(self):
-        return True
 
     def variables(self):
         return frozenset()
@@ -74,9 +69,6 @@ class Var(Expr):
 
     def diff(self, var):
         return Const(1.0) if var == self.name else Const(0.0)
-
-    def is_polynomial(self):
-        return True
 
     def variables(self):
         return frozenset((self.name,))
@@ -130,9 +122,6 @@ class Add(Expr):
     def diff(self, var):
         return _add(self.a.diff(var), self.b.diff(var))
 
-    def is_polynomial(self):
-        return self.a.is_polynomial() and self.b.is_polynomial()
-
     def variables(self):
         return self.a.variables() | self.b.variables()
 
@@ -151,9 +140,6 @@ class Sub(Expr):
     def diff(self, var):
         return _sub(self.a.diff(var), self.b.diff(var))
 
-    def is_polynomial(self):
-        return self.a.is_polynomial() and self.b.is_polynomial()
-
     def variables(self):
         return self.a.variables() | self.b.variables()
 
@@ -171,9 +157,6 @@ class Mul(Expr):
 
     def diff(self, var):
         return _add(_mul(self.a.diff(var), self.b), _mul(self.a, self.b.diff(var)))
-
-    def is_polynomial(self):
-        return self.a.is_polynomial() and self.b.is_polynomial()
 
     def variables(self):
         return self.a.variables() | self.b.variables()
@@ -194,9 +177,6 @@ class DivNode(Expr):
         # (a/b)' = (a'b - ab') / b^2
         num = _sub(_mul(self.a.diff(var), self.b), _mul(self.a, self.b.diff(var)))
         return DivNode(num, Pow(self.b, 2))
-
-    def is_polynomial(self):
-        return isinstance(self.b, Const) and self.a.is_polynomial()
 
     def variables(self):
         return self.a.variables() | self.b.variables()
@@ -224,9 +204,6 @@ class Pow(Expr):
             return inner
         return _mul(_mul(Const(float(self.k)), Pow(self.base, self.k - 1)), inner)
 
-    def is_polynomial(self):
-        return self.k >= 0 and self.base.is_polynomial()
-
     def variables(self):
         return self.base.variables()
 
@@ -243,9 +220,6 @@ class Neg(Expr):
 
     def diff(self, var):
         return Neg(self.a.diff(var))
-
-    def is_polynomial(self):
-        return self.a.is_polynomial()
 
     def variables(self):
         return self.a.variables()

@@ -1,8 +1,7 @@
 """Deformation fields, the kernel K_X, and sampled condition certificates.
 
-Fields are closed-form expressions in x (1D) or x, y (2D) with a
-divergence that is differentiated symbolically for polynomials and by
-central differences (step 1e-6, flagged in certificates) otherwise.
+Fields are closed-form expressions in x (1D) or x, y (2D) whose
+divergence is differentiated symbolically, unless the caller gives it.
 Certificates record the RNG seed and sample count that produced them.
 """
 
@@ -22,7 +21,7 @@ from .errors import (
     DimensionMismatchError,
     RangeError,
 )
-from .expressions import Expr, parse_expression
+from .expressions import Add, Expr, parse_expression
 
 __all__ = [
     "DEFAULT_SEED",
@@ -47,7 +46,6 @@ __all__ = [
 
 DEFAULT_SEED = 20250801
 _VARS = ("x", "y")
-_FD_STEP = 1e-6
 _CERT_TOL = 1e-9
 
 
@@ -69,7 +67,10 @@ def frac_constant(N: int, s: float) -> float:
 
 
 def _normalize_box(box, dim: int) -> tuple[tuple[float, float], ...]:
-    flat = np.asarray(box, dtype=float).ravel()
+    try:
+        flat = np.asarray(box, dtype=float).ravel()
+    except (TypeError, ValueError):
+        flat = np.empty(0)
     if flat.size != 2 * dim:
         raise ArgumentError(f"box needs {2 * dim} numbers for dim {dim}")
     pairs = tuple((float(flat[2 * i]), float(flat[2 * i + 1])) for i in range(dim))
@@ -84,18 +85,18 @@ class VectorField:
     """Closed-form vector field with certified Lipschitz bound on a box.
 
     ``lip`` is a sampled bound (max difference quotient over >= 10^4 pairs,
-    inflated 25%); ``div_method`` records whether the divergence came from
-    symbolic differentiation or central differences.
+    inflated 25%); ``div_method`` records whether the divergence was
+    differentiated symbolically or given by the caller.
     """
 
     dim: int
     components: tuple[Expr, ...]
     source: tuple[str, ...]
     box: tuple[tuple[float, float], ...]
-    div: Optional[Expr]
-    div_source: Optional[str]
+    div: Expr
+    div_source: str
     lip: float
-    div_method: str  # "symbolic" | "fd" | "given"
+    div_method: str  # "symbolic" | "given"
 
     # -- evaluation -----------------------------------------------------
     def _env(self, pts: np.ndarray) -> dict:
@@ -127,19 +128,7 @@ class VectorField:
             raise DimensionMismatchError(
                 f"points have dim {pts.shape[-1]}, field has dim {self.dim}"
             )
-        shape = pts.shape[:-1]
-        if self.div is not None:
-            return _eval_shaped(self.div, self._env(pts), shape)
-        total = np.zeros(shape)
-        for i in range(self.dim):
-            dp = pts.copy()
-            dm = pts.copy()
-            dp[..., i] += _FD_STEP
-            dm[..., i] -= _FD_STEP
-            fp = _eval_shaped(self.components[i], self._env(dp), shape)
-            fm = _eval_shaped(self.components[i], self._env(dm), shape)
-            total = total + (fp - fm) / (2 * _FD_STEP)
-        return total
+        return _eval_shaped(self.div, self._env(pts), pts.shape[:-1])
 
     def div1(self, x) -> np.ndarray:
         """1D convenience: X'(x)."""
@@ -210,19 +199,14 @@ def make_field(
     nbox = _normalize_box(box, dim)
     if div is not None:
         div_expr = parse_expression(div)
-        div_src: Optional[str] = div
+        div_src = div
         method = "given"
-    elif all(e.is_polynomial() for e in exprs):
-        div_expr = None
-        for i, e in enumerate(exprs):
-            d = e.diff(_VARS[i])
-            div_expr = d if div_expr is None else _sum_expr(div_expr, d)
+    else:
+        div_expr = exprs[0].diff(_VARS[0])
+        for i in range(1, dim):
+            div_expr = Add(div_expr, exprs[i].diff(_VARS[i]))
         div_src = str(div_expr)
         method = "symbolic"
-    else:
-        div_expr = None
-        div_src = None
-        method = "fd"
     lip = _estimate_lip(exprs, dim, nbox)
     return VectorField(
         dim=dim,
@@ -234,12 +218,6 @@ def make_field(
         lip=lip,
         div_method=method,
     )
-
-
-def _sum_expr(a: Expr, b: Expr) -> Expr:
-    from .expressions import Add
-
-    return Add(a, b)
 
 
 def identity_field(dim: int, box) -> VectorField:
@@ -513,7 +491,11 @@ def field_from_json(obj: dict) -> VectorField:
     if not isinstance(obj, dict) or "components" not in obj:
         raise ArgumentError("field JSON needs 'components'")
     comps = obj["components"]
-    dim = int(obj.get("dim", len(comps)))
+    if not isinstance(comps, list):
+        raise ArgumentError("field 'components' must be a list of expressions")
+    dim = obj.get("dim", len(comps))
+    if isinstance(dim, bool) or not isinstance(dim, (int, float)):
+        raise ArgumentError(f"field 'dim' must be an integer, got {dim!r}")
     if dim != len(comps):
         raise DimensionMismatchError(
             f"dim = {dim} but {len(comps)} components given"

@@ -196,20 +196,14 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
     mesh = fl.make_mesh(fl.make_domain(intervals), 256, beta)
     c = fl.frac_constant(1, s)
     expo = -1.0 - 2.0 * s
-    # (expression, its derivative, X, X') of each field; the derivative of a
-    # polynomial is derived symbolically, that of the rational field is given
-    # because the package would otherwise take central differences
+    # (expression, X, X') of each field; the package differentiates every
+    # expression symbolically, the rational one by the quotient rule
     fields = {
-        "quadratic": (
-            "x + 0.25*x^2", None, lambda x: x + 0.25 * x**2, lambda x: 1.0 + 0.5 * x
-        ),
-        "cubic": (
-            "x + 0.25*x^3", None, lambda x: x + 0.25 * x**3, lambda x: 1.0 + 0.75 * x**2
-        ),
+        "quadratic": ("x + 0.25*x^2", lambda x: x + 0.25 * x**2, lambda x: 1.0 + 0.5 * x),
+        "cubic": ("x + 0.25*x^3", lambda x: x + 0.25 * x**3, lambda x: 1.0 + 0.75 * x**2),
         # its kernel's smooth factor is no polynomial, so no rule is exact for it
         "rational": (
             "x/(1 + x^2)",
-            "(1 - x^2)/(1 + x^2)^2",
             lambda x: x / (1.0 + x**2),
             lambda x: (1.0 - x**2) / (1.0 + x**2) ** 2,
         ),
@@ -225,9 +219,9 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
         return kernel
 
     refs = _all_pairs_separated(
-        mesh, [gagliardo] + [deformation(X, dX) for _, _, X, dX in fields.values()]
+        mesh, [gagliardo] + [deformation(X, dX) for _, X, dX in fields.values()]
     )
-    X = [fl.make_field([e], box=BOX1, div=div) for e, div, _, _ in fields.values()]
+    X = [fl.make_field([e], box=BOX1) for e, _, _ in fields.values()]
 
     def assembled():
         return [fl.assemble_gagliardo(mesh, s)] + [
@@ -301,6 +295,20 @@ def test_deformation_symmetric():
     X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
     B = fl.assemble_deformation(mesh, X, 0.3).matrix
     assert np.linalg.norm(B - B.T) <= 1e-12 * np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_deformation_rational_field_derived_div_matches_given(s):
+    # the quotient rule gives X' of x/(1 + x^2) to rounding, so the matrix
+    # agrees with the one built from the closed-form X'
+    mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 256, 2.0)
+    derived = fl.make_field(["x/(1 + x^2)"], box=BOX1)
+    given = fl.make_field(["x/(1 + x^2)"], box=BOX1, div="(1 - x^2)/(1 + x^2)^2")
+    assert derived.div_method == "symbolic"
+    B = fl.assemble_deformation(mesh, derived, s).matrix
+    B_given = fl.assemble_deformation(mesh, given, s).matrix
+    scale = np.linalg.norm(fl.assemble_gagliardo(mesh, s))
+    assert np.linalg.norm(B - B_given) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,16 @@ CONFIG_ERRORS = [
     # a fractional bump power was truncated to an integer
     ({"bump": {"power": 2.5}}, "bump power must be an integer, got 2.5"),
     ({"bump": {"power": 1}}, "power >= 2 needed for a C^1 bump"),
+    # malformed fields raised TypeError/ValueError in the command that built them
+    (
+        {"field": {"components": 5, "box": [-1, 1]}},
+        "field 'components' must be a list of expressions",
+    ),
+    ({"field": {"components": ["x"], "box": "ab"}}, "box needs 2 numbers for dim 1"),
+    (
+        {"field": {"dim": "one", "components": ["x"], "box": [-1, 1]}},
+        "field 'dim' must be an integer, got 'one'",
+    ),
 ]
 
 

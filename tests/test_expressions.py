@@ -63,12 +63,6 @@ def test_diff_quotient_rule():
     assert d.evaluate({"x": 1.0}) == pytest.approx(-1.0 / 9.0, rel=1e-14)
 
 
-def test_is_polynomial():
-    assert parse_expression("x^2 + y").is_polynomial()
-    assert parse_expression("x/2").is_polynomial()  # division by a constant
-    assert not parse_expression("1/(y+3)").is_polynomial()
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     coeffs=st.lists(

@@ -137,9 +137,14 @@ def test_lipschitz_bound_dominates_samples():
 
 def test_nonpolynomial_divergence_flagged():
     X = fl.make_field(["x/(y+3)", "y"], box=BOX2)
-    assert X.div_method == "fd"
+    assert X.div_method == "symbolic"
     Y = fl.make_field(["5*x - 4*y", "5*y + 4*x"], box=BOX2)
     assert Y.div_method == "symbolic"
+    Z = fl.make_field(["x/(1 + x^2)"], box=BOX1)
+    assert Z.div_method == "symbolic"
+    x = np.linspace(-1.0, 1.0, 2001)
+    exact = (1.0 - x**2) / (1.0 + x**2) ** 2
+    assert np.max(np.abs(Z.div1(x) - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_make_field_dimension_mismatch():

@@ -119,6 +119,32 @@ def test_dilation_law_exact_on_affine_meshes():
         assert b * 2.0 ** (2 * s) == pytest.approx(a, rel=1e-10)
 
 
+# Kwasnicki, "Eigenvalues of the fractional Laplace operator in the interval",
+# J. Funct. Anal. 262 (2012) 2379-2402, gives lambda_1 of (-Delta)^{1/2} on
+# (-1, 1) and the asymptotics lambda_k = (k pi/2 - (2 - 2s) pi/8)^{2s} + O(1/k).
+KWASNICKI_LAMBDA1_HALF = 1.1577738836977
+
+
+def test_lambda1_converges_to_kwasnicki():
+    err = {
+        n: abs(interval_context(n, 0.5).values[0] - KWASNICKI_LAMBDA1_HALF)
+        / KWASNICKI_LAMBDA1_HALF
+        for n in (256, 512)
+    }
+    assert err[512] <= 2e-6
+    # the error falls about fourfold per mesh doubling
+    assert err[256] >= 3.0 * err[512]
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_eigenvalues_match_kwasnicki_asymptotics(s):
+    values = interval_context(512, s).values
+    k = np.arange(4, 13)
+    asym = (k * np.pi / 2.0 - (2.0 - 2.0 * s) * np.pi / 8.0) ** (2.0 * s)
+    # the O(1/k) remainder is largest at k = 4, s = 1/4 (3.9e-4)
+    assert np.max(np.abs(values[k - 1] - asym) / asym) <= 1e-3
+
+
 # ---------------------------------------------------------------------------
 # even-subspace restriction
 # ---------------------------------------------------------------------------
