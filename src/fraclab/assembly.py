@@ -580,12 +580,8 @@ def _check_s(s: float) -> None:
         raise ArgumentError(f"s must lie in (0, 1), got {s}")
 
 
-def assemble_gagliardo(mesh: Mesh1D, s: float, include_exterior: bool = True) -> np.ndarray:
-    """Stiffness A_ij = E(phi_i, phi_j) over the full plane.
-
-    ``include_exterior=False`` drops the complement interactions (only for
-    diagnostics; the true form requires them).
-    """
+def assemble_gagliardo(mesh: Mesh1D, s: float) -> np.ndarray:
+    """Stiffness A_ij = E(phi_i, phi_j) over the full plane."""
     _check_s(s)
     c = frac_constant(1, s)
     coeff = 0.5 * c
@@ -598,8 +594,7 @@ def assemble_gagliardo(mesh: Mesh1D, s: float, include_exterior: bool = True) ->
         return _distance_power(p[0], q[0], expo)
 
     A += coeff * _separated(mesh, tables, lambda x: (x,), kernel)
-    if include_exterior:
-        A += _gagliardo_exterior(mesh, s, coeff)
+    A += _gagliardo_exterior(mesh, s, coeff)
     return 0.5 * (A + A.T)
 
 

@@ -69,7 +69,7 @@ from .fields import (
     nonexistence_threshold,
 )
 from .assembly import frac_laplacian_pointwise
-from .solve import pairs_to_json, solve_context, solve_semilinear
+from .solve import _K_KEEP, pairs_to_json, solve_context, solve_semilinear
 
 __all__ = ["RunConfig", "main"]
 
@@ -171,8 +171,8 @@ def _identity(v, name) -> str:
 
 def _mode(v, name) -> int:
     k = _one_int(v, name)
-    if k > 12:
-        raise ConfigError("mode indices are limited to k <= 12")
+    if k > _K_KEEP:
+        raise ConfigError(f"mode indices are limited to k <= {_K_KEEP}")
     return k
 
 

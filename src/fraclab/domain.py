@@ -314,9 +314,9 @@ def sample_boundary_2d(dom: ImplicitDomain2D, m: int, grad_tol: float = 1e-8):
 
     Scans the m x m grid over the bounding box for sign changes along both
     grid-line directions and bisects each bracket for 60 steps.  Normals
-    are grad g / |grad g| by central differences with step 1e-6 times the
-    box diagonal (g < 0 inside, so the gradient points outward).  The grid
-    is densified (up to 3 doublings) if it yields fewer than m points.
+    are grad g / |grad g| from the symbolic gradient of g (g < 0 inside, so
+    the gradient points outward).  The grid is densified (up to 3 doublings)
+    if it yields fewer than m points.
 
     Returns a list of ((x, y), (nx, ny)) float tuples.
     Raises NoBoundaryError when no sign change is found and
@@ -325,8 +325,6 @@ def sample_boundary_2d(dom: ImplicitDomain2D, m: int, grad_tol: float = 1e-8):
     if m < 2:
         raise ArgumentError("m must be >= 2")
     xmin, xmax, ymin, ymax = dom.bbox
-    diag = float(np.hypot(xmax - xmin, ymax - ymin))
-    step = 1e-6 * diag
 
     pts_x: list[np.ndarray] = []
     pts_y: list[np.ndarray] = []
@@ -368,8 +366,10 @@ def sample_boundary_2d(dom: ImplicitDomain2D, m: int, grad_tol: float = 1e-8):
 
     px = np.concatenate(pts_x)
     py = np.concatenate(pts_y)
-    gx = (dom.evaluate(px + step, py) - dom.evaluate(px - step, py)) / (2 * step)
-    gy = (dom.evaluate(px, py + step) - dom.evaluate(px, py - step)) / (2 * step)
+    env = {"x": px, "y": py}
+    grad = [dom.g.diff(v).evaluate(env) for v in ("x", "y")]
+    # a constant partial derivative evaluates to a scalar; broadcast it to the points
+    gx, gy, _ = np.broadcast_arrays(*grad, px)
     norm = np.hypot(gx, gy)
     if np.any(norm < grad_tol):
         k = int(np.argmin(norm))

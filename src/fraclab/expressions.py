@@ -5,11 +5,19 @@ parentheses, decimal and scientific literals.  Expressions evaluate
 vectorized over numpy arrays, and every expression differentiates
 symbolically (quotient rule for ``/``, power rule for any integer
 exponent).
+
+Python parses: ``^`` is mapped to ``**`` and the ``ast.parse`` tree is
+walked against the grammar.  Characters outside ASCII letters and digits,
+``_ . + - * / ^ ( )`` and whitespace are rejected first, so NFKC (``ｘ``)
+and comments (``#``) never reach Python.  Python drops redundant parentheses
+and forbids leading zeros: ``x^(2)`` is accepted, ``007`` is rejected.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +28,9 @@ __all__ = ["Expr", "parse_expression"]
 
 ALLOWED_VARS = ("x", "y")
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-    r")"
-)
+# characters outside the grammar, and Python's power operator (spelled ``^`` here)
+_FORBIDDEN = re.compile(r"[^A-Za-z0-9_.\s+\-*/^()]|\*\*")
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")  # decimal and scientific
 
 
 @dataclass(frozen=True)
@@ -228,125 +232,64 @@ class Neg(Expr):
         return f"(-{self.a})"
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExpressionError(f"unexpected character {rest[0]!r} in {text!r}")
-        pos = m.end()
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
-    return tokens
+_BINOPS = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: DivNode}
+_SIGNS = {ast.UAdd: 1, ast.USub: -1}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        # normalize the unicode minus some sources use
-        self.text = text
-        self.tokens = _tokenize(text.replace("−", "-"))
-        self.pos = 0
+def _segment(node: ast.AST, src: str) -> str:
+    """The user's spelling of ``node``: its source text with ``**`` back to ``^``."""
+    return ast.get_source_segment(src, node).replace("**", "^")
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _literal(node: ast.AST, src: str):
+    text = ast.get_source_segment(src, node)
+    return text if isinstance(node, ast.Constant) and _NUMBER.fullmatch(text) else None
 
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.text!r}")
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.pos != len(self.tokens):
-            raise ExpressionError(f"trailing tokens in {self.text!r}")
-        return e
+def _exponent(node: ast.AST, src: str) -> int:
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        sign, node = _SIGNS[type(node.op)], node.operand
+    if _literal(node, src) is None or type(node.value) is not int:
+        raise ExpressionError(f"exponent must be an integer literal, got {_segment(node, src)!r}")
+    return sign * node.value
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
-            else:
-                return e
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                e = Mul(e, rhs) if val == "*" else DivNode(e, rhs)
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            inner = self.factor()
-            return inner if val == "+" else Neg(inner)
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            k = self.exponent()
-            return Pow(base, k)
-        return base
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            if val == "-":
-                sign = -1
-            kind, val = self.peek()
-        if kind != "num":
-            raise ExpressionError(f"exponent must be an integer literal in {self.text!r}")
-        self.take()
-        try:
-            k = int(val)
-        except ValueError as exc:
-            raise ExpressionError(
-                f"exponent must be an integer, got {val!r} in {self.text!r}"
-            ) from exc
-        return sign * k
-
-    def atom(self) -> Expr:
-        kind, val = self.take()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "name":
-            if val not in ALLOWED_VARS:
-                raise ExpressionError(
-                    f"unknown variable {val!r} (allowed: {', '.join(ALLOWED_VARS)})"
-                )
-            return Var(val)
-        if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ExpressionError(f"unexpected token in {self.text!r}")
+def _build(node: ast.AST, src: str) -> Expr:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return Pow(_build(node.left, src), _exponent(node.right, src))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_build(node.left, src), _build(node.right, src))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        inner = _build(node.operand, src)
+        return Neg(inner) if isinstance(node.op, ast.USub) else inner
+    if isinstance(node, ast.Name):
+        if node.id not in ALLOWED_VARS:
+            allowed = ", ".join(ALLOWED_VARS)
+            raise ExpressionError(f"unknown variable {node.id!r} (allowed: {allowed})")
+        return Var(node.id)
+    if (text := _literal(node, src)) is not None:
+        return Const(float(text))
+    raise ExpressionError(f"unsupported syntax {_segment(node, src)!r}")
 
 
 def parse_expression(text: str) -> Expr:
     """Parse ``text`` into an :class:`Expr`.  Raises ExpressionError on bad input."""
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise ExpressionError(f"expression must be a string, got {text!r}")
+    # the unicode minus some sources use; eval-mode ast.parse needs one unindented line
+    src = " ".join(text.replace("−", "-").split())
+    if not src:
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    if bad := _FORBIDDEN.search(src):
+        raise ExpressionError(f"unexpected {bad.group()!r} in {text!r}")
+    src = src.replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyntaxWarning)  # "2if x": rejected below anyway
+            tree = ast.parse(src, mode="eval")
+        return _build(tree.body, src)
+    except SyntaxError as exc:
+        raise ExpressionError(f"malformed expression {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError(f"expression nested too deeply ({len(text)} characters)") from None

@@ -228,6 +228,15 @@ CONFIG_ERRORS = [
         {"field": {"dim": "one", "components": ["x"], "box": [-1, 1]}},
         "field 'dim' must be an integer, got 'one'",
     ),
+    # a non-string expression read as "empty expression"; deep nesting was a traceback
+    (
+        {"field": {"components": ["x"], "box": [-1, 1], "div": 5}},
+        "expression must be a string, got 5",
+    ),
+    (
+        {"field": {"components": ["-" * 5000 + "x"], "box": [-1, 1]}},
+        "expression nested too deeply (5001 characters)",
+    ),
 ]
 
 

@@ -180,6 +180,20 @@ def test_sample_boundary_example_domain_nonempty():
     assert max(vals) < 1e-8
 
 
+def test_sample_boundary_normals_are_the_exact_gradient():
+    dom = fl.make_implicit_domain(
+        "x^2 + 10*(y^3 + x)^2 - 1", [-1.5, 1.5, -1.5, 1.5]
+    )
+    samples = fl.sample_boundary_2d(dom, 400)
+    x, y = np.array([p for p, _ in samples]).T
+    grad = np.stack([2 * x + 20 * (y**3 + x), 60 * y**2 * (y**3 + x)], axis=1)
+    expected = grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    assert np.max(np.abs(np.array([n for _, n in samples]) - expected)) <= 1e-14
+    # a constant partial derivative still gives one normal per point
+    line = fl.sample_boundary_2d(fl.make_implicit_domain("y - 0.5", [-1, 1, -1, 1]), 8)
+    assert len(line) >= 8 and all(n == (0.0, 1.0) for _, n in line)
+
+
 def test_sample_boundary_empty_domain():
     dom = fl.make_implicit_domain("x^2 + y^2 + 1", [-1.0, 1.0, -1.0, 1.0])
     with pytest.raises(NoBoundaryError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fraclab import parse_expression
 from fraclab.errors import ExpressionError
+from fraclab.expressions import Add, Const, DivNode, Mul, Neg, Pow, Sub, Var
 
 
 def ev(src, **env):
@@ -31,10 +32,20 @@ def test_integer_exponents_only():
         parse_expression("x^(1/2)")
 
 
-@pytest.mark.parametrize("src", ["x +", "2 ** 3", "x~y", "", "(x", "x + z"])
-def test_malformed_sources_raise(src):
+MALFORMED = [
+    "x +", "2 ** 3", "x~y", "", "(x", "x + z",
+    # Python would read these: a comment, NFKC-normalized names, other literals
+    "x # c", "𝑥 + 1", "ｘ^2", "0x10", "1_0", "1j",
+    "x^2.0", "2^3^2", "x<y", "x;y", "'a'", "x if y else 1",
+    "2if x else 1",  # Python warns of the literal before rejecting it
+]
+
+
+@pytest.mark.parametrize("src", MALFORMED)
+def test_malformed_sources_raise(src, recwarn):
     with pytest.raises(ExpressionError):
         parse_expression(src)
+    assert not recwarn.list
 
 
 def test_vectorized_evaluation():
@@ -77,3 +88,25 @@ def test_diff_matches_finite_differences(coeffs, x0):
     h = 1e-6
     fd = (e.evaluate({"x": x0 + h}) - e.evaluate({"x": x0 - h})) / (2 * h)
     assert d.evaluate({"x": x0}) == pytest.approx(fd, abs=1e-4)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y"]).map(Var),
+    # non-negative: str(Const(-1.0)) reads back as Neg(Const(1.0))
+    st.floats(min_value=0.0, allow_infinity=False).map(Const),
+)
+
+
+def _extend(children):
+    binop = st.sampled_from([Add, Sub, Mul, DivNode])
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), binop, children, children),
+        st.builds(Pow, children, st.integers(min_value=-5, max_value=5)),
+        st.builds(Neg, children),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.recursive(_LEAVES, _extend, max_leaves=12))
+def test_str_parses_back_to_the_same_tree(e):
+    assert parse_expression(str(e)) == e
