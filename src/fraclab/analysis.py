@@ -39,6 +39,8 @@ from .solve import (
     EigenPair,
     SemilinearSolution,
     SolveContext,
+    _K_KEEP,
+    _leading_values,
     solve_context,
     solve_semilinear,
 )
@@ -549,9 +551,10 @@ def hadamard_check(
     psi = extract_trace(ctx.mesh, pair.vector, s, bp).psi
     formula = -_gamma2(s) * psi**2
     # Moving one endpoint breaks the x -> -x symmetry, so the perturbed
-    # solves always use the full spectrum.  The even restriction is a
+    # solves always use the full problem.  The even restriction is a
     # sub-spectrum of the same discrete problem, so the k-th even value
-    # sits at an exact position of the full spectrum; locate it there.
+    # sits at an exact position of the full spectrum; locate it among the
+    # leading values the full context holds.
     if even_only:
         full = solve_context(domain, s, n, beta, False).values
         idx = int(np.argmin(np.abs(full - pair.value)))
@@ -561,12 +564,10 @@ def hadamard_check(
             )
     else:
         idx = k - 1
-    lam_plus = solve_context(
-        perturb_endpoint(domain, bp, +h), s, n, beta, False
-    ).values[idx]
-    lam_minus = solve_context(
-        perturb_endpoint(domain, bp, -h), s, n, beta, False
-    ).values[idx]
+    lam_plus, lam_minus = (
+        _leading_values(perturb_endpoint(domain, bp, dx), s, n, beta, idx + 1)[idx]
+        for dx in (+h, -h)
+    )
     fd = (float(lam_plus) - float(lam_minus)) / (2.0 * h)
     rel = abs(fd - formula) / max(abs(formula), _RESID_FLOOR)
     return HadamardReport(
@@ -586,9 +587,10 @@ def spectrum_report(
 ) -> SpectrumReport:
     """Leading eigenvalues with relative gaps and clusters under cluster_tol."""
     ctx = solve_context(domain, s, n, beta, even_only)
-    if k_max > ctx.values.size:
+    if not 1 <= k_max <= ctx.values.size:
         raise ArgumentError(
-            f"k_max = {k_max} exceeds subspace dimension {ctx.values.size}"
+            f"k_max = {k_max} is outside 1..{ctx.values.size}, the solved "
+            f"eigenvalues (the subspace dimension, at most {2 * _K_KEEP})"
         )
     vals = np.asarray(ctx.values[:k_max], dtype=float)
     gaps = tuple((vals[1:] - vals[:-1]) / vals[:-1])

@@ -69,7 +69,7 @@ from .fields import (
     nonexistence_threshold,
 )
 from .assembly import frac_laplacian_pointwise
-from .solve import _K_KEEP, pairs_to_json, solve_context, solve_semilinear
+from .solve import _K_KEEP, _nodal_rows, pairs_to_json, solve_context, solve_semilinear
 
 __all__ = ["RunConfig", "main"]
 
@@ -662,11 +662,7 @@ def cmd_semilinear(cfg: RunConfig) -> int:
             "nodal": [[float(v) for v in seg] for seg in segs],
         }
         _write_json(_outpath(cfg, base + ".json"), doc)
-        rows = []
-        for seg_nodes, seg_vals in zip(ctx.mesh.nodes, segs):
-            rows.extend(
-                (float(x), float(v)) for x, v in zip(seg_nodes, seg_vals)
-            )
+        rows = _nodal_rows(ctx.mesh, sol.u)
         _write_csv(_outpath(cfg, base + ".csv"), ("x", "u"), rows)
         print(
             f"semilinear: s = {_fmt(s)}  p = {_fmt(cfg.p)}  n = {n}  "

@@ -19,6 +19,7 @@ from .errors import (
     ArgumentError,
     CoincidentPointsError,
     DimensionMismatchError,
+    ExpressionError,
     RangeError,
 )
 from .expressions import Add, Expr, parse_expression
@@ -185,6 +186,17 @@ def make_field(
     derived divergence (method recorded as "given").
     """
     sources = tuple(str(c) for c in components)
+    try:
+        return _make_field(sources, box, div)
+    except RecursionError:
+        # parse_expression guards the depth of parsing only; a tree it
+        # returns can still be too deep to print, differentiate or evaluate
+        raise ExpressionError(
+            f"field expression nested too deeply ({max(map(len, sources))} characters)"
+        ) from None
+
+
+def _make_field(sources: tuple[str, ...], box, div: Optional[str]) -> VectorField:
     dim = len(sources)
     if dim not in (1, 2):
         raise DimensionMismatchError(f"supported dims are 1 and 2, got {dim}")

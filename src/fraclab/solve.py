@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
+# eigenvectors kept per cached context; twice as many eigenvalues are solved,
+# enough to find the k-th even mode (k <= _K_KEEP) in the full spectrum
+_K_KEEP = 12
 # entries within this relative distance of an eigenvector's largest magnitude
 # tie for it (the mirror entries of a mode antisymmetric on a symmetric mesh
 # differ by rounding only)
@@ -66,7 +69,8 @@ class SemilinearSolution:
 
 
 class _Pairs(list):
-    """solve_geig's eigenpairs; ``values`` holds the whole spectrum."""
+    """solve_geig's eigenpairs; ``values`` holds the leading eigenvalues of
+    the same solve (see ``solve_geig``)."""
 
     values: np.ndarray
 
@@ -92,13 +96,35 @@ def _orientation(v: np.ndarray) -> float:
     return float(top[0])
 
 
+def _eigh(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool):
+    """The first m eigenvalues (and vectors) of A u = lambda M u.
+
+    ``subset_by_index`` selects LAPACK ``?sygvx``: after the Cholesky
+    reduction and tridiagonalization, bisection finds only the m wanted
+    eigenvalues and inverse iteration only their vectors.
+    """
+    try:
+        return scipy.linalg.eigh(
+            A, M, eigvals_only=eigvals_only, subset_by_index=[0, m - 1]
+        )
+    except scipy.linalg.LinAlgError as exc:
+        # only a failed solve pays for telling the two causes apart
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError("M is not positive definite") from exc
+        raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+
+
 def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     """First k_max eigenpairs of A u = lambda M u, M-orthonormal, ascending.
 
     The reduction is the classical dense path (Cholesky factor of M,
-    tridiagonalization, implicit-shift QL) as provided by LAPACK through
-    scipy.  Vectors are sign-fixed by ``_orientation``.  The returned list
-    also carries ``values``, every eigenvalue of the same solve, ascending.
+    tridiagonalization, bisection and inverse iteration) as provided by
+    LAPACK through scipy; only the leading eigenpairs are solved for.
+    Vectors are sign-fixed by ``_orientation``.  The returned list also
+    carries ``values``, the first max(k_max, 2*_K_KEEP) eigenvalues of the
+    same solve (all of them if the dimension is smaller), ascending.
     """
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -109,15 +135,7 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
         raise ArgumentError(f"k_max must be in [1, {dim}], got {k_max}")
     _check_sym("A", A)
     _check_sym("M", M)
-    try:
-        vals, vecs = scipy.linalg.eigh(A, M)
-    except scipy.linalg.LinAlgError as exc:
-        # only a failed solve pays for telling the two causes apart
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError("M is not positive definite") from exc
-        raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+    vals, vecs = _eigh(A, M, min(dim, max(k_max, 2 * _K_KEEP)), eigvals_only=False)
     pairs = _Pairs()
     pairs.values = vals
     for k in range(k_max):
@@ -152,15 +170,13 @@ def restrict_even(mesh: Mesh1D, A: np.ndarray, M: np.ndarray):
     return P.T @ A @ P, P.T @ M @ P, P
 
 
-_K_KEEP = 12  # eigenvectors kept per cached context
-
-
 @dataclass(frozen=True, eq=False)
 class SolveContext:
     mesh: Mesh1D
     forms: AssembledForms
     pairs: tuple[EigenPair, ...]
-    values: np.ndarray = field(repr=False)  # full ascending spectrum
+    # first 2*_K_KEEP eigenvalues (all of them if the dimension is smaller)
+    values: np.ndarray = field(repr=False)
     even_only: bool = False
 
 
@@ -196,6 +212,18 @@ def solve_context(
     return SolveContext(
         mesh=mesh, forms=forms, pairs=pairs, values=raw.values, even_only=even_only
     )
+
+
+def _leading_values(
+    domain: Domain1D, s: float, n: int, beta: float, m: int
+) -> np.ndarray:
+    """The first m eigenvalues of the full problem, without vectors.
+
+    Unlike ``solve_context`` nothing is cached: a Hadamard check reads one
+    value from each perturbed domain and never comes back to it.
+    """
+    forms = assemble_forms(make_mesh(domain, n, beta), s)
+    return _eigh(forms.stiffness, forms.mass, m, eigvals_only=True)
 
 
 def solve_semilinear(
@@ -277,11 +305,15 @@ def pairs_to_json(domain, s: float, mesh: Mesh1D, pairs) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _nodal_rows(mesh: Mesh1D, u: np.ndarray) -> list[tuple[float, float]]:
+    """Rows (x, u(x)) at every node of every interval, endpoints included."""
+    return [
+        (float(x), float(v))
+        for seg_nodes, seg_vals in zip(mesh.nodes, mesh.interior_to_full(u))
+        for x, v in zip(seg_nodes, seg_vals)
+    ]
+
+
 def pairs_to_nodal_rows(mesh: Mesh1D, pairs):
     """Rows (k, x, u_k(x)) covering every node of every mode."""
-    rows = []
-    for p in pairs:
-        for seg_nodes, seg_vals in zip(mesh.nodes, mesh.interior_to_full(p.vector)):
-            for x, v in zip(seg_nodes, seg_vals):
-                rows.append((p.k, float(x), float(v)))
-    return rows
+    return [(p.k, x, v) for p in pairs for x, v in _nodal_rows(mesh, p.vector)]

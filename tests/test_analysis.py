@@ -10,6 +10,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,6 +291,27 @@ def test_hadamard_even_only_tracks_full_mode():
     assert re.formula == pytest.approx(rf.formula, rel=1e-10)
 
 
+def test_hadamard_even_only_finds_the_last_kept_mode():
+    # even mode 12 on one interval is full mode 23, near the end of the 24
+    # eigenvalues a context solves; compare with full solves of the
+    # perturbed problems
+    bp, h = right_bp(), 1e-3
+    rep = fl.hadamard_check(INTERVAL, 0.5, 12, bp, h=h, n=64, even_only=True)
+    lam = []
+    for dx in (h, -h):
+        mesh = fl.make_mesh(fl.perturb_endpoint(INTERVAL, bp, dx), 64, beta=2.0)
+        F = fl.assemble_forms(mesh, 0.5)
+        lam.append(scipy.linalg.eigh(F.stiffness, F.mass, eigvals_only=True)[22])
+    assert rep.fd_slope == pytest.approx((lam[0] - lam[1]) / (2.0 * h), rel=1e-9)
+
+
+@pytest.mark.parametrize("even_only, contexts", [(False, 1), (True, 2)])
+def test_hadamard_perturbed_solves_are_not_cached(even_only, contexts):
+    fl.solve_context.cache_clear()
+    fl.hadamard_check(INTERVAL, 0.43, 2, right_bp(), h=1e-3, n=48, even_only=even_only)
+    assert fl.solve_context.cache_info().currsize == contexts
+
+
 def test_hadamard_default_step_is_diameter_scaled():
     rep = fl.hadamard_check(INTERVAL, 0.5, 1, right_bp(), n=64)
     assert rep.h == pytest.approx(1e-3 * 2.0)
@@ -320,6 +342,15 @@ def test_spectrum_full_single_interval_scope_note():
 def test_spectrum_k_max_out_of_range():
     with pytest.raises(ArgumentError):
         fl.spectrum_report(INTERVAL, 0.5, 40, even_only=True, n=16)
+
+
+@pytest.mark.parametrize("k_max", [25, 0, -3])
+def test_spectrum_k_max_beyond_the_solved_values(k_max):
+    # the subspace has 127 dimensions, but a context solves 24 eigenvalues;
+    # a negative k_max used to slice from the end
+    assert len(fl.spectrum_report(INTERVAL, 0.5, 24, n=128).values) == 24
+    with pytest.raises(ArgumentError, match=rf"k_max = {k_max} is outside 1\.\.24,"):
+        fl.spectrum_report(INTERVAL, 0.5, k_max, n=128)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,11 @@ CONFIG_ERRORS = [
         {"field": {"components": ["-" * 5000 + "x"], "box": [-1, 1]}},
         "expression nested too deeply (5001 characters)",
     ),
+    # parsed within the depth guard, but too deep to differentiate: a traceback
+    (
+        {"field": {"components": ["-" * 900 + "x"], "box": [-1, 1]}},
+        "field expression nested too deeply (901 characters)",
+    ),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import fraclab as fl
+from fraclab.solve import _K_KEEP
 from fraclab.errors import (
     ArgumentError,
     AsymmetricMeshError,
@@ -105,6 +106,29 @@ def test_geig_galerkin_monotonicity():
     fine = [p.value for p in fl.solve_geig(Ff.stiffness, Ff.mass, 5)]
     for vc, vf in zip(coarse, fine):
         assert vc >= vf - 1e-10
+
+
+# the two-interval domain has near-degenerate even/odd pairs (relative gaps
+# down to 1.4e-6 among the first 24 at n = 1024), which inverse iteration
+# must still separate
+@pytest.mark.parametrize(
+    "intervals, n, even_only",
+    [
+        ([(-1.0, 1.0)], 1024, False),
+        ([(-1.0, 1.0)], 1024, True),
+        ([(-2.0, -1.0), (1.0, 2.0)], 1024, False),
+        ([(-1.0, 1.0)], 8, False),
+        ([(-1.0, 1.0)], 8, True),
+    ],
+)
+def test_context_values_are_the_leading_values_of_a_full_solve(intervals, n, even_only):
+    ctx = fl.solve_context(fl.make_domain(intervals), 0.5, n, 2.0, even_only)
+    A, M = ctx.forms.stiffness, ctx.forms.mass
+    if even_only:
+        A, M, _ = fl.restrict_even(ctx.mesh, A, M)
+    full = scipy.linalg.eigh(A, M, eigvals_only=True)
+    assert ctx.values.size == min(full.size, 2 * _K_KEEP)
+    np.testing.assert_allclose(ctx.values, full[: ctx.values.size], rtol=1e-10, atol=0)
 
 
 def test_dilation_law_exact_on_affine_meshes():
