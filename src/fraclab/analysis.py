@@ -488,15 +488,8 @@ def lemma21_check(
     R = 10.0 * domain.diameter
 
     def integrand(xs):
-        shp = np.shape(xs)
-        flat = np.asarray(xs, dtype=float).ravel()
-        flv = np.array(
-            [
-                frac_laplacian_pointwise(bump, s, float(x), R=R, tail_sup=0.0).value
-                for x in flat
-            ]
-        )
-        return (bump.deriv(flat) * X.at1(flat) * flv).reshape(shp)
+        lap = frac_laplacian_pointwise(bump, s, xs, R=R, tail_sup=0.0).value
+        return bump.deriv(xs) * X.at1(xs) * lap
 
     # the outer rule refines with quad_tol so the residual tracks the
     # requested tolerance instead of saturating at a fixed-rule floor
@@ -504,13 +497,12 @@ def lemma21_check(
     rhs_acc, _ = adaptive_panels(integrand, panels, quad_tol)
     rhs = -2.0 * rhs_acc
 
-    # coarse fixed rule for the normalization scale only
+    # coarse fixed rule (12 panels x GL8) for the normalization scale only
     tg, wg = gauss_legendre_01(8)
     edges = np.linspace(lo, hi, 13)
-    mag_acc = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xq = a + (b - a) * tg
-        mag_acc += float(b - a) * float(np.dot(np.abs(integrand(xq)), wg))
+    widths = edges[1:] - edges[:-1]
+    xq = edges[:-1, None] + widths[:, None] * tg[None, :]
+    mag_acc = float(widths @ (np.abs(integrand(xq)) @ wg))
     rel = _rel(lhs, rhs, scale=2.0 * mag_acc)
     return _report("lemma21", lhs, rhs, rel, n_f, s, history)
 
@@ -555,8 +547,8 @@ def hadamard_check(
     # sub-spectrum of the same discrete problem, so the k-th even value
     # sits at an exact position of the full spectrum; locate it among the
     # leading values the full context holds.
+    full = solve_context(domain, s, n, beta, False).values if even_only else ctx.values
     if even_only:
-        full = solve_context(domain, s, n, beta, False).values
         idx = int(np.argmin(np.abs(full - pair.value)))
         if abs(full[idx] - pair.value) > 1e-8 * max(abs(pair.value), 1.0):
             raise ArgumentError(
@@ -565,10 +557,19 @@ def hadamard_check(
     else:
         idx = k - 1
     lam_plus, lam_minus = (
-        _leading_values(perturb_endpoint(domain, bp, dx), s, n, beta, idx + 1)[idx]
+        float(_leading_values(perturb_endpoint(domain, bp, dx), s, n, beta, idx + 1)[idx])
         for dx in (+h, -h)
     )
-    fd = (float(lam_plus) - float(lam_minus)) / (2.0 * h)
+    # a neighbour closer than the perturbation's move can swap places with
+    # the mode, and the difference quotient then follows the wrong branch
+    for j in (idx - 1, idx + 1):
+        if 0 <= j < full.size and abs(full[j] - pair.value) <= abs(lam_plus - lam_minus):
+            raise ArgumentError(
+                f"eigenvalue {pair.value:.12g} has a neighbour {full[j]:.12g} within "
+                f"the finite-difference move {abs(lam_plus - lam_minus):.3g}; the "
+                "Hadamard formula needs a simple eigenvalue"
+            )
+    fd = (lam_plus - lam_minus) / (2.0 * h)
     rel = abs(fd - formula) / max(abs(formula), _RESID_FLOOR)
     return HadamardReport(
         k=k, bp=bp, fd_slope=fd, formula=formula, rel_error=rel, h=h, n=n, s=s

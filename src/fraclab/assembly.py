@@ -36,6 +36,7 @@ from .domain import Mesh1D
 from .errors import ArgumentError, DimensionMismatchError, QuadratureError, ToleranceError
 from .fields import VectorField, frac_constant
 from .quadrature import (
+    _row_dot,
     adaptive_panels,
     gauss_jacobi_01,
     gauss_legendre_01,
@@ -664,89 +665,139 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
 
 @dataclass(frozen=True)
 class FracLapValue:
-    value: float
-    error: float
+    """Operator values and error estimates: floats for a scalar x, else arrays."""
+
+    value: float | np.ndarray
+    error: float | np.ndarray
+
+
+_PV_MAX_R = 1e6  # largest cutoff of the oscillation-safe far layout
+_PV_BYTES = 1 << 23  # initial far-panel rows of the points evaluated together
+_PV_ROW_BYTES = 8 * 31  # one far-panel row: group index and 30 nodes
 
 
 def frac_laplacian_pointwise(
     phi: Callable,
     s: float,
-    x: float,
-    R: Optional[float] = None,
+    x,
+    R=None,
     *,
     domain=None,
     tol: Optional[float] = None,
-    tail_sup: Optional[float] = None,
+    tail_sup=None,
 ) -> FracLapValue:
     """(-Delta)^s phi(x) by the symmetric principal-value integral.
 
-    ``phi`` must evaluate vectorized on numpy arrays.  The integral is cut
-    at radius R (default 10x the domain diameter when ``domain`` is given);
-    beyond R the 2 phi(x) term integrates exactly and the dropped part is
-    bounded by 2 sup_{|y|>R} |phi| c_{1,s} / (2s R^{2s}), included in the
-    error estimate (``tail_sup`` overrides the sampled bound, e.g. 0 for
-    compactly supported phi).
+    ``phi`` must evaluate vectorized on numpy arrays.  ``x`` is a point or
+    an array of points; ``R`` and ``tail_sup`` broadcast against it.  The
+    integral is cut at radius R (default 10x the domain diameter when
+    ``domain`` is given); beyond R the 2 phi(x) term integrates exactly and
+    the dropped part is estimated by 2 sup_{|y|>R} |phi| c_{1,s} / (2s R^{2s}),
+    included in the error estimate (``tail_sup`` overrides the sampled
+    sup, e.g. 0 for compactly supported phi).
 
-    Raises ToleranceError when ``tol`` is given and the estimate exceeds it.
+    Every point gets its own Jacobi near part, its own far panels and its
+    own tolerance; the far panels of all points are refined in one grouped
+    adaptive pass, in batches of at most _PV_BYTES of nodes.  A point's
+    value and error do not depend on the other points of the call.
+
+    Raises ToleranceError when ``tol`` is given and the estimate of a point
+    exceeds it (the first such point, in order).
     """
     _check_s(s)
     if R is None:
         if domain is None:
             raise ArgumentError("need R or a domain to size the cutoff")
         R = 10.0 * domain.diameter
-    if R <= 0:
+    x_arr, R_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(R, dtype=float))
+    if np.any(R_arr <= 0):
         raise ArgumentError("R must be positive")
-    c = frac_constant(1, s)
-    phi_x = float(phi(np.asarray([x]))[0])
-
-    def second_diff(y):
-        return 2.0 * phi_x - phi(x + y) - phi(x - y)
-
-    # near part: int_0^{y1} (psi / y^2) y^{1-2s} dy with a Jacobi rule
-    y1 = min(0.5, 0.25 * R)
-    est = []
-    for order in (16, 24):
-        tj, wj = gauss_jacobi_01(order, 1.0 - 2.0 * s)
-        yv = y1 * tj
-        est.append(y1 ** (2.0 - 2.0 * s) * float(np.dot(second_diff(yv) / yv**2, wj)))
-    near = est[1]
-    near_err = abs(est[1] - est[0])
-
-    # far part: adaptive panels, geometric growth capped at width 4 so a
+    # the far panels grow geometrically, capped at width 4 so a
     # unit-frequency oscillation stays resolved; that makes the panel count
     # linear in R, so refuse cutoffs that would not fit in memory
-    if R > 1e6:
+    if np.any(R_arr > _PV_MAX_R):
         raise ArgumentError(
             "cutoff R too large for the oscillation-safe panel layout; "
             "reduce R and pass tail_sup for the remainder"
         )
-    edges = [y1]
-    while edges[-1] < R:
-        step = min(max(edges[-1], y1), 4.0)
-        edges.append(min(edges[-1] + step, R))
-    panels = list(zip(edges[:-1], edges[1:]))
-    quad_tol = (0.25 * tol / c) if tol is not None else 1e-10 * (1.0 + abs(phi_x))
+    xs, Rs = x_arr.ravel(), R_arr.ravel()
+    sup = None
+    if tail_sup is not None:
+        sup = np.broadcast_to(np.asarray(tail_sup, dtype=float), x_arr.shape).ravel()
+    # unscaled far edges 1/2, 1, 2, 4, 8, 12, ...; a cutoff R >= 2 keeps
+    # those below R, a smaller one keeps R/4, R/2 (the layout scaled by R/2)
+    ratio = np.where(Rs >= 2.0, Rs, 2.0)
+    top = float(np.max(ratio, initial=2.0))
+    edges = np.concatenate([[0.5, 1.0, 2.0], np.arange(4.0, top + 8.0, 4.0)])
+    n_far = np.searchsorted(edges, ratio, side="left")
+    per_batch = max(1, _PV_BYTES // (_PV_ROW_BYTES * int(np.max(n_far, initial=1))))
+    c = frac_constant(1, s)
+    value = np.empty(xs.size)
+    error = np.empty(xs.size)
+    for lo in range(0, xs.size, per_batch):
+        part = slice(lo, lo + per_batch)
+        value[part], error[part] = _pv_batch(
+            phi, s, c, xs[part], Rs[part], n_far[part], edges, tol,
+            None if sup is None else sup[part],
+        )
+        if tol is not None and np.any(error[part] > tol):
+            bad = float(error[part][np.argmax(error[part] > tol)])
+            raise ToleranceError(
+                f"estimated error {bad:.3e} exceeds requested tolerance {tol:.3e}"
+            )
+    if x_arr.ndim == 0:
+        return FracLapValue(value=float(value[0]), error=float(error[0]))
+    return FracLapValue(value=value.reshape(x_arr.shape), error=error.reshape(x_arr.shape))
 
-    def integrand(y):
-        return second_diff(y) * y ** (-1.0 - 2.0 * s)
 
-    far, far_err = adaptive_panels(integrand, panels, quad_tol)
+def _pv_batch(phi, s, c, x, R, n_far, edges, tol, tail_sup):
+    """Values and error estimates of the principal-value integral at points x."""
+    phi_x = np.asarray(phi(x), dtype=float)
 
-    # exact constant tail plus remainder bound
+    def second_diff(xc, px, y):
+        return 2.0 * px - phi(xc + y) - phi(xc - y)
+
+    # near part: int_0^{y1} (psi / y^2) y^{1-2s} dy with a Jacobi rule
+    y1 = np.minimum(0.5, 0.25 * R)
+    est = []
+    for order in (16, 24):
+        tj, wj = gauss_jacobi_01(order, 1.0 - 2.0 * s)
+        yv = y1[:, None] * tj[None, :]
+        psi = second_diff(x[:, None], phi_x[:, None], yv) / yv**2
+        est.append(y1 ** (2.0 - 2.0 * s) * _row_dot(psi, wj))
+    near = est[1]
+    near_err = np.abs(est[1] - est[0])
+
+    # far part: the panels of point i are 2 y1 * edges[k] for k < n_far[i],
+    # closed by R[i]; one grouped adaptive pass refines all of them
+    group = np.repeat(np.arange(x.size), n_far)
+    k = np.arange(group.size) - np.repeat(np.cumsum(n_far) - n_far, n_far)
+    scale = 2.0 * y1[group]
+    a = scale * edges[k]
+    b = np.where(k + 1 < n_far[group], scale * edges[k + 1], R[group])
+    quad_tol = (0.25 * tol / c) if tol is not None else 1e-10 * (1.0 + np.abs(phi_x))
+
+    def integrand(rows):
+        g = rows[:, 0].astype(np.intp)
+        y = rows[:, 1:]
+        return second_diff(x[g, None], phi_x[g, None], y) * y ** (-1.0 - 2.0 * s)
+
+    far, far_err = adaptive_panels(integrand, np.stack([a, b], axis=1), quad_tol, groups=group)
+
+    # exact constant tail plus remainder estimate
     tail_term = c * phi_x * R ** (-2.0 * s) / s
     if tail_sup is None:
-        ys = R * np.geomspace(1.0, 8.0, 64)
-        tail_sup = float(max(np.max(np.abs(phi(x + ys))), np.max(np.abs(phi(x - ys)))))
+        ys = R[:, None] * np.geomspace(1.0, 8.0, 64)[None, :]
+        tail_sup = np.maximum(
+            np.max(np.abs(phi(x[:, None] + ys)), axis=1),
+            np.max(np.abs(phi(x[:, None] - ys)), axis=1),
+        )
     tail_err = c * tail_sup * R ** (-2.0 * s) / s
 
     value = c * (near + far) + tail_term
     # embedded estimates can under-report slightly; widen before comparing
     error = 2.0 * c * (near_err + far_err) + tail_err
-    if tol is not None and error > tol:
-        raise ToleranceError(
-            f"estimated error {error:.3e} exceeds requested tolerance {tol:.3e}"
-        )
-    return FracLapValue(value=value, error=error)
+    return value, error
 
 
 # ---------------------------------------------------------------------------

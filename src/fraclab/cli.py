@@ -683,32 +683,24 @@ def cmd_fraclap(cfg: RunConfig) -> int:
     center = 0.5 * (lo_sup + hi_sup)
     halfwidth = 0.5 * (hi_sup - lo_sup)
     if cfg.points is not None:
-        xs = list(cfg.points)
+        xs = np.asarray(cfg.points, dtype=float)
     elif cfg.grid is not None:
-        xs = [
-            float(v)
-            for v in np.linspace(
-                float(cfg.grid["lo"]), float(cfg.grid["hi"]), int(cfg.grid["count"])
-            )
-        ]
+        xs = np.linspace(
+            float(cfg.grid["lo"]), float(cfg.grid["hi"]), int(cfg.grid["count"])
+        )
     else:
-        xs = [
-            float(v)
-            for v in np.linspace(
-                center - 0.9 * halfwidth, center + 0.9 * halfwidth, 19
-            )
-        ]
+        xs = np.linspace(center - 0.9 * halfwidth, center + 0.9 * halfwidth, 19)
+    reach = np.abs(xs - center) + halfwidth
+    R = cfg.R if cfg.R is not None else 8.0 * (reach + 1.0)
+    # the bump vanishes beyond its support, so the sampled tail sup is zero
+    # wherever the cutoff covers it; sample only when some point needs it
+    tail_sup = 0.0 if np.all(R >= reach) else None
     multi = len(cfg.s_list) > 1
     for s in cfg.s_list:
-        rows = []
-        for x in xs:
-            reach = abs(x - center) + halfwidth
-            R = cfg.R if cfg.R is not None else 8.0 * (reach + 1.0)
-            tail_sup = 0.0 if R >= reach else None
-            fv = frac_laplacian_pointwise(
-                bump, s, float(x), R=R, tol=cfg.quad_tol, tail_sup=tail_sup
-            )
-            rows.append((float(x), fv.value, fv.error))
+        fv = frac_laplacian_pointwise(
+            bump, s, xs, R=R, tol=cfg.quad_tol, tail_sup=tail_sup
+        )
+        rows = list(zip(xs.tolist(), fv.value.tolist(), fv.error.tolist()))
         name = "fraclap" + (f"_s{s:g}" if multi else "") + ".csv"
         _write_csv(_outpath(cfg, name), ("x", "value", "error"), rows)
         print(f"fraclap: s = {_fmt(s)}  points = {len(rows)}")

@@ -83,54 +83,82 @@ def power_integral(lo, hi, m):
     return out
 
 
-def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000):
+def _row_dot(rows, w):
+    """Dot product of each row of ``rows`` with ``w``.
+
+    Every row is its own vector-vector product, so its rounding does not
+    depend on the other rows; a matrix-vector product rounds a row
+    differently with its position in the matrix.
+    """
+    return (rows[..., None, :] @ w[:, None])[..., 0, 0]
+
+
+def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, groups=None):
     """Adaptively integrate ``f`` over the given panels with embedded GL error.
 
     ``f`` must accept an ndarray and evaluate elementwise.  ``panels`` is a
-    sequence of (a, b) with a < b.  Bisects panels whose embedded
-    (GL10 vs GL20) error estimate exceeds their share of ``tol`` until the
-    estimate is met; raises QuadratureError past ``max_depth`` levels or
-    ``max_panels`` total panels.
+    sequence (or (P, 2) array) of (a, b) with a < b.  Bisects panels whose
+    embedded (GL10 vs GL20) error estimate exceeds their share of ``tol``
+    until the estimate is met; raises QuadratureError past ``max_depth``
+    levels or ``max_panels`` panels.
 
     Returns (value, error_estimate).
+
+    ``groups`` (one index 0..G-1 per panel) integrates G independent
+    integrals in one pass.  Group g shares ``tol[g]`` (``tol`` broadcasts)
+    among its own panels by length, and the depth and panel caps apply to
+    each group.  ``f`` then receives a (P, 1 + m) array, one row per panel:
+    column 0 holds the panel's group index and the other m columns its
+    nodes; it returns the (P, m) values at the nodes.  Returns arrays of
+    value and error per group.  A group's results do not depend on the
+    other groups of the batch: its panels keep their order, and each
+    panel's rule is applied by ``_row_dot``.
     """
-    a0 = np.asarray([p[0] for p in panels], dtype=float)
-    b0 = np.asarray([p[1] for p in panels], dtype=float)
-    total_len = float(np.sum(b0 - a0))
-    if total_len <= 0.0:
-        return 0.0, 0.0
+    ab = np.asarray(panels, dtype=float).reshape(-1, 2)
+    a, b = ab[:, 0], ab[:, 1]
+    if groups is None:
+        g = np.zeros(a.size, dtype=np.intp)
+        n_groups = 1
+    else:
+        g = np.asarray(groups, dtype=np.intp).ravel()
+        n_groups = int(g.max()) + 1 if g.size else 0
+    total_len = np.bincount(g, weights=b - a, minlength=n_groups)
+    tol_g = np.broadcast_to(np.asarray(tol, dtype=float), (n_groups,))
     x10, w10 = gauss_legendre(10)
     x20, w20 = gauss_legendre(20)
+    x30 = np.concatenate([x20, x10])
 
-    value = 0.0
-    err = 0.0
-    a, b = a0, b0
+    value = np.zeros(n_groups)
+    err = np.zeros(n_groups)
+    n_seen = np.bincount(g, minlength=n_groups)
     depth = 0
-    n_seen = a.size
     while a.size:
         if depth > max_depth:
             raise QuadratureError("adaptive quadrature: max depth exceeded")
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        nodes20 = mid[:, None] + half[:, None] * x20[None, :]
-        nodes10 = mid[:, None] + half[:, None] * x10[None, :]
-        f20 = f(nodes20)
-        f10 = f(nodes10)
-        i20 = half * (f20 @ w20)
-        i10 = half * (f10 @ w10)
+        nodes = mid[:, None] + half[:, None] * x30[None, :]
+        if groups is not None:
+            nodes = np.concatenate([g[:, None].astype(float), nodes], axis=1)
+        fx = f(nodes)
+        i20 = half * _row_dot(fx[:, :20], w20)
+        i10 = half * _row_dot(fx[:, 20:], w10)
         e = np.abs(i20 - i10)
-        budget = tol * (b - a) / total_len
+        budget = tol_g[g] * (b - a) / total_len[g]
         done = (e <= budget) | (half <= 1e-15 * np.maximum(np.abs(a), 1.0))
-        value += float(np.sum(i20[done]))
-        err += float(np.sum(e[done]))
+        value += np.bincount(g[done], weights=i20[done], minlength=n_groups)
+        err += np.bincount(g[done], weights=e[done], minlength=n_groups)
         keep = ~done
         if not np.any(keep):
             break
-        a_k, b_k, m_k = a[keep], b[keep], mid[keep]
+        a_k, b_k, m_k, g_k = a[keep], b[keep], mid[keep], g[keep]
         a = np.concatenate([a_k, m_k])
         b = np.concatenate([m_k, b_k])
-        n_seen += a.size
-        if n_seen > max_panels:
+        g = np.concatenate([g_k, g_k])
+        n_seen += np.bincount(g, minlength=n_groups)
+        if np.any(n_seen > max_panels):
             raise QuadratureError("adaptive quadrature: panel cap exceeded")
         depth += 1
+    if groups is None:
+        return float(value[0]), float(err[0])
     return value, err

@@ -238,6 +238,31 @@ def test_lemma21_residual_tracks_tolerance():
     assert res[1] / res[2] >= 3.0
 
 
+def test_lemma21_calls_the_operator_once_per_node_array(monkeypatch):
+    # one operator call for each outer integrand evaluation, plus one for
+    # the normalization rule, each on the whole node array
+    analysis = importlib.import_module("fraclab.analysis")
+    sizes, outer = [], []
+    real_op, real_quad = analysis.frac_laplacian_pointwise, analysis.adaptive_panels
+
+    def op(phi, s, x, **kwargs):
+        sizes.append(np.size(x))
+        return real_op(phi, s, x, **kwargs)
+
+    def quad(f, *args, **kwargs):
+        def g(y):
+            outer.append(np.size(y))
+            return f(y)
+
+        return real_quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "frac_laplacian_pointwise", op)
+    monkeypatch.setattr(analysis, "adaptive_panels", quad)
+    X = fl.make_field(["x + 0.25*x^3"], box=BOX1)
+    fl.lemma21_check(fl.polynomial_bump(0.2, 0.5, 3), X, 0.5, 1e-6, domain=INTERVAL)
+    assert sizes == outer + [12 * 8]
+
+
 def test_polynomial_bump_power_must_be_an_integer():
     with pytest.raises(ArgumentError, match="bump power must be an integer, got 2.5"):
         fl.polynomial_bump(power=2.5)
@@ -310,6 +335,14 @@ def test_hadamard_perturbed_solves_are_not_cached(even_only, contexts):
     fl.solve_context.cache_clear()
     fl.hadamard_check(INTERVAL, 0.43, 2, right_bp(), h=1e-3, n=48, even_only=even_only)
     assert fl.solve_context.cache_info().currsize == contexts
+
+
+def test_hadamard_refuses_a_near_degenerate_eigenvalue():
+    # on (-2, -1) u (1, 2) even mode 12 and its odd partner sit 5e-5 apart,
+    # while moving the endpoint by h moves the mode by 0.15; the difference
+    # quotient followed the other branch (fd_slope -18.5, formula -38.0)
+    with pytest.raises(ArgumentError, match="37.184036.*37.184087.*simple eigenvalue"):
+        fl.hadamard_check(ANNULUS, 0.5, 12, right_bp(ANNULUS), n=64, even_only=True)
 
 
 def test_hadamard_default_step_is_diameter_scaled():

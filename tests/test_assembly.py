@@ -379,6 +379,92 @@ def test_pointwise_default_tail_sampling():
     assert a.value == pytest.approx(b.value, rel=1e-14)
 
 
+@pytest.mark.parametrize("s, worst", [(0.25, 1.2e-6), (0.5, 6.5e-6), (0.75, 5.1e-5)])
+def test_pointwise_bump_matches_dyda_closed_form(s, worst):
+    # Dyda (2012, Fract. Calc. Appl. Anal. 15): for |z| < 1,
+    # (-Delta)^s (1 - z^2)_+^p = 4^s G(p+1) G(s+1/2) / (G(p+1-s) G(1/2))
+    #                            * 2F1(s + 1/2, s - p; 1/2; z^2),
+    # scaled by halfwidth^{-2s}.  ``worst`` is the largest error of the
+    # per-point evaluation this batched one replaced; the estimate is not a
+    # bound here (the near window crosses the support edge), so only the
+    # value is checked, at twice that
+    from scipy.special import gamma, hyp2f1
+
+    c, w, p = 0.2, 0.5, 3
+    z = np.linspace(-0.95, 0.95, 39)
+    exact = (
+        4.0**s * gamma(p + 1) * gamma(s + 0.5) / (gamma(p + 1 - s) * gamma(0.5))
+        * hyp2f1(s + 0.5, s - p, 0.5, z**2) * w ** (-2.0 * s)
+    )
+    got = fl.frac_laplacian_pointwise(
+        fl.polynomial_bump(c, w, p), s, c + w * z, R=20.0, tail_sup=0.0
+    ).value
+    assert np.max(np.abs(got - exact)) <= 2.0 * worst
+
+
+def _far_passes(monkeypatch):
+    """Count the integrand calls of the operator's adaptive passes."""
+    passes = []
+    real = assembly.adaptive_panels
+
+    def counting(f, *args, **kwargs):
+        def g(rows):
+            passes[-1] += 1
+            return f(rows)
+
+        passes.append(0)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "adaptive_panels", counting)
+    return passes
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_pointwise_points_do_not_depend_on_their_batch(monkeypatch, s):
+    # inside, near the edges of and outside the support of the bump; the
+    # points near an edge need deeper far refinement than the others
+    bump = fl.polynomial_bump(0.2, 0.5, 3)
+    xs = np.array([0.2, -0.29, 0.05, 0.69, 0.35, 0.71, 1.5, -0.6])
+    R = np.array([20.0, 20.0, 1.5, 20.0, 6.0, 20.0, 20.0, 3.0])
+    passes = _far_passes(monkeypatch)
+    alone = [
+        fl.frac_laplacian_pointwise(bump, s, x, R=r, tail_sup=0.0)
+        for x, r in zip(xs, R)
+    ]
+    assert len(set(passes)) > 1
+    batch = fl.frac_laplacian_pointwise(bump, s, xs, R=R, tail_sup=0.0)
+    monkeypatch.setattr(assembly, "_PV_BYTES", 1)  # one point per batch
+    single = fl.frac_laplacian_pointwise(bump, s, xs, R=R, tail_sup=0.0)
+    for out in (batch, single):
+        assert out.value.tolist() == [a.value for a in alone]
+        assert out.error.tolist() == [a.error for a in alone]
+
+
+def test_pointwise_scalar_and_array_forms():
+    bump = fl.polynomial_bump(0.2, 0.5, 3)
+    xs = np.array([[0.0, 0.1], [0.3, 0.9]])
+    out = fl.frac_laplacian_pointwise(bump, 0.5, xs, R=np.array([20.0, 1.5]))
+    assert out.value.shape == out.error.shape == (2, 2)
+    one = fl.frac_laplacian_pointwise(bump, 0.5, 0.9, R=1.5)
+    assert type(one.value) is float and type(one.error) is float
+    assert (one.value, one.error) == (out.value[1, 1], out.error[1, 1])
+
+
+def test_pointwise_tolerance_error_names_the_first_failing_point():
+    # at tol 3e-5, x = 0 and 0.25 pass alone, 0.3 and 0.6 fail; the batch
+    # reports 0.3, the first failing point, not 0.6, the largest error
+    bump = fl.polynomial_bump()
+    kw = dict(R=16.0, tol=3e-5, tail_sup=0.0)
+    for x in (0.0, 0.25):
+        fl.frac_laplacian_pointwise(bump, 0.5, x, **kw)
+    messages = []
+    for x in (0.3, 0.6, [0.0, 0.25, 0.3, 0.6]):
+        with pytest.raises(ToleranceError) as exc:
+            fl.frac_laplacian_pointwise(bump, 0.5, x, **kw)
+        messages.append(str(exc.value))
+    assert messages[2] == messages[0] != messages[1]
+
+
 # ---------------------------------------------------------------------------
 # density integrals
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fraclab
@@ -378,6 +379,16 @@ def test_verify_mode_beyond_solved_modes_exit_2(tmp_path, identity):
     assert main(["verify", "--config", cfg]) == 2
 
 
+def test_verify_hadamard_near_degenerate_eigenvalue_exit_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"identity": "hadamard", "domain": {"intervals": [[-2, -1], [1, 2]]},
+         "k": 12, "even_only": True, "n": 64, "out": str(tmp_path)},
+    )
+    assert main(["verify", "--config", cfg]) == 2
+    assert "needs a simple eigenvalue" in capsys.readouterr().err
+
+
 def test_verify_lemma21_bump_touching_boundary_exit_2(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -536,6 +547,40 @@ def test_fraclap_grid_csv(tmp_path):
     )
     for r in rows:
         assert math.isfinite(float(r[1])) and float(r[2]) >= 0.0
+
+
+def test_fraclap_evaluates_each_s_in_one_call(tmp_path, monkeypatch):
+    sizes = []
+    real = cli.frac_laplacian_pointwise
+
+    def counting(phi, s, x, **kwargs):
+        sizes.append(np.size(x))
+        return real(phi, s, x, **kwargs)
+
+    monkeypatch.setattr(cli, "frac_laplacian_pointwise", counting)
+    cfg = write_config(
+        tmp_path,
+        {"s": [0.3, 0.6], "grid": {"lo": -0.4, "hi": 0.4, "count": 7},
+         "out": str(tmp_path)},
+    )
+    assert main(["fraclap", "--config", cfg]) == 0
+    assert sizes == [7, 7]
+
+
+def test_fraclap_short_cutoff_rows_match_single_points(tmp_path):
+    # R = 1 covers the support seen from x = 0 but not from x = 0.6, where
+    # the tail sup is sampled; the sampled sup is 0 wherever R covers it
+    cfg = write_config(
+        tmp_path, {"points": [0.0, 0.6], "R": 1.0, "out": str(tmp_path)}
+    )
+    assert main(["fraclap", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "fraclap.csv")
+    bump = fraclab.polynomial_bump()
+    for (x, value, error), tail_sup in zip(rows, (0.0, None)):
+        one = fraclab.frac_laplacian_pointwise(
+            bump, 0.5, float(x), R=1.0, tail_sup=tail_sup
+        )
+        assert (float(value), float(error)) == (one.value, one.error)
 
 
 def test_fraclap_cutoff_too_large_exit_2(tmp_path):

@@ -89,3 +89,66 @@ def test_adaptive_panels_depth_cap():
     # non-integrable singularity: bisection can never meet the budget
     with pytest.raises(QuadratureError):
         adaptive_panels(lambda x: 1.0 / np.abs(x), [(0.0, 1.0)], 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# grouped adaptive panels
+# ---------------------------------------------------------------------------
+
+def _grouped(funcs):
+    """Integrand of a grouped call: row g of the nodes belongs to funcs[g]."""
+
+    def f(rows):
+        g, y = rows[:, 0].astype(int), rows[:, 1:]
+        out = np.empty_like(y)
+        for k, fn in enumerate(funcs):
+            out[g == k] = fn(y[g == k])
+        return out
+
+    return f
+
+
+def test_adaptive_panels_groups_match_separate_calls():
+    # a smooth, a kinked and a singular integrand in one pass; each group's
+    # value and error are the floats of its own call
+    funcs = [np.cos, np.abs, lambda x: np.sqrt(np.abs(x))]
+    panels = [[(0.0, np.pi / 2)], [(-1.0, 2.0)], [(0.0, 0.5), (0.5, 1.0)]]
+    tols = [1e-12, 1e-12, 1e-8]
+    alone = [adaptive_panels(f, p, t) for f, p, t in zip(funcs, panels, tols)]
+    groups = np.repeat(np.arange(3), [len(p) for p in panels])
+    value, err = adaptive_panels(
+        _grouped(funcs), [ab for p in panels for ab in p], tols, groups=groups
+    )
+    assert value.tolist() == [v for v, _ in alone]
+    assert err.tolist() == [e for _, e in alone]
+
+
+def test_adaptive_panels_depth_cap_applies_to_each_group():
+    # group 0 converges on the first pass; group 1 is not integrable
+    f = _grouped([np.cos, lambda x: 1.0 / np.abs(x)])
+    with pytest.raises(QuadratureError, match="max depth"):
+        adaptive_panels(f, [(0.0, 1.0), (0.0, 1.0)], 1e-6, groups=[0, 1])
+
+
+def test_adaptive_panels_panel_cap_applies_to_each_group():
+    # the smallest cap one integral of |x| fits in also holds for forty
+    # copies in one pass, which need forty times the panels together
+    cap = next(
+        m for m in range(1, 500)
+        if _fits(lambda: adaptive_panels(np.abs, [(-1.0, 2.0)], 1e-12, max_panels=m))
+    )
+    with pytest.raises(QuadratureError, match="panel cap"):
+        adaptive_panels(np.abs, [(-1.0, 2.0)], 1e-12, max_panels=cap - 1)
+    value, _ = adaptive_panels(
+        _grouped([np.abs] * 40), [(-1.0, 2.0)] * 40, 1e-12,
+        max_panels=cap, groups=np.arange(40),
+    )
+    assert value == pytest.approx(np.full(40, 2.5), abs=1e-11)
+
+
+def _fits(call) -> bool:
+    try:
+        call()
+    except QuadratureError:
+        return False
+    return True
