@@ -671,7 +671,6 @@ class FracLapValue:
     error: float | np.ndarray
 
 
-_PV_MAX_R = 1e6  # largest cutoff of the oscillation-safe far layout
 _PV_BYTES = 1 << 23  # initial far-panel rows of the points evaluated together
 _PV_ROW_BYTES = 8 * 31  # one far-panel row: group index and 30 nodes
 
@@ -715,7 +714,7 @@ def frac_laplacian_pointwise(
     # the far panels grow geometrically, capped at width 4 so a
     # unit-frequency oscillation stays resolved; that makes the panel count
     # linear in R, so refuse cutoffs that would not fit in memory
-    if np.any(R_arr > _PV_MAX_R):
+    if np.any(R_arr > 1e6):
         raise ArgumentError(
             "cutoff R too large for the oscillation-safe panel layout; "
             "reduce R and pass tail_sup for the remainder"
