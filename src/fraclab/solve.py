@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
+# pencils of at least this dimension are solved by shift-invert Lanczos on a
+# Cholesky factor of A; smaller ones by the dense LAPACK reduction, which is
+# faster up to about dimension 768 (measured at 511, 767 and 1023 dofs)
+_SHIFT_INVERT_DIM = 768
 # eigenvectors kept per cached context; twice as many eigenvalues are solved,
 # enough to find the k-th even mode (k <= _K_KEEP) in the full spectrum
 _K_KEEP = 12
@@ -97,12 +101,17 @@ def _orientation(v: np.ndarray) -> float:
 
 
 def _eigh(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool):
-    """The first m eigenvalues (and vectors) of A u = lambda M u.
+    """The first m eigenvalues (and vectors) of A u = lambda M u, ascending.
 
-    ``subset_by_index`` selects LAPACK ``?sygvx``: after the Cholesky
-    reduction and tridiagonalization, bisection finds only the m wanted
-    eigenvalues and inverse iteration only their vectors.
+    Dimensions of at least ``_SHIFT_INVERT_DIM`` go to ``_eigh_shift_invert``.
+    Smaller ones, and any m >= dim - 1, which leaves ARPACK no room for its
+    Lanczos basis, go to the dense path: ``subset_by_index`` selects
+    LAPACK ``?sygvx``, which reduces the whole pencil to tridiagonal form and
+    then finds only the m wanted eigenvalues by bisection and their vectors
+    by inverse iteration.  Its error is absolute, about eps * lambda_max.
     """
+    if A.shape[0] >= _SHIFT_INVERT_DIM and m < A.shape[0] - 1:
+        return _eigh_shift_invert(A, M, m, eigvals_only)
     try:
         return scipy.linalg.eigh(
             A, M, eigvals_only=eigvals_only, subset_by_index=[0, m - 1]
@@ -116,15 +125,66 @@ def _eigh(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool):
         raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
 
 
+def _eigh_shift_invert(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool):
+    """``_eigh`` by the shift-invert spectral transformation at sigma = 0
+    (Ericsson & Ruhe 1980): ARPACK's Lanczos process (Lehoucq, Sorensen &
+    Yang 1998) finds the m largest eigenvalues 1/lambda of A^-1 M in the
+    M-inner product, applying A^-1 through one Cholesky factor of A.
+
+    The small eigenvalues come out accurate to relative precision.  The start
+    vector is fixed, so reruns are bit-identical; it is not even, so modes odd
+    on a symmetric mesh enter the Krylov space from the first step.  M is held
+    as a sparse matrix of its lower band (tridiagonal for assembled forms),
+    and its definiteness is checked by a banded Cholesky factor.
+    """
+    from scipy.sparse import diags_array  # only large solves pay the import
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    dim = A.shape[0]
+    # the diagonals M[i + k, i] of M's lower triangle, k = 0..bandwidth
+    band = [np.diagonal(M, -k) for k in range(scipy.linalg.bandwidth(M)[0] + 1)]
+    ab = np.zeros((len(band), dim))
+    for k, d in enumerate(band):
+        ab[k, : dim - k] = d
+    try:
+        scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("M is not positive definite") from exc
+    try:
+        chol = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("A is not positive definite") from exc
+    offsets = list(range(-len(band) + 1, len(band)))
+    sparse_m = diags_array(band[:0:-1] + band, offsets=offsets, format="csr")
+    a_inv = LinearOperator(
+        (dim, dim),
+        matvec=lambda b: scipy.linalg.cho_solve(chol, b, check_finite=False),
+        dtype=float,
+    )
+    try:
+        out = eigsh(
+            A, k=m, M=sparse_m, sigma=0.0, OPinv=a_inv, tol=0,
+            v0=np.random.default_rng(0).standard_normal(dim),
+            return_eigenvectors=not eigvals_only,
+        )
+    except ArpackError as exc:
+        raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+    if eigvals_only:
+        return np.sort(out)
+    vals, vecs = out
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     """First k_max eigenpairs of A u = lambda M u, M-orthonormal, ascending.
 
-    The reduction is the classical dense path (Cholesky factor of M,
-    tridiagonalization, bisection and inverse iteration) as provided by
-    LAPACK through scipy; only the leading eigenpairs are solved for.
-    Vectors are sign-fixed by ``_orientation``.  The returned list also
-    carries ``values``, the first max(k_max, 2*_K_KEEP) eigenvalues of the
-    same solve (all of them if the dimension is smaller), ascending.
+    Only the leading eigenpairs are solved for (see ``_eigh``): by the dense
+    LAPACK reduction below dimension ``_SHIFT_INVERT_DIM``, by shift-invert
+    Lanczos from it on.  Vectors are sign-fixed by ``_orientation``.  The
+    returned list also carries ``values``, the first max(k_max, 2*_K_KEEP)
+    eigenvalues of the same solve (all of them if the dimension is smaller),
+    ascending.
     """
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -136,15 +196,15 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     _check_sym("A", A)
     _check_sym("M", M)
     vals, vecs = _eigh(A, M, min(dim, max(k_max, 2 * _K_KEEP)), eigvals_only=False)
-    pairs = _Pairs()
+    V = vecs[:, :k_max].copy(order="F")  # each vector contiguous
+    V *= np.where([_orientation(v) < 0 for v in V.T], -1.0, 1.0)
+    AV = A @ V
+    res = np.linalg.norm(AV - (M @ V) * vals[:k_max], axis=0) / np.linalg.norm(AV, axis=0)
+    pairs = _Pairs(
+        EigenPair(k=k + 1, value=float(vals[k]), vector=V[:, k], residual=float(res[k]))
+        for k in range(k_max)
+    )
     pairs.values = vals
-    for k in range(k_max):
-        v = vecs[:, k].copy()
-        if _orientation(v) < 0:
-            v = -v
-        av = A @ v
-        res = float(np.linalg.norm(av - vals[k] * (M @ v)) / np.linalg.norm(av))
-        pairs.append(EigenPair(k=k + 1, value=float(vals[k]), vector=v, residual=res))
     return pairs
 
 
@@ -161,13 +221,23 @@ def restrict_even(mesh: Mesh1D, A: np.ndarray, M: np.ndarray):
     if np.max(np.abs(x + x[::-1])) > 1e-12 * scale:
         raise AsymmetricMeshError("mesh is not symmetric under x -> -x")
     n_even = (K + 1) // 2
+    cols = np.arange(n_even)
     P = np.zeros((K, n_even))
-    for i in range(n_even):
-        j = K - 1 - i
-        P[i, i] = 1.0
-        if j != i:
-            P[j, i] = 1.0
-    return P.T @ A @ P, P.T @ M @ P, P
+    P[cols, cols] = 1.0
+    P[K - 1 - cols, cols] = 1.0
+
+    def fold(T: np.ndarray) -> np.ndarray:
+        # P.T @ T @ P by index: rows i and mirror(i) are added, then columns
+        # (the same two sums per entry, in the same order, as the product)
+        B = T[:n_even] + T[::-1][:n_even]
+        if K % 2:  # the centre node is its own mirror and counts once
+            B[-1] = T[n_even - 1]
+        C = B[:, :n_even] + B[:, ::-1][:, :n_even]
+        if K % 2:
+            C[:, -1] = B[:, n_even - 1]
+        return C
+
+    return fold(A), fold(M), P
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,27 +324,36 @@ def solve_semilinear(
             f"p = {p} is supercritical for s = {s} (critical exponent "
             f"{2.0 / (1.0 - 2.0 * s):g}); no positive solution exists"
         )
-    A, M, mesh = ctx.forms.stiffness, ctx.forms.mass, ctx.mesh
+    A, mesh = ctx.forms.stiffness, ctx.mesh
+    # the P1 mass matrix is tridiagonal: apply it from its band
+    m_diag, m_off = np.diagonal(ctx.forms.mass), np.diagonal(ctx.forms.mass, -1)
 
-    def nehari(z: np.ndarray) -> np.ndarray:
-        e = float(z @ (A @ z))
+    def mass(f: np.ndarray) -> np.ndarray:
+        mf = m_diag * f
+        mf[1:] += m_off * f[:-1]
+        mf[:-1] += m_off * f[1:]
+        return mf
+
+    def nehari(z: np.ndarray, e: float) -> np.ndarray:
+        """Rescale z, of energy e = z'Az, onto the Nehari manifold."""
         g = integrate_density(mesh, z, transform=lambda w: np.maximum(w, 0.0) ** p)
         if g <= 0.0:
             raise ConvergenceError("iterate lost positivity (zero nonlinear term)")
         return (e / g) ** (1.0 / (p - 2.0)) * z
 
-    u = nehari(ctx.pairs[0].vector)
+    v = ctx.pairs[0].vector
+    u = nehari(v, float(v @ (A @ v)))
     chol = scipy.linalg.cho_factor(A)
     for it in range(1, max_iter + 1):
-        f = np.maximum(u, 0.0) ** (p - 1.0)
-        z = scipy.linalg.cho_solve(chol, M @ f)
-        unew = nehari(z)
+        mf = mass(np.maximum(u, 0.0) ** (p - 1.0))
+        z = scipy.linalg.cho_solve(chol, mf, check_finite=False)
+        unew = nehari(z, float(z @ mf))  # z'Az = z'Mf, since Az = Mf
         change = float(np.max(np.abs(unew - u)))
         u = unew
         if change < tol:
             au = A @ u
             res = float(
-                np.linalg.norm(au - M @ np.maximum(u, 0.0) ** (p - 1.0))
+                np.linalg.norm(au - mass(np.maximum(u, 0.0) ** (p - 1.0)))
                 / np.linalg.norm(au)
             )
             e = float(u @ au)

@@ -22,6 +22,7 @@ import pytest
 import fraclab
 from fraclab import cli
 from fraclab.cli import main
+from fraclab.solve import _SHIFT_INVERT_DIM
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -90,11 +91,32 @@ def test_eigen_sweep_jobs_deterministic(tmp_path):
     cfg1 = write_config(tmp_path, dict(base, out=out1), "a.json")
     cfg2 = write_config(tmp_path, dict(base, out=out2), "b.json")
     assert main(["eigen", "--config", cfg1, "--jobs", "1"]) == 0
+    fraclab.solve_context.cache_clear()  # forked workers must solve afresh
     assert main(["eigen", "--config", cfg2, "--jobs", "2"]) == 0
     for name in ("eigen_s0.4_n16.csv", "eigen_s0.6_n16.csv"):
         assert (tmp_path / "serial" / name).read_bytes() == (
             tmp_path / "pool" / name
         ).read_bytes()
+
+
+# n elements per interval, n - 1 interior nodes each: both pencils are solved
+# by shift-invert Lanczos
+@pytest.mark.parametrize(
+    "intervals, n", [([[-1.0, 1.0]], 1024), ([[-2.0, -1.0], [1.0, 2.0]], 512)]
+)
+def test_eigen_jobs_deterministic_on_the_lanczos_path(tmp_path, intervals, n):
+    assert len(intervals) * (n - 1) >= _SHIFT_INVERT_DIM
+    base = {"domain": {"intervals": intervals}, "s": [0.4, 0.6], "n": [n], "k_max": 4}
+    for jobs in ("1", "2"):
+        # pool workers fork from this process: empty the context cache, or
+        # they would only copy the serial run's results
+        fraclab.solve_context.cache_clear()
+        cfg = write_config(tmp_path, dict(base, out=str(tmp_path / jobs)), jobs + ".json")
+        assert main(["eigen", "--config", cfg, "--jobs", jobs]) == 0
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -654,3 +676,19 @@ def test_installed_console_script(tmp_path):
     assert proc.returncode == 0
     assert (tmp_path / "eigen.csv").exists()
     assert "eigen: s = 0.5" in proc.stdout
+
+
+def test_cli_import_leaves_the_sparse_eigensolver_unloaded():
+    # only an eigensolve of dimension _SHIFT_INVERT_DIM or more imports ARPACK,
+    # so no other run pays for it
+    src_root = str(pathlib.Path(fraclab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys, fraclab.cli; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

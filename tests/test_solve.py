@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import fraclab as fl
-from fraclab.solve import _K_KEEP
+from fraclab.solve import _K_KEEP, _SHIFT_INVERT_DIM
 from fraclab.errors import (
     ArgumentError,
     AsymmetricMeshError,
@@ -131,6 +131,81 @@ def test_context_values_are_the_leading_values_of_a_full_solve(intervals, n, eve
     np.testing.assert_allclose(ctx.values, full[: ctx.values.size], rtol=1e-10, atol=0)
 
 
+# ---------------------------------------------------------------------------
+# shift-invert Lanczos (dimensions from _SHIFT_INVERT_DIM on)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def stiff_forms():
+    # s = 0.7 at n = 1024: lambda_max / lambda_1 is about 6.7e7, so the dense
+    # reduction's absolute error eps * lambda_max costs lambda_1 digits
+    _, F = interval_forms(1024, 0.7)
+    assert F.stiffness.shape[0] >= _SHIFT_INVERT_DIM
+    return F
+
+
+def test_shift_invert_values_match_the_inverted_dense_route(stiff_forms):
+    # an independent route: the largest eigenvalues mu of L^-1 M L^-T, with
+    # A = L L^T, are 1/lambda for the smallest lambda, with relative accuracy
+    A, M = stiff_forms.stiffness, stiff_forms.mass
+    L = np.linalg.cholesky(A)
+    C = scipy.linalg.solve_triangular(
+        L, scipy.linalg.solve_triangular(L, M, lower=True).T, lower=True
+    )
+    expected = 1.0 / np.linalg.eigvalsh(0.5 * (C + C.T))[::-1][:12]
+    values = np.array([p.value for p in fl.solve_geig(A, M, 12)])
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+
+
+def test_shift_invert_pairs_are_accurate_and_m_orthonormal(stiff_forms):
+    A, M = stiff_forms.stiffness, stiff_forms.mass
+    pairs = fl.solve_geig(A, M, 12)
+    assert max(p.residual for p in pairs) <= 1e-12
+    V = np.column_stack([p.vector for p in pairs])
+    assert np.max(np.abs(V.T @ M @ V - np.eye(12))) <= 1e-12
+    assert np.all(np.diff(pairs.values) >= 0)
+    assert pairs.values.size == 2 * _K_KEEP
+
+
+def test_shift_invert_reruns_are_bit_identical(stiff_forms):
+    A, M = stiff_forms.stiffness, stiff_forms.mass
+    first, second = fl.solve_geig(A, M, 12), fl.solve_geig(A, M, 12)
+    assert np.array_equal(first.values, second.values)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.vector, b.vector)
+        assert a.residual == b.residual
+
+
+def test_shift_invert_serves_a_wider_mass_band():
+    # a pentadiagonal M: the sparse M and its definiteness check follow the
+    # band of M, not a tridiagonal assumption
+    dim = _SHIFT_INVERT_DIM
+    A = np.diag(np.linspace(1.0, 50.0, dim)) + np.diag(np.full(dim - 1, 0.3), 1)
+    A = A + np.triu(A, 1).T
+    M = 3.0 * np.eye(dim) + np.diag(np.full(dim - 2, 0.5), 2)
+    M = M + np.triu(M, 1).T
+    pairs = fl.solve_geig(A, M, 4)
+    expected = scipy.linalg.eigh(A, M, eigvals_only=True)[: pairs.values.size]
+    np.testing.assert_allclose(pairs.values, expected, rtol=1e-11, atol=0)
+
+
+def test_shift_invert_not_positive_definite_stiffness():
+    dim = _SHIFT_INVERT_DIM
+    A = np.diag(np.linspace(-1.0, 1.0, dim))
+    with pytest.raises(NotPositiveDefiniteError, match="A is not"):
+        fl.solve_geig(A, np.eye(dim), 1)
+
+
+def test_shift_invert_not_positive_definite_mass(monkeypatch):
+    # the banded check runs first, without a dense factor of M
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    dim = _SHIFT_INVERT_DIM
+    M = np.eye(dim)
+    M[5, 5] = -1.0
+    with pytest.raises(NotPositiveDefiniteError, match="M is not"):
+        fl.solve_geig(np.diag(np.linspace(1.0, 2.0, dim)), M, 1)
+
+
 def test_dilation_law_exact_on_affine_meshes():
     # the graded mesh scales affinely with the interval, so the discrete
     # eigenvalues obey lambda(R) = R^{-2s} lambda(1) to machine precision
@@ -201,6 +276,19 @@ def test_restrict_even_lift_reconstructs_even_vectors():
     for p in pairs:
         u = lift @ p.vector
         assert np.max(np.abs(u - u[::-1])) <= 1e-12 * np.max(np.abs(u))
+
+
+# 15 and 16 interior nodes on (-1, 1), the first with a centre node that is
+# its own mirror; 16 on two intervals
+@pytest.mark.parametrize(
+    "intervals, n", [([(-1.0, 1.0)], 16), ([(-1.0, 1.0)], 17), ([(-2.0, -1.0), (1.0, 2.0)], 9)]
+)
+def test_restrict_even_is_the_projection_bit_for_bit(intervals, n):
+    mesh = fl.make_mesh(fl.make_domain(intervals), n, beta=2.0)
+    F = fl.assemble_forms(mesh, 0.5)
+    Ae, Me, P = fl.restrict_even(mesh, F.stiffness, F.mass)
+    assert np.array_equal(Ae, P.T @ F.stiffness @ P)
+    assert np.array_equal(Me, P.T @ F.mass @ P)
 
 
 def test_restrict_even_requires_symmetric_mesh():
