@@ -39,8 +39,9 @@ __all__ = [
 
 _SYM_TOL = 1e-10
 # pencils of at least this dimension are solved by shift-invert Lanczos on a
-# Cholesky factor of A; smaller ones by the dense LAPACK reduction, which is
-# faster up to about dimension 768 (measured at 511, 767 and 1023 dofs)
+# Cholesky factor of A, smaller ones by the dense LAPACK reduction: for 24
+# eigenpairs the dense path was faster at 511 and 767 dofs, and at 1023 it
+# was no faster warm and slower in a fresh process
 _SHIFT_INVERT_DIM = 768
 # eigenvectors kept per cached context; twice as many eigenvalues are solved,
 # enough to find the k-th even mode (k <= _K_KEEP) in the full spectrum
