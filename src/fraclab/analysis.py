@@ -40,6 +40,7 @@ from .solve import (
     SemilinearSolution,
     SolveContext,
     _K_KEEP,
+    _eigh,
     _leading_values,
     solve_context,
     solve_semilinear,
@@ -546,9 +547,11 @@ def hadamard_check(
     # solves always use the full problem.  The even restriction is a
     # sub-spectrum of the same discrete problem, so the k-th even value
     # sits at an exact position of the full spectrum; locate it among the
-    # leading values the full context holds.
-    full = solve_context(domain, s, n, beta, False).values if even_only else ctx.values
+    # leading values of the full forms, which the even context holds.
+    full = ctx.values
     if even_only:
+        A, M = ctx.forms.stiffness, ctx.forms.mass
+        full = _eigh(A, M, min(A.shape[0], 2 * _K_KEEP), eigvals_only=True)
         idx = int(np.argmin(np.abs(full - pair.value)))
         if abs(full[idx] - pair.value) > 1e-8 * max(abs(pair.value), 1.0):
             raise ArgumentError(

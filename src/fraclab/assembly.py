@@ -3,13 +3,15 @@
 The Gagliardo form E(v, w) and the deformation form E_X(v, w) are double
 integrals over R x R.  Test functions vanish outside the mesh hull, so
 the assembly splits into interactions between mesh elements (singular
-along the diagonal) and closed-form exterior tail weights.  Element-pair
-classes:
+along the diagonal) and exterior tail weights.  The deformation kernel is
+the Gagliardo kernel |x - y|^{-1-2s} times a smooth factor R, and the
+Gagliardo form is the case of a constant R, so both forms share every
+element-pair rule.  Element-pair classes:
 
-* identical  -- exact closed form (Gagliardo) / Gauss-Jacobi x GL in the
-  difference variable (deformation);
-* touching   -- Duffy split of the corner singularity; exact power
-  integrals (Gagliardo) / Jacobi(2-2s) x GL (deformation);
+* identical  -- Gauss-Jacobi(1-2s) x GL in the difference variable;
+* touching   -- Duffy split of the corner singularity: Jacobi(2-2s)
+  radially, GL in the angular variable after an exponential map that
+  keeps it smooth at any size ratio of the two elements;
 * near       -- separated, gap < 16 max(h_k, h_l): 8x8 Gauss-Legendre
   after halving elements until the gap is at least the element size
   (cap -> QuadratureError);
@@ -18,6 +20,8 @@ classes:
 
 One geometry pass per mesh (``_pair_tables``) classifies the pairs and
 lists only the near sub-pairs; both forms share it and the kernel pass.
+The forms differ only in R and in their exterior tails: a closed form for
+E, Gauss rules for E_X.
 
 Also provides the pointwise principal-value fractional Laplacian used as
 an independent cross-check, and weighted density integrals.
@@ -25,7 +29,6 @@ an independent cross-check, and weighted density integrals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -59,7 +62,7 @@ _GL_SEP = 8  # near separated-pair tensor order
 _GL_FAR = 4  # per-element order for far pairs
 _FAR_RATIO = 16  # far pair: gap >= _FAR_RATIO * max(h_k, h_l)
 _GL_TOUCH = 16  # tau direction on Duffy triangles
-_GL_INNER = 8  # inner direction for identical deformation pairs
+_GL_INNER = 8  # inner direction for identical pairs
 _GL_EXTERIOR = 16  # smooth exterior terms
 _JACOBI_ORDER = 12  # singular directions
 _SUBDIV_CAP = 16  # per-element halvings for separated pairs
@@ -206,14 +209,6 @@ def _scatter(local: np.ndarray, dofs: np.ndarray, K: int) -> np.ndarray:
 # interaction (S x S) parts
 # ---------------------------------------------------------------------------
 
-def _identical_gagliardo(mesh, s, coeff) -> np.ndarray:
-    K = mesh.n_interior
-    h = mesh.elem_h
-    w = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
-    base = coeff * w / h**2  # slope product magnitude 1/h^2
-    return _scatter(_sym_blocks(base, -base), mesh.elem_dof, K)
-
-
 def _touch_geometry(mesh, touching):
     """Shared-corner data for touching pairs (left element k, right k+1)."""
     h1 = mesh.elem_h[touching]
@@ -234,47 +229,7 @@ def _touch_geometry(mesh, touching):
     return h1, h2, q, dofs, ca, cb
 
 
-def _touching_gagliardo(mesh, s, coeff, touching) -> np.ndarray:
-    """Exact corner integrals via the Duffy split and power integrals."""
-    K = mesh.n_interior
-    if touching.size == 0:
-        return np.zeros((K, K))
-    h1, h2, q, dofs, ca, cb = _touch_geometry(mesh, touching)
-
-    def p_tau(b: int, A, B):
-        # int_0^1 tau^b (A + B tau)^(-1-2s) dtau by binomial expansion
-        out = 0.0
-        for k in range(b + 1):
-            out = out + (
-                math.comb(b, k)
-                * (-A) ** (b - k)
-                * power_integral(A, A + B, k - 1.0 - 2.0 * s)
-            )
-        return out / B ** (b + 1)
-
-    pref = 1.0 / (3.0 - 2.0 * s)
-    Ivals = {}
-    for alpha, beta in ((2, 0), (1, 1), (0, 2)):
-        Ivals[(alpha, beta)] = (
-            pref
-            * h1 ** (alpha + 1.0)
-            * h2 ** (beta + 1.0)
-            * (p_tau(beta, h1, h2) + p_tau(alpha, h2, h1))
-        )
-    # local_ab = coeff * sum over (alpha,beta) of coefficient * I(alpha,beta)
-    caa = ca[:, :, None] * ca[:, None, :]
-    cbb = cb[:, :, None] * cb[:, None, :]
-    cab = ca[:, :, None] * cb[:, None, :] + cb[:, :, None] * ca[:, None, :]
-    local = coeff * (
-        caa * Ivals[(2, 0)][:, None, None]
-        + cab * Ivals[(1, 1)][:, None, None]
-        + cbb * Ivals[(0, 2)][:, None, None]
-    )
-    # each unordered pair appears once; (e,f) and (f,e) contribute equally
-    return _scatter(2.0 * local, dofs, K)
-
-
-def _identical_deformation(mesh, s, rfun) -> np.ndarray:
+def _identical(mesh, s, rfun) -> np.ndarray:
     """2 int_0^h u^{1-2s} [ g_a g_b int R(y+u, y) dy ] du per element."""
     K = mesh.n_interior
     h = mesh.elem_h
@@ -290,8 +245,8 @@ def _identical_deformation(mesh, s, rfun) -> np.ndarray:
     return _scatter(_sym_blocks(base, -base), mesh.elem_dof, K)
 
 
-def _touching_deformation(mesh, s, rfun, touching) -> np.ndarray:
-    """Duffy triangles with Jacobi(2-2s) in the radial direction."""
+def _touching(mesh, s, rfun, touching) -> np.ndarray:
+    """Duffy triangles: Jacobi(2-2s) radially, GL in an exponential map of tau."""
     K = mesh.n_interior
     if touching.size == 0:
         return np.zeros((K, K))
@@ -302,18 +257,24 @@ def _touching_deformation(mesh, s, rfun, touching) -> np.ndarray:
     # Duffy split of the corner square along x + y distance from the corner;
     # each triangle gives int xi^{2-2s} P_a(tau) P_b(tau) (.)^{-1-2s} h1 h2 R,
     # triangle 1 with (a, b) = (h1 xi, h2 xi tau), triangle 2 with
-    # (h1 xi tau, h2 xi)
-    one = np.ones_like(tg)
+    # (h1 xi tau, h2 xi).  There (.) = h (1 + r tau), singular at
+    # tau = -1/r, which nears [0, 1] as the size ratio r grows on graded
+    # meshes; tau = ((1 + r)^t - 1) / r makes it (1 + r)^t, smooth in t.
     total = 0.0
-    for ta, tb in ((one, tg), (tg, one)):
-        a = h1[:, None, None] * xj[None, :, None] * ta[None, None, :]
-        b = h2[:, None, None] * xj[None, :, None] * tb[None, None, :]
+    for ratio, first in ((h2 / h1, True), (h1 / h2, False)):
+        lr = np.log1p(ratio)[:, None]
+        tau = np.expm1(lr * tg[None, :]) / ratio[:, None]  # (T, G)
+        wt = lr * np.exp(lr * tg[None, :]) / ratio[:, None] * wg[None, :]
+        one = np.ones_like(tau)
+        ta, tb = (one, tau) if first else (tau, one)
+        a = h1[:, None, None] * xj[None, :, None] * ta[:, None, :]
+        b = h2[:, None, None] * xj[None, :, None] * tb[:, None, :]
         r = rfun(q[:, None, None] - a, q[:, None, None] + b)
         rs = np.einsum("i,tij->tj", wjac, r)  # (T, G)
-        ha = h1[:, None] * ta[None, :]
-        hb = h2[:, None] * tb[None, :]
+        ha = h1[:, None] * ta
+        hb = h2[:, None] * tb
         p = ca[:, :, None] * ha[:, None, :] + cb[:, :, None] * hb[:, None, :]
-        w = (h1 * h2)[:, None] * (ha + hb) ** (-1.0 - 2.0 * s) * rs * wg[None, :]
+        w = (h1 * h2)[:, None] * (ha + hb) ** (-1.0 - 2.0 * s) * rs * wt
         total = total + np.einsum("tj,taj,tbj->tab", w, p, p)
     return _scatter(2.0 * total, dofs, K)
 
@@ -587,9 +548,13 @@ def assemble_gagliardo(mesh: Mesh1D, s: float) -> np.ndarray:
     c = frac_constant(1, s)
     coeff = 0.5 * c
     tables = _pair_tables(mesh)
-    A = _identical_gagliardo(mesh, s, coeff)
-    A += _touching_gagliardo(mesh, s, coeff, tables.touching)
     expo = -1.0 - 2.0 * s
+
+    def rfun(x, y):
+        return np.full(np.broadcast(x, y).shape, coeff)
+
+    A = _identical(mesh, s, rfun)
+    A += _touching(mesh, s, rfun, tables.touching)
 
     def kernel(p, q):
         return _distance_power(p[0], q[0], expo)
@@ -651,8 +616,8 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
         return d
 
     tables = _pair_tables(mesh)
-    B = _identical_deformation(mesh, s, rfun)
-    B += _touching_deformation(mesh, s, rfun, tables.touching)
+    B = _identical(mesh, s, rfun)
+    B += _touching(mesh, s, rfun, tables.touching)
     B += 0.5 * c * _separated(mesh, tables, points, kernel)
     B += _deformation_exterior(mesh, X, s, c)
     B = 0.5 * (B + B.T)

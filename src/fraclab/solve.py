@@ -251,13 +251,6 @@ class SolveContext:
     even_only: bool = False
 
 
-@lru_cache(maxsize=1)
-def _forms(mesh: Mesh1D, s: float) -> AssembledForms:
-    """assemble_forms for the last (mesh, s): an even and a full context of
-    one mesh, as a Hadamard check with ``even_only`` builds, share it."""
-    return assemble_forms(mesh, s)
-
-
 @lru_cache(maxsize=24)
 def solve_context(
     domain: Domain1D,
@@ -268,7 +261,7 @@ def solve_context(
 ) -> SolveContext:
     """Mesh + assembled forms + leading eigenpairs, memoized."""
     mesh = make_mesh(domain, n, beta)
-    forms = _forms(mesh, s)
+    forms = assemble_forms(mesh, s)
     A, M = forms.stiffness, forms.mass
     if even_only:
         Ae, Me, P = restrict_even(mesh, A, M)

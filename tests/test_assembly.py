@@ -12,12 +12,13 @@ import pytest
 
 import fraclab as fl
 from fraclab import assembly
-from fraclab.assembly import _pair_tables
+from fraclab.assembly import _pair_tables, _scatter, _sym_blocks, _touch_geometry
 from fraclab.errors import (
     ArgumentError,
     QuadratureError,
     ToleranceError,
 )
+from fraclab.quadrature import power_integral
 from helpers import (
     DBLQUAD_STIFFNESS,
     gaussian_frac_ref,
@@ -247,6 +248,96 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
             if name == "quadratic":
                 assert np.linalg.norm(full) <= 1e-12 * scale
         assert np.linalg.norm(B - full) <= 1e-12 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# identical and touching pairs against closed forms
+# ---------------------------------------------------------------------------
+
+def _identical_gagliardo(mesh, s, coeff) -> np.ndarray:
+    K = mesh.n_interior
+    h = mesh.elem_h
+    w = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
+    base = coeff * w / h**2  # slope product magnitude 1/h^2
+    return _scatter(_sym_blocks(base, -base), mesh.elem_dof, K)
+
+
+def _touching_gagliardo(mesh, s, coeff, touching) -> np.ndarray:
+    """Exact corner integrals via the Duffy split and power integrals."""
+    K = mesh.n_interior
+    if touching.size == 0:
+        return np.zeros((K, K))
+    h1, h2, q, dofs, ca, cb = _touch_geometry(mesh, touching)
+
+    def p_tau(b: int, A, B):
+        # int_0^1 tau^b (A + B tau)^(-1-2s) dtau by binomial expansion
+        out = 0.0
+        for k in range(b + 1):
+            out = out + (
+                math.comb(b, k)
+                * (-A) ** (b - k)
+                * power_integral(A, A + B, k - 1.0 - 2.0 * s)
+            )
+        return out / B ** (b + 1)
+
+    pref = 1.0 / (3.0 - 2.0 * s)
+    Ivals = {}
+    for alpha, beta in ((2, 0), (1, 1), (0, 2)):
+        Ivals[(alpha, beta)] = (
+            pref
+            * h1 ** (alpha + 1.0)
+            * h2 ** (beta + 1.0)
+            * (p_tau(beta, h1, h2) + p_tau(alpha, h2, h1))
+        )
+    # local_ab = coeff * sum over (alpha,beta) of coefficient * I(alpha,beta)
+    caa = ca[:, :, None] * ca[:, None, :]
+    cbb = cb[:, :, None] * cb[:, None, :]
+    cab = ca[:, :, None] * cb[:, None, :] + cb[:, :, None] * ca[:, None, :]
+    local = coeff * (
+        caa * Ivals[(2, 0)][:, None, None]
+        + cab * Ivals[(1, 1)][:, None, None]
+        + cbb * Ivals[(0, 2)][:, None, None]
+    )
+    # each unordered pair appears once; (e,f) and (f,e) contribute equally
+    return _scatter(2.0 * local, dofs, K)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("intervals", [[(-1.0, 1.0)], [(-2.0, -1.0), (1.0, 2.0)]])
+def test_singular_pair_rules_match_closed_forms(intervals, beta, s):
+    # with a constant smooth factor the shared rules integrate the Gagliardo
+    # kernel; at beta = 3 adjacent elements differ in size by up to 11x
+    coeff = 0.5 * fl.frac_constant(1, s)
+
+    def rfun(x, y):
+        return np.full(np.broadcast(x, y).shape, coeff)
+
+    for n in (8, 64):
+        mesh = fl.make_mesh(fl.make_domain(intervals), n, beta)
+        touching = _pair_tables(mesh).touching
+        pairs = [
+            (assembly._identical(mesh, s, rfun), _identical_gagliardo(mesh, s, coeff)),
+            (
+                assembly._touching(mesh, s, rfun, touching),
+                _touching_gagliardo(mesh, s, coeff, touching),
+            ),
+        ]
+        for got, exact in pairs:
+            assert np.linalg.norm(got - exact) <= 1e-13 * np.linalg.norm(exact), n
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_touching_rule_is_converged_on_graded_meshes(n, monkeypatch):
+    s = 0.9
+    mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), n, 3.0)
+    X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
+    A = fl.assemble_gagliardo(mesh, s)
+    B = fl.assemble_deformation(mesh, X, s).matrix
+    monkeypatch.setattr(assembly, "_GL_TOUCH", 64)
+    B64 = fl.assemble_deformation(mesh, X, s).matrix
+    scale = max(np.linalg.norm(B), np.linalg.norm(A))
+    assert np.linalg.norm(B64 - B) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
