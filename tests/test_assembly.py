@@ -3,6 +3,8 @@
 The stiffness oracle values come from three independent routes: the
 closed-form single-hat energy (helpers.hat_energy_exact), scipy dblquad
 entries frozen in helpers.DBLQUAD_STIFFNESS, and the analytic scaling law.
+The identical- and touching-pair rules shared by both forms are checked
+against closed-form integrals of the Gagliardo kernel.
 """
 
 import math
