@@ -15,11 +15,18 @@ element-pair rule.  Element-pair classes:
 * near       -- separated, gap < 16 max(h_k, h_l): 8x8 Gauss-Legendre
   after halving elements until the gap is at least the element size
   (cap -> QuadratureError);
-* far        -- gap >= 16 max(h_k, h_l): dense order-4 point-kernel blocks
-  over the upper triangle, contracted with the hat values by matmul.
+* far        -- gap >= 16 max(h_k, h_l): order-4 Gauss points per element.
+  A cluster tree halves contiguous element ranges down to 32 elements;
+  a pair of clusters at distance d with both diameters <= d and
+  d >= 16 max h holds only far pairs, and there the kernel is interpolated
+  at 24 Chebyshev nodes per cluster (Fong & Darve 2009), so the block is
+  D_I C D_J' with C the kernel between the nodes.  The remaining leaf
+  pairs are dense point-kernel blocks with the far pairs masked in.
 
-One geometry pass per mesh (``_pair_tables``) classifies the pairs and
-lists only the near sub-pairs; both forms share it and the kernel pass.
+One geometry pass per mesh (``_pair_tables``) builds the cluster tree,
+classifies the pairs and lists only the near sub-pairs; both forms share
+it and the kernel pass.  Every part of a form adds into the one K x K
+matrix the far pass creates, which is symmetrized in place at the end.
 The forms differ only in R and in their exterior tails: a closed form for
 E, Gauss rules for E_X.
 
@@ -61,18 +68,51 @@ __all__ = [
 _GL_SEP = 8  # near separated-pair tensor order
 _GL_FAR = 4  # per-element order for far pairs
 _FAR_RATIO = 16  # far pair: gap >= _FAR_RATIO * max(h_k, h_l)
+_LEAF = 32  # elements per leaf cluster, at most
+_ETA = 1.0  # admissible cluster pair: max diameter <= _ETA * distance
+_CHEB = 24  # Chebyshev nodes per cluster of an admissible pair
 _GL_TOUCH = 16  # tau direction on Duffy triangles
 _GL_INNER = 8  # inner direction for identical pairs
 _GL_EXTERIOR = 16  # smooth exterior terms
 _JACOBI_ORDER = 12  # singular directions
 _SUBDIV_CAP = 16  # per-element halvings for separated pairs
 _CHUNK = 16384  # near sub-pairs per chunk
-_FAR_BYTES = 1 << 23  # point-kernel block per far row chunk
 
 
 # ---------------------------------------------------------------------------
 # mesh-derived tables
 # ---------------------------------------------------------------------------
+
+class _Clusters(NamedTuple):
+    """Chebyshev interpolation on the clusters of the admissible pairs.
+
+    S_I holds the cardinal functions of cluster I's Chebyshev nodes, the
+    polynomials of degree _CHEB - 1 that are 1 at one node and 0 at the
+    others, so k(x, y) ~ S_I(x) C S_J(y)' with C the kernel between the
+    nodes of I and of J.  Every S_I(x) = 1/p + (2/p) sum_{k>=1} T_k(t)
+    T_k(t_m) at the nodes t_m of [-1, 1] (Fong & Darve 2009), t the point
+    x mapped from the hull of I.
+    """
+
+    nodes: np.ndarray  # (C, _CHEB) Chebyshev nodes on the hull of each cluster
+    Tn: np.ndarray  # (_CHEB, _CHEB) T_k(t_m)
+    moments: np.ndarray  # (C, _CHEB) sum over each cluster's far points of h w S
+    D: dict  # cluster -> (dofs, _CHEB) sum of h w hat S into its dofs from dof0
+    dof0: np.ndarray  # (C,) first dof of each cluster's elements
+    elems: np.ndarray  # elements of the clusters in admissible pairs, cluster-major
+    owner: np.ndarray  # cluster of each of those rows
+    t: np.ndarray  # (elems.size, _GL_FAR) their far points mapped to [-1, 1]
+
+
+def _chebyshev_series(t):
+    """T_0(t), T_1(t), ... up to T_{_CHEB-1}(t), by the three-term recurrence."""
+    prev, cur = np.ones_like(t), t
+    yield prev
+    yield cur
+    for _ in range(2, _CHEB):
+        prev, cur = cur, 2.0 * t * cur - prev
+        yield cur
+
 
 class _PairTables(NamedTuple):
     """Per-mesh geometry shared by every kernel and every s."""
@@ -81,52 +121,141 @@ class _PairTables(NamedTuple):
     near: dict  # subdivided near sub-pairs: kx0, kx1, ly0, ly1, k, l
     far_x: np.ndarray  # (E, _GL_FAR) far-rule points of each element
     counts: dict  # unordered element pairs by class
+    leaves: list  # dense leaf blocks (k0, k1, l0, l1, far mask), k0 <= l0
+    blocks: np.ndarray  # (B, 2) admissible pairs (I, J) of clusters, I left of J
+    spans: np.ndarray  # (C, 2) element range [e0, e1) of each cluster
 
 
-def _far_chunks(mesh):
-    """Row chunks (k0, k1, far) of the upper triangle of element pairs.
+def _partition(mesh):
+    """Cluster tree of contiguous element ranges and its block partition.
 
-    ``far[i, j]`` says whether (k0 + i, k0 + j) is a far pair; chunks are
-    sized so one point-kernel block of rows k0:k1 by columns k0:E stays
-    within _FAR_BYTES.
+    Clusters halve element ranges down to at most _LEAF elements.  A pair
+    of disjoint clusters I < J is admissible when every element pair in it
+    is far, dist(I, J) >= _FAR_RATIO max h over I and J, and the clusters
+    are small against their distance, max(diam I, diam J) <= _ETA dist;
+    otherwise the larger cluster is split.  Pairs of leaves that are not
+    admissible, and each leaf with itself, are dense blocks.  Returns the
+    cluster spans (C, 2), the dense leaf pairs and the admissible pairs.
     """
-    E = mesh.elem_h.size
-    h = mesh.elem_h
-    rows = max(1, _FAR_BYTES // (8 * _GL_FAR**2 * E))
-    for k0 in range(0, E, rows):
-        k1 = min(k0 + rows, E)
-        gap = mesh.elem_x0[None, k0:] - mesh.elem_x1[k0:k1, None]
-        far = gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, k0:])
-        yield k0, k1, far
+    x0, x1, h = mesh.elem_x0, mesh.elem_x1, mesh.elem_h
+    spans, kids = [], []
+
+    def build(e0, e1):
+        c = len(spans)
+        spans.append((e0, e1))
+        kids.append(None)
+        if e1 - e0 > _LEAF:
+            mid = (e0 + e1) // 2
+            kids[c] = (build(e0, mid), build(mid, e1))
+        return c
+
+    build(0, h.size)
+    lo = [x0[e0] for e0, _ in spans]
+    hi = [x1[e1 - 1] for _, e1 in spans]
+    hmax = [float(np.max(h[e0:e1])) for e0, e1 in spans]
+    dense, admissible = [], []
+
+    def split(i, j):
+        if i == j:
+            if kids[i] is None:
+                dense.append((i, i))
+            else:
+                a, b = kids[i]
+                split(a, a)
+                split(a, b)
+                split(b, b)
+            return
+        dist = lo[j] - hi[i]
+        diam = max(hi[i] - lo[i], hi[j] - lo[j])
+        if dist >= _FAR_RATIO * max(hmax[i], hmax[j]) and diam <= _ETA * dist:
+            admissible.append((i, j))
+        elif kids[i] is None and kids[j] is None:
+            dense.append((i, j))
+        elif kids[j] is None or (kids[i] is not None and hi[i] - lo[i] >= hi[j] - lo[j]):
+            for a in kids[i]:
+                split(a, j)
+        else:
+            for b in kids[j]:
+                split(i, b)
+
+    split(0, 0)
+    return np.array(spans), dense, np.array(admissible, dtype=int).reshape(-1, 2)
+
+
+def _clusters(mesh, tables) -> _Clusters:
+    """Chebyshev nodes, moments and dof bases of the clusters in admissible pairs."""
+    p = _CHEB
+    spans = tables.spans
+    lo = mesh.elem_x0[spans[:, 0]]
+    hi = mesh.elem_x1[spans[:, 1] - 1]
+    theta = (np.arange(p) + 0.5) * np.pi / p
+    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * np.cos(theta)[None, :]
+    Tn = np.cos(np.arange(p)[:, None] * theta[None, :])
+    used = np.unique(tables.blocks)
+    sizes = spans[used, 1] - spans[used, 0]
+    elems = np.concatenate([np.arange(e0, e1) for e0, e1 in spans[used]])
+    owner = np.repeat(used, sizes)
+    t = (2.0 * tables.far_x[elems] - (lo + hi)[owner, None]) / (hi - lo)[owner, None]
+    tf, wf = gauss_legendre_01(_GL_FAR)
+    wh = wf[:, None] * np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
+    # h w hat(t_i) T_k summed over each element's points, then S from T
+    slots = np.stack([Tk @ wh for Tk in _chebyshev_series(t)], axis=2)  # (rows, 2, p)
+    slots = (2.0 / p) * (slots @ Tn) - (1.0 / p) * slots[:, :, :1]
+    slots *= mesh.elem_h[elems, None, None]
+    moments = np.zeros_like(nodes)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    moments[used] = np.add.reduceat(slots.sum(axis=1), starts)
+    dof0 = np.zeros(lo.size, dtype=int)
+    D = {}
+    for c, r0, n in zip(used, starts, sizes):
+        dofs = mesh.elem_dof[elems[r0 : r0 + n]]
+        dof0[c] = dofs[dofs >= 0].min()
+        Dc = np.zeros((dofs.max() + 1 - dof0[c], p))
+        for a in (0, 1):
+            live = dofs[:, a] >= 0
+            Dc[dofs[live, a] - dof0[c]] += slots[r0 : r0 + n][live, a]
+        D[int(c)] = Dc
+    return _Clusters(nodes, Tn, moments, D, dof0, elems, owner, t)
 
 
 @lru_cache(maxsize=32)
 def _pair_tables(mesh: Mesh1D) -> _PairTables:
-    """Classify all unordered element pairs; expand near subdivisions."""
+    """Classify all unordered element pairs through the cluster tree.
+
+    Admissible cluster pairs hold only far pairs, so the near pairs are the
+    separated pairs of the dense leaf blocks that are not far; they are
+    expanded into sub-pairs here.
+    """
     E = mesh.elem_h.size
-    iv = mesh.elem_interval
+    x0, x1, h, iv = mesh.elem_x0, mesh.elem_x1, mesh.elem_h, mesh.elem_interval
 
     # touching: consecutive elements of the same interval
     k = np.arange(E - 1)
     touching = k[iv[k] == iv[k + 1]]
 
-    # separated: every remaining unordered pair (k < l); near unless far
-    near_k, near_l, n_far = [], [], 0
-    for k0, k1, far in _far_chunks(mesh):
+    spans, dense, blocks = _partition(mesh)
+    leaves, near_k, near_l = [], [], []
+    sizes = spans[:, 1] - spans[:, 0]
+    n_far = int(np.sum(sizes[blocks[:, 0]] * sizes[blocks[:, 1]]))
+    for i, j in dense:
+        (k0, k1), (l0, l1) = spans[i], spans[j]
         kk = np.arange(k0, k1)[:, None]
-        ll = np.arange(k0, E)[None, :]
+        ll = np.arange(l0, l1)[None, :]
+        gap = x0[None, l0:l1] - x1[k0:k1, None]
+        far = gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, l0:l1])
         separated = (ll > kk) & ~((ll == kk + 1) & (iv[kk] == iv[ll]))
         ki, li = np.nonzero(separated & ~far)
         near_k.append(ki + k0)
-        near_l.append(li + k0)
+        near_l.append(li + l0)
         n_far += int(np.count_nonzero(far))
+        leaves.append((k0, k1, l0, l1, far))
     ku = np.concatenate(near_k)
     lu = np.concatenate(near_l)
-    gap = mesh.elem_x0[lu] - mesh.elem_x1[ku]
+    gap = x0[lu] - x1[ku]
     if np.any(gap <= 0):
         raise QuadratureError("element ordering broke; separated pair with gap <= 0")
-    m1 = np.ceil(mesh.elem_h[ku] / gap).astype(int)
-    m2 = np.ceil(mesh.elem_h[lu] / gap).astype(int)
+    m1 = np.ceil(h[ku] / gap).astype(int)
+    m2 = np.ceil(h[lu] / gap).astype(int)
     if np.any(m1 > _SUBDIV_CAP) or np.any(m2 > _SUBDIV_CAP):
         raise QuadratureError(
             f"separated-pair subdivision exceeds cap {_SUBDIV_CAP}; mesh too distorted"
@@ -138,10 +267,10 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
     r = np.arange(total) - np.repeat(offsets, counts)
     i1 = r // m2[parent]
     i2 = r % m2[parent]
-    h1s = mesh.elem_h[ku][parent] / m1[parent]
-    h2s = mesh.elem_h[lu][parent] / m2[parent]
-    sx0 = mesh.elem_x0[ku][parent] + i1 * h1s
-    sy0 = mesh.elem_x0[lu][parent] + i2 * h2s
+    h1s = h[ku][parent] / m1[parent]
+    h2s = h[lu][parent] / m2[parent]
+    sx0 = x0[ku][parent] + i1 * h1s
+    sy0 = x0[lu][parent] + i2 * h2s
     near = {
         "kx0": sx0,
         "kx1": sx0 + h1s,
@@ -151,7 +280,7 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "l": lu[parent],
     }
     tf, _ = gauss_legendre_01(_GL_FAR)
-    far_x = mesh.elem_x0[:, None] + mesh.elem_h[:, None] * tf[None, :]
+    far_x = x0[:, None] + h[:, None] * tf[None, :]
     pair_counts = {
         "identical": E,
         "touching": int(touching.size),
@@ -159,7 +288,7 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "near_subpairs": total,
         "far": n_far,
     }
-    return _PairTables(touching, near, far_x, pair_counts)
+    return _PairTables(touching, near, far_x, pair_counts, leaves, blocks, spans)
 
 
 def _element_hats(mesh, elems, pts):
@@ -181,7 +310,8 @@ def _element_hats(mesh, elems, pts):
 def assemble_mass(mesh: Mesh1D) -> np.ndarray:
     """Exact P1 mass matrix on interior dofs (tridiagonal per interval)."""
     h = mesh.elem_h
-    return _scatter(_sym_blocks(h / 3.0, h / 6.0), mesh.elem_dof, mesh.n_interior)
+    K = mesh.n_interior
+    return _scatter_add(np.zeros((K, K)), _sym_blocks(h / 3.0, h / 6.0), mesh.elem_dof)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +324,31 @@ def _sym_blocks(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def _scatter(local: np.ndarray, dofs: np.ndarray, K: int) -> np.ndarray:
-    """Accumulate (P, D, D) local blocks into a K x K matrix (dof -1 dropped)."""
+def _symmetrize(A: np.ndarray) -> np.ndarray:
+    """A <- (A + A') / 2 in place, exactly symmetric; returns A.
+
+    Tile by tile, which keeps both tiles of a pair in cache: about twice
+    as fast as ``A += A.T`` at K = 2047.
+    """
+    K, tile = A.shape[0], 256
+    for i in range(0, K, tile):
+        for j in range(i, K, tile):
+            t = A[i : i + tile, j : j + tile] + A[j : j + tile, i : i + tile].T
+            t *= 0.5
+            A[i : i + tile, j : j + tile] = t
+            A[j : j + tile, i : i + tile] = t.T
+    return A
+
+
+def _scatter_add(out: np.ndarray, local: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """Add (P, D, D) local blocks into the C-contiguous K x K ``out`` (dof -1
+    dropped), in block order; returns ``out``."""
     P, D, _ = local.shape
     rows = np.broadcast_to(dofs[:, :, None], (P, D, D))
     cols = np.broadcast_to(dofs[:, None, :], (P, D, D))
     valid = (rows >= 0) & (cols >= 0)
-    lin = np.where(valid, rows * K + cols, 0).ravel()
-    w = np.where(valid, local, 0.0).ravel()
-    return np.bincount(lin, weights=w, minlength=K * K).reshape(K, K)
+    np.add.at(out.reshape(-1), rows[valid] * out.shape[1] + cols[valid], local[valid])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +375,8 @@ def _touch_geometry(mesh, touching):
     return h1, h2, q, dofs, ca, cb
 
 
-def _identical(mesh, s, rfun) -> np.ndarray:
-    """2 int_0^h u^{1-2s} [ g_a g_b int R(y+u, y) dy ] du per element."""
-    K = mesh.n_interior
+def _identical(out, mesh, s, rfun) -> None:
+    """Add 2 int_0^h u^{1-2s} [ g_a g_b int R(y+u, y) dy ] du per element."""
     h = mesh.elem_h
     tj, wj = gauss_jacobi_01(_JACOBI_ORDER, 1.0 - 2.0 * s)
     tg, wg = gauss_legendre_01(_GL_INNER)
@@ -242,14 +387,13 @@ def _identical(mesh, s, rfun) -> np.ndarray:
     inner = span * (rv @ wg)  # (E, J)
     vals = 2.0 * h ** (2.0 - 2.0 * s) * (inner @ wj)  # (E,)
     base = vals / h**2
-    return _scatter(_sym_blocks(base, -base), mesh.elem_dof, K)
+    _scatter_add(out, _sym_blocks(base, -base), mesh.elem_dof)
 
 
-def _touching(mesh, s, rfun, touching) -> np.ndarray:
-    """Duffy triangles: Jacobi(2-2s) radially, GL in an exponential map of tau."""
-    K = mesh.n_interior
+def _touching(out, mesh, s, rfun, touching) -> None:
+    """Add the Duffy triangles: Jacobi(2-2s) radially, GL in an exponential map of tau."""
     if touching.size == 0:
-        return np.zeros((K, K))
+        return
     h1, h2, q, dofs, ca, cb = _touch_geometry(mesh, touching)
     xj, wjac = gauss_jacobi_01(_JACOBI_ORDER, 2.0 - 2.0 * s)
     tg, wg = gauss_legendre_01(_GL_TOUCH)
@@ -276,24 +420,25 @@ def _touching(mesh, s, rfun, touching) -> np.ndarray:
         p = ca[:, :, None] * ha[:, None, :] + cb[:, :, None] * hb[:, None, :]
         w = (h1 * h2)[:, None] * (ha + hb) ** (-1.0 - 2.0 * s) * rs * wt
         total = total + np.einsum("tj,taj,tbj->tab", w, p, p)
-    return _scatter(2.0 * total, dofs, K)
+    _scatter_add(out, 2.0 * total, dofs)
 
 
 def _separated(mesh, tables, points, kernel) -> np.ndarray:
-    """Separated pairs: near sub-pairs by 8x8 GL, far pairs as dense blocks.
+    """Separated pairs: far pairs by ``_far``, near sub-pairs by 8x8 GL.
 
     ``points(x)`` returns the data the kernel reads at points x (x first);
-    ``kernel(p, q)`` evaluates it on two broadcastable point sets.  The
-    result is the separated part of the matrix, each unordered pair counted
-    for both orders.
+    ``kernel(p, q)`` evaluates it on two broadcastable point sets.  Returns
+    a new K x K matrix whose symmetric part is the separated part of the
+    form, each unordered pair counted for both orders; the other parts of
+    the form are added into it.
     """
-    return _near(mesh, tables.near, points, kernel) + _far(mesh, tables, points, kernel)
+    out = _far(mesh, tables, points, kernel)
+    _near(out, mesh, tables.near, points, kernel)
+    return out
 
 
-def _near(mesh, near, points, kernel) -> np.ndarray:
-    """Chunked 8x8 tensor GL over the subdivided near sub-pairs."""
-    K = mesh.n_interior
-    A = np.zeros((K, K))
+def _near(out, mesh, near, points, kernel) -> None:
+    """Add chunked 8x8 tensor GL over the subdivided near sub-pairs."""
     tg, wg = gauss_legendre_01(_GL_SEP)
     n = near["kx0"].size
     for lo in range(0, n, _CHUNK):
@@ -322,18 +467,19 @@ def _near(mesh, near, points, kernel) -> np.ndarray:
         )  # (P, 4, 4)
         dofs = np.concatenate([mesh.elem_dof[ke], mesh.elem_dof[le]], axis=1)
         # unordered pair counted once; double for (e,f)+(f,e)
-        A += _scatter(2.0 * local, dofs, K)
-    return A
+        _scatter_add(out, 2.0 * local, dofs)
 
 
 def _far(mesh, tables, points, kernel) -> np.ndarray:
-    """Far pairs from dense point-kernel blocks over the upper triangle.
+    """Far pairs by the cluster-tree partition of ``_pair_tables``.
 
     With W the kernel times the order-_GL_FAR weights between the points of
     far element pairs, the far part is 2 (Phi' diag(W 1) Phi - Phi' W Phi)
-    for the hat values Phi.  Each row chunk holds the points of elements
-    k0:k1 (element-major) against those of k0:E (point-major), and both
-    terms are contracted per element with the reference hats (1 - t, t).
+    for the hat values Phi.  W is a dense point-kernel block on each leaf
+    block (far pairs masked in), and D_I C D_J' on each admissible cluster
+    pair, C the kernel between the Chebyshev nodes of I and J.  Every far
+    pair k < l has its dofs above the diagonal, so the second term goes in
+    once, doubled, and is symmetrized with the rest of the form.
     """
     K = mesh.n_interior
     E = mesh.elem_h.size
@@ -342,45 +488,74 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
     tf, wf = gauss_legendre_01(G)
     hat = np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
     wh = wf[:, None] * hat
-    pts = points(tables.far_x)  # once per quadrature point, each (E, G)
+    out = np.zeros((K, K))
     rsum = np.zeros((E, G))  # sum over far partners of h_l w_j k(x_i, y_j)
+
+    # leaf blocks: rows hold the points of elements k0:k1 (element-major),
+    # columns those of l0:l1 (point-major); both terms are contracted per
+    # element with the reference hats (1 - t, t)
+    pts = points(tables.far_x)  # once per quadrature point, each (E, G)
     # the slot-a dofs other than -1 are 0, 1, ..., K - 1 in element order,
     # so those of a run of elements fill a run of rows
     live = mesh.elem_dof >= 0
     before = np.cumsum(live, axis=0) - live
-    cross = np.zeros((K, K))
-    for k0, k1, far in _far_chunks(mesh):
+    for k0, k1, l0, l1, far in tables.leaves:
         if not far.any():
             continue
-        c, m = k1 - k0, E - k0
+        c, m = k1 - k0, l1 - l0
         with np.errstate(divide="ignore", invalid="ignore"):
             kv = kernel(
                 tuple(p[k0:k1].reshape(-1, 1) for p in pts),
-                tuple(p[k0:].T.reshape(1, -1) for p in pts),
+                tuple(p[l0:l1].T.reshape(1, -1) for p in pts),
             )  # (c G, G m): rows (k, i), columns (j, l)
-        own = np.arange(c)[:, None]
-        # a point against itself: not finite, and never in a far pair
-        kv[own * G + np.arange(G), np.arange(G) * m + own] = 0.0
-        wl = np.where(far, h[None, k0:], 0.0)
+        if k0 == l0:
+            # a point against itself: not finite, and never in a far pair
+            own = np.arange(c)[:, None]
+            kv[own * G + np.arange(G), np.arange(G) * m + own] = 0.0
+        wl = np.where(far, h[None, l0:l1], 0.0)
         wk = np.where(far, h[k0:k1, None], 0.0)
         col = (wh.T @ kv.reshape(c * G, G, m)).reshape(c, G * 2, m)
         row = (wf @ kv.reshape(c, G, G * m)).reshape(c, G, m)
         rsum[k0:k1] += (col @ wl[:, :, None]).reshape(c, G, 2).sum(axis=2)
-        rsum[k0:] += np.einsum("kjl,kl->lj", row, wk)
+        rsum[l0:l1] += np.einsum("kjl,kl->lj", row, wk)
         z = (wh.T @ col.reshape(c, G, 2 * m)).reshape(c, 2, 2, m)
-        z *= (wk * h[None, k0:])[:, None, None, :]
+        z *= (-4.0 * wk * h[None, l0:l1])[:, None, None, :]
         for a in (0, 1):
             vr = live[k0:k1, a]
-            rows = slice(before[k0, a], before[k0, a] + vr.sum())
+            za = z[:, a] if vr.all() else z[vr, a]
+            rows = slice(before[k0, a], before[k0, a] + za.shape[0])
             for b in (0, 1):
-                vq = live[k0:, b]
-                cols = slice(before[k0, b], before[k0, b] + vq.sum())
-                cross[rows, cols] += z[:, a, b][np.ix_(vr, vq)]
-    cross += cross.T  # both orders of every far pair
-    cross *= -2.0
+                vq = live[l0:l1, b]
+                zab = za[:, b] if vq.all() else za[:, b][:, vq]
+                out[rows, before[l0, b] : before[l0, b] + zab.shape[1]] += zab
+
+    # admissible blocks: k(x, y) ~ S_I(x) C S_J(y)'
+    blocks = tables.blocks
+    if blocks.size:
+        cl = _clusters(mesh, tables)
+        nodes = points(cl.nodes)
+        I, J = blocks[:, 0], blocks[:, 1]
+        C = kernel(
+            tuple(v[I][:, :, None] for v in nodes), tuple(v[J][:, None, :] for v in nodes)
+        )  # (B, p, p)
+        u = np.zeros_like(cl.moments)  # rsum at each cluster's nodes
+        np.add.at(u, I, np.einsum("bmn,bn->bm", C, cl.moments[J]))
+        np.add.at(u, J, np.einsum("bmn,bm->bn", C, cl.moments[I]))
+        # u . S(x) = sum_k a_k T_k(t) - sum_m u_m / p at each cluster's far points
+        a = (2.0 / _CHEB) * (u @ cl.Tn.T)[cl.owner]
+        pot = np.full(cl.t.shape, -1.0 / _CHEB) * u.sum(axis=1)[cl.owner, None]
+        for k, Tk in enumerate(_chebyshev_series(cl.t)):
+            pot += a[:, k, None] * Tk
+        np.add.at(rsum, cl.elems, pot)
+        C *= -4.0
+        for (i, j), Cb in zip(blocks, C):
+            Di, Dj = cl.D[i], cl.D[j]
+            rows = slice(cl.dof0[i], cl.dof0[i] + Di.shape[0])
+            cols = slice(cl.dof0[j], cl.dof0[j] + Dj.shape[0])
+            out[rows, cols] += (Di @ Cb) @ Dj.T
+
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
-    cross += _scatter(2.0 * diag, mesh.elem_dof, K)
-    return cross
+    return _scatter_add(out, 2.0 * diag, mesh.elem_dof)
 
 
 def _distance_power(x, y, expo) -> np.ndarray:
@@ -409,10 +584,8 @@ def _anchors(mesh):
     return out
 
 
-def _gagliardo_exterior(mesh, s, coeff) -> np.ndarray:
-    """Exact 2 * int psi_a psi_b(x) rho(x) dx, rho(x) = int_{S^c} |x-y|^{-1-2s} dy."""
-    K = mesh.n_interior
-    A = np.zeros((K, K))
+def _gagliardo_exterior(out, mesh, s, coeff) -> None:
+    """Add the exact 2 * int psi_a psi_b(x) rho(x) dx, rho(x) = int_{S^c} |x-y|^{-1-2s} dy."""
     x0 = mesh.elem_x0
     x1 = mesh.elem_x1
     h = mesh.elem_h
@@ -444,12 +617,11 @@ def _gagliardo_exterior(mesh, s, coeff) -> np.ndarray:
             + bb * i2[:, None, None]
         )
         local = 2.0 * coeff * kappa[:, None, None] * integral
-        A += _scatter(local, mesh.elem_dof, K)
-    return A
+        _scatter_add(out, local, mesh.elem_dof)
 
 
-def _deformation_exterior(mesh, X, s, c) -> np.ndarray:
-    """2 * int psi_a psi_b(x) rho_X(x) dx with closed-form rho_X tails.
+def _deformation_exterior(out, mesh, X, s, c) -> None:
+    """Add 2 * int psi_a psi_b(x) rho_X(x) dx with closed-form rho_X tails.
 
     For each complement-component endpoint r (orientation sigma):
       term = (c/2) [ div X(x) sigma G(r, x) + sigma (X(r) - X(x)) |r-x|^{-1-2s} ]
@@ -457,8 +629,6 @@ def _deformation_exterior(mesh, X, s, c) -> np.ndarray:
     boundary node is singular and handled with a Jacobi(2-2s) rule after
     factoring psi_a psi_b = t^2 / h^2.
     """
-    K = mesh.n_interior
-    B = np.zeros((K, K))
     allanch = _anchors(mesh)
     anchor_x = np.array([r for r, _ in allanch])
     anchor_sig = np.array([sg for _, sg in allanch])
@@ -488,7 +658,7 @@ def _deformation_exterior(mesh, X, s, c) -> np.ndarray:
         rho += np.where(skip[:, None], 0.0, term)
     vx = _element_hats(mesh, np.arange(E), xs)  # (E, 2, G)
     local = np.einsum("eag,ebg,eg->eab", vx, vx, rho * (h[:, None] * wg[None, :]))
-    B += _scatter(2.0 * local, mesh.elem_dof, K)
+    _scatter_add(out, 2.0 * local, mesh.elem_dof)
 
     # singular own-anchor pieces on boundary elements
     for side, own in (("left", own_left), ("right", own_right)):
@@ -508,8 +678,7 @@ def _deformation_exterior(mesh, X, s, c) -> np.ndarray:
             live = mesh.elem_dof[idx, 0]
         fac = 0.5 * c * (X.div1(xq) / (2.0 * s) - dq)
         vals = hb ** (3.0 - 2.0 * s) * (fac @ wjac) / hb**2
-        B[live, live] += 2.0 * vals
-    return B
+        out[live, live] += 2.0 * vals
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +722,16 @@ def assemble_gagliardo(mesh: Mesh1D, s: float) -> np.ndarray:
     def rfun(x, y):
         return np.full(np.broadcast(x, y).shape, coeff)
 
-    A = _identical(mesh, s, rfun)
-    A += _touching(mesh, s, rfun, tables.touching)
-
     def kernel(p, q):
-        return _distance_power(p[0], q[0], expo)
+        d = _distance_power(p[0], q[0], expo)
+        d *= coeff
+        return d
 
-    A += coeff * _separated(mesh, tables, lambda x: (x,), kernel)
-    A += _gagliardo_exterior(mesh, s, coeff)
-    return 0.5 * (A + A.T)
+    A = _separated(mesh, tables, lambda x: (x,), kernel)
+    _identical(A, mesh, s, rfun)
+    _touching(A, mesh, s, rfun, tables.touching)
+    _gagliardo_exterior(A, mesh, s, coeff)
+    return _symmetrize(A)
 
 
 def assemble_forms(mesh: Mesh1D, s: float) -> AssembledForms:
@@ -613,14 +783,15 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
     def kernel(p, q):
         d = _distance_power(p[0], q[0], expo)
         d *= smooth(p, q)
+        d *= 0.5 * c
         return d
 
     tables = _pair_tables(mesh)
-    B = _identical(mesh, s, rfun)
-    B += _touching(mesh, s, rfun, tables.touching)
-    B += 0.5 * c * _separated(mesh, tables, points, kernel)
-    B += _deformation_exterior(mesh, X, s, c)
-    B = 0.5 * (B + B.T)
+    B = _separated(mesh, tables, points, kernel)
+    _identical(B, mesh, s, rfun)
+    _touching(B, mesh, s, rfun, tables.touching)
+    _deformation_exterior(B, mesh, X, s, c)
+    _symmetrize(B)
     return DeformationMatrix(mesh=mesh, s=s, X=X, matrix=B)
 
 

@@ -200,7 +200,8 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
     """Graded mesh with ``n_per_interval`` elements on every interval.
 
     Requires n_per_interval >= 2 (at least one interior node per interval)
-    and beta >= 1; beta = 1 is the uniform mesh.
+    and beta >= 1; beta = 1 is the uniform mesh.  Raises DegenerateError
+    when the grading rounds an element to zero length.
 
     Memoized: equal arguments, passed the same way, return the same
     read-only mesh, so tables cached per mesh (element-pair classes) are
@@ -242,6 +243,11 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
     elem_x0 = _arr(ex0)
     elem_x1 = _arr(ex1)
     elem_h = _arr(elem_x1 - elem_x0)
+    if np.any(elem_h <= 0):
+        raise DegenerateError(
+            f"grading beta = {beta} with {n} elements per interval rounds "
+            f"{int(np.sum(elem_h <= 0))} element(s) to zero length"
+        )
     return Mesh1D(
         domain=domain,
         beta=float(beta),

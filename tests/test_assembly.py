@@ -4,7 +4,8 @@ The stiffness oracle values come from three independent routes: the
 closed-form single-hat energy (helpers.hat_energy_exact), scipy dblquad
 entries frozen in helpers.DBLQUAD_STIFFNESS, and the analytic scaling law.
 The identical- and touching-pair rules shared by both forms are checked
-against closed-form integrals of the Gagliardo kernel.
+against closed-form integrals of the Gagliardo kernel, and the
+cluster-tree far pass against the dense all-pairs far pass it replaced.
 """
 
 import math
@@ -14,13 +15,13 @@ import pytest
 
 import fraclab as fl
 from fraclab import assembly
-from fraclab.assembly import _pair_tables, _scatter, _sym_blocks, _touch_geometry
+from fraclab.assembly import _pair_tables, _scatter_add, _sym_blocks, _touch_geometry
 from fraclab.errors import (
     ArgumentError,
     QuadratureError,
     ToleranceError,
 )
-from fraclab.quadrature import power_integral
+from fraclab.quadrature import gauss_legendre_01, power_integral
 from helpers import (
     DBLQUAD_STIFFNESS,
     gaussian_frac_ref,
@@ -104,7 +105,9 @@ def test_stiffness_symmetric_positive_definite():
 def test_stiffness_exterior_tail_matters():
     mesh = uniform_mesh(0.0, 1.0, 2)
     full = fl.assemble_gagliardo(mesh, 0.5)[0, 0]
-    tail = assembly._gagliardo_exterior(mesh, 0.5, 0.5 * fl.frac_constant(1, 0.5))[0, 0]
+    tail = np.zeros((1, 1))
+    assembly._gagliardo_exterior(tail, mesh, 0.5, 0.5 * fl.frac_constant(1, 0.5))
+    tail = tail[0, 0]
     assert abs(tail) > 0.01 * abs(full)
 
 
@@ -253,6 +256,212 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
 
 
 # ---------------------------------------------------------------------------
+# far pairs against the dense all-pairs far pass
+# ---------------------------------------------------------------------------
+
+_GL_FAR = 4
+_FAR_RATIO = 16
+_FAR_BYTES = 1 << 23
+
+
+def _scatter(local, dofs, K):
+    return _scatter_add(np.zeros((K, K)), local, dofs)
+
+
+def _far_chunks(mesh):
+    """Row chunks (k0, k1, far) of the upper triangle of element pairs.
+
+    ``far[i, j]`` says whether (k0 + i, k0 + j) is a far pair; chunks are
+    sized so one point-kernel block of rows k0:k1 by columns k0:E stays
+    within _FAR_BYTES.
+    """
+    E = mesh.elem_h.size
+    h = mesh.elem_h
+    rows = max(1, _FAR_BYTES // (8 * _GL_FAR**2 * E))
+    for k0 in range(0, E, rows):
+        k1 = min(k0 + rows, E)
+        gap = mesh.elem_x0[None, k0:] - mesh.elem_x1[k0:k1, None]
+        far = gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, k0:])
+        yield k0, k1, far
+
+
+def _far(mesh, tables, points, kernel) -> np.ndarray:
+    """Far pairs from dense point-kernel blocks over the upper triangle.
+
+    With W the kernel times the order-_GL_FAR weights between the points of
+    far element pairs, the far part is 2 (Phi' diag(W 1) Phi - Phi' W Phi)
+    for the hat values Phi.  Each row chunk holds the points of elements
+    k0:k1 (element-major) against those of k0:E (point-major), and both
+    terms are contracted per element with the reference hats (1 - t, t).
+    """
+    K = mesh.n_interior
+    E = mesh.elem_h.size
+    G = _GL_FAR
+    h = mesh.elem_h
+    tf, wf = gauss_legendre_01(G)
+    hat = np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
+    wh = wf[:, None] * hat
+    pts = points(tables.far_x)  # once per quadrature point, each (E, G)
+    rsum = np.zeros((E, G))  # sum over far partners of h_l w_j k(x_i, y_j)
+    # the slot-a dofs other than -1 are 0, 1, ..., K - 1 in element order,
+    # so those of a run of elements fill a run of rows
+    live = mesh.elem_dof >= 0
+    before = np.cumsum(live, axis=0) - live
+    cross = np.zeros((K, K))
+    for k0, k1, far in _far_chunks(mesh):
+        if not far.any():
+            continue
+        c, m = k1 - k0, E - k0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kv = kernel(
+                tuple(p[k0:k1].reshape(-1, 1) for p in pts),
+                tuple(p[k0:].T.reshape(1, -1) for p in pts),
+            )  # (c G, G m): rows (k, i), columns (j, l)
+        own = np.arange(c)[:, None]
+        # a point against itself: not finite, and never in a far pair
+        kv[own * G + np.arange(G), np.arange(G) * m + own] = 0.0
+        wl = np.where(far, h[None, k0:], 0.0)
+        wk = np.where(far, h[k0:k1, None], 0.0)
+        col = (wh.T @ kv.reshape(c * G, G, m)).reshape(c, G * 2, m)
+        row = (wf @ kv.reshape(c, G, G * m)).reshape(c, G, m)
+        rsum[k0:k1] += (col @ wl[:, :, None]).reshape(c, G, 2).sum(axis=2)
+        rsum[k0:] += np.einsum("kjl,kl->lj", row, wk)
+        z = (wh.T @ col.reshape(c, G, 2 * m)).reshape(c, 2, 2, m)
+        z *= (wk * h[None, k0:])[:, None, None, :]
+        for a in (0, 1):
+            vr = live[k0:k1, a]
+            rows = slice(before[k0, a], before[k0, a] + vr.sum())
+            for b in (0, 1):
+                vq = live[k0:, b]
+                cols = slice(before[k0, b], before[k0, b] + vq.sum())
+                cross[rows, cols] += z[:, a, b][np.ix_(vr, vq)]
+    cross += cross.T  # both orders of every far pair
+    cross *= -2.0
+    diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
+    cross += _scatter(2.0 * diag, mesh.elem_dof, K)
+    return cross
+
+
+FAR_DOMAINS = {
+    1: [(-1.0, 1.0)],
+    2: [(-2.0, -1.0), (1.0, 2.0)],
+    3: [(-1.0, -0.4), (-0.2, 0.2), (0.4, 1.0)],
+}
+
+
+def _far_kernels(s):
+    """(points, kernel) of the Gagliardo kernel and of two deformation kernels."""
+    expo = -1.0 - 2.0 * s
+    out = [(lambda x: (x,), lambda p, q: np.abs(p[0] - q[0]) ** expo)]
+    for e in ("x + 0.25*x^2", "x/(1 + x^2)"):
+        X = fl.make_field([e], box=BOX1)
+
+        def kernel(p, q):
+            (x, fx, dx), (y, fy, dy) = p, q
+            r = dx + dy - (1.0 + 2.0 * s) * (fx - fy) / (x - y)
+            return r * np.abs(x - y) ** expo
+
+        out.append((lambda x, X=X: (x, X.at1(x), X.div1(x)), kernel))
+    return out
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("intervals", [1, 2, 3])
+def test_far_pass_matches_dense_far_pass(intervals, beta):
+    # the cluster-tree pass interpolates the kernel on admissible cluster
+    # pairs; it must match the dense order-4 pass it replaced entry by entry,
+    # relative to the Gagliardo entry (the deformation kernels are that
+    # kernel times a factor of size about 1, which can change sign)
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), 160 // intervals, beta)
+    tables = _pair_tables(mesh)
+    assert tables.blocks.size > 0 and len(tables.leaves) > 1
+    for s in (0.01, 0.25, 0.5, 0.75, 0.99):
+        scale = None
+        for points, kernel in _far_kernels(s):
+            ref = _far(mesh, tables, points, kernel)
+            got = assembly._symmetrize(assembly._far(mesh, tables, points, kernel))
+            if scale is None:
+                scale = np.abs(ref)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale), (s, kernel)
+
+
+def test_far_pass_of_a_one_leaf_mesh_is_the_dense_pass():
+    mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 32, 2.0)
+    tables = _pair_tables(mesh)
+    assert tables.blocks.size == 0 and len(tables.leaves) == 1
+    points, kernel = _far_kernels(0.3)[0]
+    ref = _far(mesh, tables, points, kernel)
+    got = assembly._symmetrize(assembly._far(mesh, tables, points, kernel))
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def _dense_pair_counts(mesh):
+    """Pair counts by class from all E^2 element pairs."""
+    E = mesh.elem_h.size
+    iv = mesh.elem_interval
+    near, far = 0, 0
+    for k0, k1, far_mask in _far_chunks(mesh):
+        kk = np.arange(k0, k1)[:, None]
+        ll = np.arange(k0, E)[None, :]
+        separated = (ll > kk) & ~((ll == kk + 1) & (iv[kk] == iv[ll]))
+        near += int(np.count_nonzero(separated & ~far_mask))
+        far += int(np.count_nonzero(far_mask))
+    return near, far
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("intervals", [1, 2, 3])
+def test_pair_counts_match_the_dense_classification(intervals, beta):
+    for n in (2, 8, 64, 300):
+        try:
+            mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, beta)
+            counts = _pair_tables(mesh).counts
+        except QuadratureError:  # subdivision cap on the coarse beta = 6 meshes
+            continue
+        assert (counts["near"], counts["far"]) == _dense_pair_counts(mesh), n
+
+
+def test_far_tables_hold_only_far_pairs_in_admissible_blocks():
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[3]), 256, 3.0)
+    tables = _pair_tables(mesh)
+    h = mesh.elem_h
+    for i, j in tables.blocks:
+        (k0, k1), (l0, l1) = tables.spans[i], tables.spans[j]
+        gap = mesh.elem_x0[None, l0:l1] - mesh.elem_x1[k0:k1, None]
+        assert np.all(gap >= 16 * np.maximum(h[k0:k1, None], h[None, l0:l1]))
+
+
+# ---------------------------------------------------------------------------
+# determinism
+# ---------------------------------------------------------------------------
+
+def test_assemblies_are_bit_identical_and_share_the_pair_tables():
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[2]), 200, 2.0)
+    X = fl.make_field(["x/(1 + x^2)"], box=BOX1)
+    assert _pair_tables(mesh).blocks.size > 0
+    misses = _pair_tables.cache_info().misses
+    for s in (0.3, 0.7):
+        A = [fl.assemble_gagliardo(mesh, s) for _ in range(2)]
+        B = [fl.assemble_deformation(mesh, X, s).matrix for _ in range(2)]
+        assert np.array_equal(A[0], A[1]) and np.array_equal(B[0], B[1])
+        assert np.array_equal(A[0], A[0].T) and np.array_equal(B[0], B[0].T)
+    assert _pair_tables.cache_info().misses == misses
+
+
+def test_mass_matrix_scatter_is_the_bincount_sum():
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[3]), 50, 2.0)
+    K, h, dofs = mesh.n_interior, mesh.elem_h, mesh.elem_dof
+    local = _sym_blocks(h / 3.0, h / 6.0)
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
+    ok = (rows >= 0) & (cols >= 0)
+    ref = np.bincount(
+        (rows * K + cols)[ok], weights=local[ok], minlength=K * K
+    ).reshape(K, K)
+    assert np.array_equal(fl.assemble_mass(mesh), ref)
+
+
+# ---------------------------------------------------------------------------
 # identical and touching pairs against closed forms
 # ---------------------------------------------------------------------------
 
@@ -261,7 +470,7 @@ def _identical_gagliardo(mesh, s, coeff) -> np.ndarray:
     h = mesh.elem_h
     w = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
     base = coeff * w / h**2  # slope product magnitude 1/h^2
-    return _scatter(_sym_blocks(base, -base), mesh.elem_dof, K)
+    return _scatter_add(np.zeros((K, K)), _sym_blocks(base, -base), mesh.elem_dof)
 
 
 def _touching_gagliardo(mesh, s, coeff, touching) -> np.ndarray:
@@ -301,7 +510,7 @@ def _touching_gagliardo(mesh, s, coeff, touching) -> np.ndarray:
         + cbb * Ivals[(0, 2)][:, None, None]
     )
     # each unordered pair appears once; (e,f) and (f,e) contribute equally
-    return _scatter(2.0 * local, dofs, K)
+    return _scatter_add(np.zeros((K, K)), 2.0 * local, dofs)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
@@ -318,12 +527,12 @@ def test_singular_pair_rules_match_closed_forms(intervals, beta, s):
     for n in (8, 64):
         mesh = fl.make_mesh(fl.make_domain(intervals), n, beta)
         touching = _pair_tables(mesh).touching
+        identical, touch = np.zeros((2, mesh.n_interior, mesh.n_interior))
+        assembly._identical(identical, mesh, s, rfun)
+        assembly._touching(touch, mesh, s, rfun, touching)
         pairs = [
-            (assembly._identical(mesh, s, rfun), _identical_gagliardo(mesh, s, coeff)),
-            (
-                assembly._touching(mesh, s, rfun, touching),
-                _touching_gagliardo(mesh, s, coeff, touching),
-            ),
+            (identical, _identical_gagliardo(mesh, s, coeff)),
+            (touch, _touching_gagliardo(mesh, s, coeff, touching)),
         ]
         for got, exact in pairs:
             assert np.linalg.norm(got - exact) <= 1e-13 * np.linalg.norm(exact), n

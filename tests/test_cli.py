@@ -119,6 +119,13 @@ def test_eigen_jobs_deterministic_on_the_lanczos_path(tmp_path, intervals, n):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_eigen_on_a_mesh_with_a_zero_length_element_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 1024, "beta": 6.0, "out": str(tmp_path)})
+    assert main(["eigen", "--config", cfg]) == 2
+    assert "zero length" in capsys.readouterr().err
+    assert not (tmp_path / "eigen.csv").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     outs = []
     for tag in ("one", "two"):

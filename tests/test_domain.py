@@ -109,6 +109,14 @@ def test_make_mesh_grading_map_quarter_point():
     np.testing.assert_allclose(mesh.nodes[0], [0.0, 0.1, 0.5, 0.9, 1.0], atol=1e-15)
 
 
+def test_make_mesh_refuses_grading_that_rounds_an_element_to_zero():
+    # at beta = 6 the two elements next to each endpoint of (-1, 1) are
+    # below the spacing of doubles near +-1 at n = 1024
+    with pytest.raises(DegenerateError, match="zero length"):
+        fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 1024, 6.0)
+    assert np.all(fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 512, 6.0).elem_h > 0)
+
+
 def test_make_mesh_argument_errors():
     d = fl.make_domain([(-1.0, 1.0)])
     with pytest.raises(ArgumentError):
