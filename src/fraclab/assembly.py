@@ -86,12 +86,12 @@ _CHUNK = 16384  # near sub-pairs per chunk
 class _Clusters(NamedTuple):
     """Chebyshev interpolation on the clusters of the admissible pairs.
 
-    S_I holds the cardinal functions of cluster I's Chebyshev nodes, the
+    With S_I(x) the cardinal functions of cluster I's Chebyshev nodes (the
     polynomials of degree _CHEB - 1 that are 1 at one node and 0 at the
-    others, so k(x, y) ~ S_I(x) C S_J(y)' with C the kernel between the
-    nodes of I and of J.  Every S_I(x) = 1/p + (2/p) sum_{k>=1} T_k(t)
-    T_k(t_m) at the nodes t_m of [-1, 1] (Fong & Darve 2009), t the point
-    x mapped from the hull of I.
+    others), k(x, y) ~ S_I(x) C S_J(y)' for C the kernel between the nodes
+    of I and of J.  S_I(x)_m = 1/p + (2/p) sum_{k>=1} T_k(t) T_k(t_m) at
+    the nodes t_m of [-1, 1] (Fong & Darve 2009), t the point x mapped
+    from the hull of I; S is never stored, only its sums below.
     """
 
     nodes: np.ndarray  # (C, _CHEB) Chebyshev nodes on the hull of each cluster
@@ -479,7 +479,7 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
     block (far pairs masked in), and D_I C D_J' on each admissible cluster
     pair, C the kernel between the Chebyshev nodes of I and J.  Every far
     pair k < l has its dofs above the diagonal, so the second term goes in
-    once, doubled, and is symmetrized with the rest of the form.
+    there only, twice over, and the caller's symmetrization halves it.
     """
     K = mesh.n_interior
     E = mesh.elem_h.size

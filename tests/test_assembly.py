@@ -385,16 +385,6 @@ def test_far_pass_matches_dense_far_pass(intervals, beta):
             assert np.all(np.abs(got - ref) <= 1e-12 * scale), (s, kernel)
 
 
-def test_far_pass_of_a_one_leaf_mesh_is_the_dense_pass():
-    mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 32, 2.0)
-    tables = _pair_tables(mesh)
-    assert tables.blocks.size == 0 and len(tables.leaves) == 1
-    points, kernel = _far_kernels(0.3)[0]
-    ref = _far(mesh, tables, points, kernel)
-    got = assembly._symmetrize(assembly._far(mesh, tables, points, kernel))
-    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
-
-
 def _dense_pair_counts(mesh):
     """Pair counts by class from all E^2 element pairs."""
     E = mesh.elem_h.size
@@ -419,16 +409,6 @@ def test_pair_counts_match_the_dense_classification(intervals, beta):
         except QuadratureError:  # subdivision cap on the coarse beta = 6 meshes
             continue
         assert (counts["near"], counts["far"]) == _dense_pair_counts(mesh), n
-
-
-def test_far_tables_hold_only_far_pairs_in_admissible_blocks():
-    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[3]), 256, 3.0)
-    tables = _pair_tables(mesh)
-    h = mesh.elem_h
-    for i, j in tables.blocks:
-        (k0, k1), (l0, l1) = tables.spans[i], tables.spans[j]
-        gap = mesh.elem_x0[None, l0:l1] - mesh.elem_x1[k0:k1, None]
-        assert np.all(gap >= 16 * np.maximum(h[k0:k1, None], h[None, l0:l1]))
 
 
 # ---------------------------------------------------------------------------
