@@ -20,8 +20,11 @@ element-pair rule.  Element-pair classes:
   a pair of clusters at distance d with both diameters <= d and
   d >= 16 max h holds only far pairs, and there the kernel is interpolated
   at 24 Chebyshev nodes per cluster (Fong & Darve 2009), so the block is
-  D_I C D_J' with C the kernel between the nodes.  The remaining leaf
-  pairs are dense point-kernel blocks with the far pairs masked in.
+  D_I C D_J' with C the kernel between the nodes.  The interpolant is
+  checked against the kernel at 5 x 5 probe points per block; a block it
+  misses by more than 1e-13 of the kernel's size (a field that varies on
+  a shorter scale than the clusters) is dense point-kernel blocks, as are
+  the remaining leaf pairs, with the far pairs masked in.
 
 One geometry pass per mesh (``_pair_tables``) builds the cluster tree,
 classifies the pairs and lists only the near sub-pairs; both forms share
@@ -71,6 +74,9 @@ _FAR_RATIO = 16  # far pair: gap >= _FAR_RATIO * max(h_k, h_l)
 _LEAF = 32  # elements per leaf cluster, at most
 _ETA = 1.0  # admissible cluster pair: max diameter <= _ETA * distance
 _CHEB = 24  # Chebyshev nodes per cluster of an admissible pair
+_CHEB_TOL = 1e-13  # interpolation error allowed at the probes, relative to the kernel
+# probes of the interpolation error: extrema of T_24, where it peaks
+_PROBE = np.cos(np.arange(5) * np.pi / 4)
 _GL_TOUCH = 16  # tau direction on Duffy triangles
 _GL_INNER = 8  # inner direction for identical pairs
 _GL_EXTERIOR = 16  # smooth exterior terms
@@ -96,6 +102,8 @@ class _Clusters(NamedTuple):
 
     nodes: np.ndarray  # (C, _CHEB) Chebyshev nodes on the hull of each cluster
     Tn: np.ndarray  # (_CHEB, _CHEB) T_k(t_m)
+    probes: np.ndarray  # (C, _PROBE.size) the points _PROBE on the hull of each cluster
+    Sp: np.ndarray  # (_PROBE.size, _CHEB) S at the points _PROBE
     moments: np.ndarray  # (C, _CHEB) sum over each cluster's far points of h w S
     D: dict  # cluster -> (dofs, _CHEB) sum of h w hat S into its dofs from dof0
     dof0: np.ndarray  # (C,) first dof of each cluster's elements
@@ -190,7 +198,9 @@ def _clusters(mesh, tables) -> _Clusters:
     hi = mesh.elem_x1[spans[:, 1] - 1]
     theta = (np.arange(p) + 0.5) * np.pi / p
     nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * np.cos(theta)[None, :]
+    probes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _PROBE[None, :]
     Tn = np.cos(np.arange(p)[:, None] * theta[None, :])
+    Sp = (2.0 / p) * (np.stack(list(_chebyshev_series(_PROBE)), axis=1) @ Tn) - 1.0 / p
     used = np.unique(tables.blocks)
     sizes = spans[used, 1] - spans[used, 0]
     elems = np.concatenate([np.arange(e0, e1) for e0, e1 in spans[used]])
@@ -215,7 +225,7 @@ def _clusters(mesh, tables) -> _Clusters:
             live = dofs[:, a] >= 0
             Dc[dofs[live, a] - dof0[c]] += slots[r0 : r0 + n][live, a]
         D[int(c)] = Dc
-    return _Clusters(nodes, Tn, moments, D, dof0, elems, owner, t)
+    return _Clusters(nodes, Tn, probes, Sp, moments, D, dof0, elems, owner, t)
 
 
 @lru_cache(maxsize=32)
@@ -324,22 +334,6 @@ def _sym_blocks(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def _symmetrize(A: np.ndarray) -> np.ndarray:
-    """A <- (A + A') / 2 in place, exactly symmetric; returns A.
-
-    Tile by tile, which keeps both tiles of a pair in cache: about twice
-    as fast as ``A += A.T`` at K = 2047.
-    """
-    K, tile = A.shape[0], 256
-    for i in range(0, K, tile):
-        for j in range(i, K, tile):
-            t = A[i : i + tile, j : j + tile] + A[j : j + tile, i : i + tile].T
-            t *= 0.5
-            A[i : i + tile, j : j + tile] = t
-            A[j : j + tile, i : i + tile] = t.T
-    return A
-
-
 def _scatter_add(out: np.ndarray, local: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     """Add (P, D, D) local blocks into the C-contiguous K x K ``out`` (dof -1
     dropped), in block order; returns ``out``."""
@@ -423,16 +417,18 @@ def _touching(out, mesh, s, rfun, touching) -> None:
     _scatter_add(out, 2.0 * total, dofs)
 
 
-def _separated(mesh, tables, points, kernel) -> np.ndarray:
+def _separated(mesh, tables, points, kernel, scale=None) -> np.ndarray:
     """Separated pairs: far pairs by ``_far``, near sub-pairs by 8x8 GL.
 
     ``points(x)`` returns the data the kernel reads at points x (x first);
-    ``kernel(p, q)`` evaluates it on two broadcastable point sets.  Returns
+    ``kernel(p, q)`` evaluates it on two broadcastable point sets, and
+    ``scale(p, q)`` the size of its terms, the scale of its rounding error
+    (default |kernel|).  Returns
     a new K x K matrix whose symmetric part is the separated part of the
     form, each unordered pair counted for both orders; the other parts of
     the form are added into it.
     """
-    out = _far(mesh, tables, points, kernel)
+    out = _far(mesh, tables, points, kernel, scale)
     _near(out, mesh, tables.near, points, kernel)
     return out
 
@@ -470,16 +466,34 @@ def _near(out, mesh, near, points, kernel) -> None:
         _scatter_add(out, 2.0 * local, dofs)
 
 
-def _far(mesh, tables, points, kernel) -> np.ndarray:
+def _interpolate(cl, blocks, points, kernel, scale):
+    """The kernel C between the Chebyshev nodes of each admissible pair
+    (B, _CHEB, _CHEB), and whether S_I C S_J' meets the kernel at the probes
+    of I and J to _CHEB_TOL times the largest ``scale`` there (B,)."""
+    I, J = blocks[:, 0], blocks[:, 1]
+    nodes = points(cl.nodes)
+    C = kernel(tuple(v[I][:, :, None] for v in nodes), tuple(v[J][:, None, :] for v in nodes))
+    probes = points(cl.probes)
+    at = (tuple(v[I][:, :, None] for v in probes), tuple(v[J][:, None, :] for v in probes))
+    miss = kernel(*at)
+    size = np.abs(miss) if scale is None else scale(*at)
+    miss -= cl.Sp @ C @ cl.Sp.T
+    return C, np.max(np.abs(miss), axis=(1, 2)) <= _CHEB_TOL * np.max(size, axis=(1, 2))
+
+
+def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
     """Far pairs by the cluster-tree partition of ``_pair_tables``.
 
     With W the kernel times the order-_GL_FAR weights between the points of
     far element pairs, the far part is 2 (Phi' diag(W 1) Phi - Phi' W Phi)
     for the hat values Phi.  W is a dense point-kernel block on each leaf
     block (far pairs masked in), and D_I C D_J' on each admissible cluster
-    pair, C the kernel between the Chebyshev nodes of I and J.  Every far
-    pair k < l has its dofs above the diagonal, so the second term goes in
-    there only, twice over, and the caller's symmetrization halves it.
+    pair, C the kernel between the Chebyshev nodes of I and J.  A pair
+    whose interpolant misses the kernel at the probes (``_interpolate``; a
+    field that varies on a scale shorter than the clusters) is dense blocks
+    of at most _LEAF elements a side instead.  Every far pair k < l has its
+    dofs above the diagonal, so the second term goes in there only, twice
+    over, and the caller's symmetrization halves it.
     """
     K = mesh.n_interior
     E = mesh.elem_h.size
@@ -491,17 +505,16 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
     out = np.zeros((K, K))
     rsum = np.zeros((E, G))  # sum over far partners of h_l w_j k(x_i, y_j)
 
-    # leaf blocks: rows hold the points of elements k0:k1 (element-major),
-    # columns those of l0:l1 (point-major); both terms are contracted per
-    # element with the reference hats (1 - t, t)
     pts = points(tables.far_x)  # once per quadrature point, each (E, G)
     # the slot-a dofs other than -1 are 0, 1, ..., K - 1 in element order,
     # so those of a run of elements fill a run of rows
     live = mesh.elem_dof >= 0
     before = np.cumsum(live, axis=0) - live
-    for k0, k1, l0, l1, far in tables.leaves:
-        if not far.any():
-            continue
+
+    def dense(k0, k1, l0, l1, far):
+        # rows hold the points of elements k0:k1 (element-major), columns
+        # those of l0:l1 (point-major); both terms are contracted per
+        # element with the reference hats (1 - t, t)
         c, m = k1 - k0, l1 - l0
         with np.errstate(divide="ignore", invalid="ignore"):
             kv = kernel(
@@ -529,15 +542,23 @@ def _far(mesh, tables, points, kernel) -> np.ndarray:
                 zab = za[:, b] if vq.all() else za[:, b][:, vq]
                 out[rows, before[l0, b] : before[l0, b] + zab.shape[1]] += zab
 
+    for k0, k1, l0, l1, far in tables.leaves:
+        if far.any():
+            dense(k0, k1, l0, l1, far)
+
     # admissible blocks: k(x, y) ~ S_I(x) C S_J(y)'
     blocks = tables.blocks
     if blocks.size:
         cl = _clusters(mesh, tables)
-        nodes = points(cl.nodes)
+        C, ok = _interpolate(cl, blocks, points, kernel, scale)
+        for i, j in blocks[~ok]:
+            (k0, k1), (l0, l1) = tables.spans[i], tables.spans[j]
+            for a in range(k0, k1, _LEAF):
+                for b in range(l0, l1, _LEAF):
+                    a1, b1 = min(a + _LEAF, k1), min(b + _LEAF, l1)
+                    dense(a, a1, b, b1, np.ones((a1 - a, b1 - b), dtype=bool))
+        blocks, C = blocks[ok], C[ok]
         I, J = blocks[:, 0], blocks[:, 1]
-        C = kernel(
-            tuple(v[I][:, :, None] for v in nodes), tuple(v[J][:, None, :] for v in nodes)
-        )  # (B, p, p)
         u = np.zeros_like(cl.moments)  # rsum at each cluster's nodes
         np.add.at(u, I, np.einsum("bmn,bn->bm", C, cl.moments[J]))
         np.add.at(u, J, np.einsum("bmn,bm->bn", C, cl.moments[I]))
@@ -731,7 +752,9 @@ def assemble_gagliardo(mesh: Mesh1D, s: float) -> np.ndarray:
     _identical(A, mesh, s, rfun)
     _touching(A, mesh, s, rfun, tables.touching)
     _gagliardo_exterior(A, mesh, s, coeff)
-    return _symmetrize(A)
+    A += A.T
+    A *= 0.5
+    return A
 
 
 def assemble_forms(mesh: Mesh1D, s: float) -> AssembledForms:
@@ -786,12 +809,20 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
         d *= 0.5 * c
         return d
 
+    def scale(p, q):
+        # every term of R in size: R cancels to rounding where X is nearly
+        # quadratic at s near 1/2, or flat near a point
+        (x, fx, dx), (y, fy, dy) = p, q
+        r = np.abs(dx) + np.abs(dy) + (1.0 + 2.0 * s) * (np.abs(fx) + np.abs(fy)) / np.abs(x - y)
+        return 0.5 * c * r * _distance_power(x, y, expo)
+
     tables = _pair_tables(mesh)
-    B = _separated(mesh, tables, points, kernel)
+    B = _separated(mesh, tables, points, kernel, scale)
     _identical(B, mesh, s, rfun)
     _touching(B, mesh, s, rfun, tables.touching)
     _deformation_exterior(B, mesh, X, s, c)
-    _symmetrize(B)
+    B += B.T
+    B *= 0.5
     return DeformationMatrix(mesh=mesh, s=s, X=X, matrix=B)
 
 

@@ -346,43 +346,81 @@ FAR_DOMAINS = {
     1: [(-1.0, 1.0)],
     2: [(-2.0, -1.0), (1.0, 2.0)],
     3: [(-1.0, -0.4), (-0.2, 0.2), (0.4, 1.0)],
+    "3 wide": [(-3.0, -2.0), (-0.5, 0.5), (1.0, 2.5)],
 }
 
 
-def _far_kernels(s):
-    """(points, kernel) of the Gagliardo kernel and of two deformation kernels."""
+def _deformation_kernel(s, at, div):
+    """(points, kernel, scale) of E_X for X = ``at`` with derivative ``div``."""
     expo = -1.0 - 2.0 * s
-    out = [(lambda x: (x,), lambda p, q: np.abs(p[0] - q[0]) ** expo)]
+
+    def kernel(p, q):
+        (x, fx, dx), (y, fy, dy) = p, q
+        r = dx + dy - (1.0 + 2.0 * s) * (fx - fy) / (x - y)
+        return r * np.abs(x - y) ** expo
+
+    def scale(p, q):
+        (x, fx, dx), (y, fy, dy) = p, q
+        r = np.abs(dx) + np.abs(dy) + (1.0 + 2.0 * s) * (np.abs(fx) + np.abs(fy)) / np.abs(x - y)
+        return r * np.abs(x - y) ** expo
+
+    return (lambda x: (x, at(x), div(x))), kernel, scale
+
+
+def _far_kernels(s):
+    """(points, kernel, scale) of the Gagliardo kernel and of three
+    deformation kernels: two fields smooth on the clusters, and tanh(20 x),
+    which varies on a shorter scale than most of them."""
+    expo = -1.0 - 2.0 * s
+    out = [(lambda x: (x,), lambda p, q: np.abs(p[0] - q[0]) ** expo, None)]
     for e in ("x + 0.25*x^2", "x/(1 + x^2)"):
-        X = fl.make_field([e], box=BOX1)
-
-        def kernel(p, q):
-            (x, fx, dx), (y, fy, dy) = p, q
-            r = dx + dy - (1.0 + 2.0 * s) * (fx - fy) / (x - y)
-            return r * np.abs(x - y) ** expo
-
-        out.append((lambda x, X=X: (x, X.at1(x), X.div1(x)), kernel))
+        X = fl.make_field([e], box=[(-3.0, 3.0)])
+        out.append(_deformation_kernel(s, X.at1, X.div1))
+    out.append(_deformation_kernel(s, lambda x: np.tanh(20.0 * x), lambda x: 20.0 / np.cosh(20.0 * x) ** 2))
     return out
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
-@pytest.mark.parametrize("intervals", [1, 2, 3])
-def test_far_pass_matches_dense_far_pass(intervals, beta):
+@pytest.mark.parametrize("domain", list(FAR_DOMAINS))
+def test_far_pass_matches_dense_far_pass(domain, beta):
     # the cluster-tree pass interpolates the kernel on admissible cluster
     # pairs; it must match the dense order-4 pass it replaced entry by entry,
     # relative to the Gagliardo entry (the deformation kernels are that
-    # kernel times a factor of size about 1, which can change sign)
-    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), 160 // intervals, beta)
+    # kernel times a factor of size about 1, which can change sign); for
+    # tanh(20 x) it does so through its dense fallback
+    intervals = FAR_DOMAINS[domain]
+    mesh = fl.make_mesh(fl.make_domain(intervals), 160 // len(intervals), beta)
     tables = _pair_tables(mesh)
     assert tables.blocks.size > 0 and len(tables.leaves) > 1
     for s in (0.01, 0.25, 0.5, 0.75, 0.99):
         scale = None
-        for points, kernel in _far_kernels(s):
+        for points, kernel, size in _far_kernels(s):
             ref = _far(mesh, tables, points, kernel)
-            got = assembly._symmetrize(assembly._far(mesh, tables, points, kernel))
+            got = assembly._far(mesh, tables, points, kernel, size)
+            got += got.T
+            got *= 0.5
             if scale is None:
                 scale = np.abs(ref)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale), (s, kernel)
+
+
+@pytest.mark.parametrize("domain", list(FAR_DOMAINS))
+def test_interpolation_check_keeps_smooth_kernels_and_refuses_steep_ones(domain):
+    # the probes pass every block of the Gagliardo kernel and of fields
+    # smooth on the clusters, also where R cancels to rounding (a quadratic
+    # field at s = 1/2), and fail blocks near the transition of tanh(20 x)
+    # at 0, which only domain 2 leaves out
+    intervals = FAR_DOMAINS[domain]
+    mesh = fl.make_mesh(fl.make_domain(intervals), 512 // len(intervals), 2.0)
+    tables = _pair_tables(mesh)
+    cl = assembly._clusters(mesh, tables)
+    for s in (0.25, 0.5, 0.75):
+        *smooth, steep = _far_kernels(s)
+        for points, kernel, scale in smooth:
+            _, ok = assembly._interpolate(cl, tables.blocks, points, kernel, scale)
+            assert ok.all(), (s, kernel)
+        _, ok = assembly._interpolate(cl, tables.blocks, *steep)
+        assert ok.all() == (domain == 2)
 
 
 def _dense_pair_counts(mesh):
@@ -402,13 +440,19 @@ def _dense_pair_counts(mesh):
 @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 6.0])
 @pytest.mark.parametrize("intervals", [1, 2, 3])
 def test_pair_counts_match_the_dense_classification(intervals, beta):
+    compared = 0
     for n in (2, 8, 64, 300):
-        try:
-            mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, beta)
-            counts = _pair_tables(mesh).counts
-        except QuadratureError:  # subdivision cap on the coarse beta = 6 meshes
-            continue
+        mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, beta)
+        if beta == 6.0 and n < 300:
+            # the coarse strongly graded meshes exceed the subdivision cap
+            try:
+                _pair_tables(mesh)
+            except QuadratureError:
+                continue
+        counts = _pair_tables(mesh).counts
         assert (counts["near"], counts["far"]) == _dense_pair_counts(mesh), n
+        compared += 1
+    assert compared >= (2 if beta == 6.0 else 4)
 
 
 # ---------------------------------------------------------------------------
