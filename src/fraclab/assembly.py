@@ -75,7 +75,8 @@ _LEAF = 32  # elements per leaf cluster, at most
 _ETA = 1.0  # admissible cluster pair: max diameter <= _ETA * distance
 _CHEB = 24  # Chebyshev nodes per cluster of an admissible pair
 _CHEB_TOL = 1e-13  # interpolation error allowed at the probes, relative to the kernel
-# probes of the interpolation error: extrema of T_24, where it peaks
+# probes of the interpolation error: extrema of T_p for p = _CHEB (a multiple
+# of 4), where the error peaks
 _PROBE = np.cos(np.arange(5) * np.pi / 4)
 _GL_TOUCH = 16  # tau direction on Duffy triangles
 _GL_INNER = 8  # inner direction for identical pairs
@@ -423,10 +424,9 @@ def _separated(mesh, tables, points, kernel, scale=None) -> np.ndarray:
     ``points(x)`` returns the data the kernel reads at points x (x first);
     ``kernel(p, q)`` evaluates it on two broadcastable point sets, and
     ``scale(p, q)`` the size of its terms, the scale of its rounding error
-    (default |kernel|).  Returns
-    a new K x K matrix whose symmetric part is the separated part of the
-    form, each unordered pair counted for both orders; the other parts of
-    the form are added into it.
+    (default |kernel|).  Returns a new K x K matrix whose symmetric part is
+    the separated part of the form, each unordered pair counted for both
+    orders; the other parts of the form are added into it.
     """
     out = _far(mesh, tables, points, kernel, scale)
     _near(out, mesh, tables.near, points, kernel)

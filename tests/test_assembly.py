@@ -374,7 +374,7 @@ def _far_kernels(s):
     expo = -1.0 - 2.0 * s
     out = [(lambda x: (x,), lambda p, q: np.abs(p[0] - q[0]) ** expo, None)]
     for e in ("x + 0.25*x^2", "x/(1 + x^2)"):
-        X = fl.make_field([e], box=[(-3.0, 3.0)])
+        X = fl.make_field([e], box=BOX1)
         out.append(_deformation_kernel(s, X.at1, X.div1))
     out.append(_deformation_kernel(s, lambda x: np.tanh(20.0 * x), lambda x: 20.0 / np.cosh(20.0 * x) ** 2))
     return out
