@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
+# rows per panel of the symmetry check
+_SYM_PANEL = 256
 # pencils of at least this dimension are solved by shift-invert Lanczos on a
 # Cholesky factor of A, smaller ones by the dense LAPACK reduction: for 24
 # eigenpairs the dense path was faster at 511 and 767 dofs, and at 1023 it
@@ -81,8 +83,17 @@ class _Pairs(list):
 
 
 def _check_sym(name: str, T: np.ndarray) -> None:
-    scale = np.max(np.abs(T)) or 1.0
-    if np.max(np.abs(T - T.T)) > _SYM_TOL * scale:
+    """Raise unless T matches its transpose to _SYM_TOL of its largest entry.
+
+    Each panel of ``_SYM_PANEL`` rows right of the diagonal is compared with
+    the matching columns below it, so no K x K temporary is made.
+    """
+    scale = max(T.max(), -T.min()) or 1.0
+    asym = 0.0
+    for i in range(0, T.shape[0], _SYM_PANEL):
+        j = i + _SYM_PANEL
+        asym = max(asym, np.max(np.abs(T[i:j, i:] - T[i:, i:j].T)))
+    if asym > _SYM_TOL * scale:
         raise ArgumentError(f"{name} is not symmetric")
 
 

@@ -79,6 +79,43 @@ def test_geig_k_max_out_of_range():
         fl.solve_geig(np.eye(2), np.eye(2), 3)
 
 
+def symmetric_pencil(dim):
+    """A = diag(1..dim) plus small dense noise, made symmetric in place, and
+    the P1 mass stencil as M."""
+    A = np.diag(np.arange(1.0, dim + 1.0))
+    A += 1e-3 * np.random.default_rng(dim).standard_normal((dim, dim))
+    A += A.T
+    A *= 0.5
+    M = (4.0 * np.eye(dim) + np.eye(dim, k=1) + np.eye(dim, k=-1)) / 6.0
+    return A, M
+
+
+# far from the diagonal, both ways round, and inside the last partial panel
+# of 256 rows (rows 256.. at dim 300, 768.. at dim 1023)
+@pytest.mark.parametrize("dim", [300, 1023])
+@pytest.mark.parametrize("name", ["A", "M"])
+@pytest.mark.parametrize("where", ["lower corner", "upper corner", "last panel"])
+def test_geig_rejects_one_asymmetric_entry(dim, name, where):
+    A, M = symmetric_pencil(dim)
+    last = 256 * (dim // 256)
+    i, j = {
+        "lower corner": (dim - 1, 0),
+        "upper corner": (0, dim - 1),
+        "last panel": (dim - 1, last),
+    }[where]
+    T = A if name == "A" else M
+    T[i, j] += 1e-8 * np.abs(T).max()
+    with pytest.raises(ArgumentError, match=f"^{name} is not symmetric$"):
+        fl.solve_geig(A, M, 1)
+
+
+@pytest.mark.parametrize("dim", [300, 1023])
+def test_geig_accepts_a_pencil_symmetrized_in_place(dim):
+    A, M = symmetric_pencil(dim)
+    pairs = fl.solve_geig(A, M, 1)
+    assert pairs[0].residual < 1e-10
+
+
 def test_geig_assembled_problem_invariants():
     _, F = interval_forms(64, 0.5)
     pairs = fl.solve_geig(F.stiffness, F.mass, 6)
