@@ -8,8 +8,10 @@ A run is described by one JSON config file; the flags ``--s``, ``--n``,
 ``--tol`` (and a few command-specific ones) override single entries for quick
 runs.  ``s`` and ``n`` may be lists, in which case the command sweeps over
 them and writes results in config order; ``eigen`` and ``verify`` run the
-sweep in a worker pool (``--jobs``).  The
-environment variable ``FRACLAB_SEED`` overrides the config seed.
+sweep in a worker pool (``--jobs``), the one form of parallelism: the
+OpenBLAS thread pools of numpy and scipy run one thread each, in the CLI
+process and in every worker.  The environment variable ``FRACLAB_SEED``
+overrides the config seed.
 
 Exit codes: 0 success / all checks pass, 1 a verification or certificate
 failed (or a runtime tolerance was not met), 2 config error.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -410,13 +413,61 @@ def _domain_1d(cfg: RunConfig) -> Domain1D:
     return dom
 
 
+def _blas_pools() -> list:
+    """The (get, set) thread-count functions of every OpenBLAS library loaded
+    in this process, found by path in ``/proc/self/maps``.
+
+    numpy and scipy each bundle their own OpenBLAS, with its own thread pool.
+    Empty where ``/proc`` is missing or no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            rows = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted(
+        {r[5].strip() for r in rows if len(r) == 6 and "openblas" in os.path.basename(r[5])}
+    )
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for stem in (
+            "scipy_openblas_%s_num_threads64_",
+            "scipy_openblas_%s_num_threads",
+            "openblas_%s_num_threads64_",
+            "openblas_%s_num_threads",
+        ):
+            get = getattr(lib, stem % "get", None)
+            put = getattr(lib, stem % "set", None)
+            if get is not None and put is not None:
+                pools.append((get, put))
+                break
+    return pools
+
+
+def _pin_blas() -> list:
+    """Set every loaded OpenBLAS pool to one thread.
+
+    Returns (set, previous count) pairs, so the caller can restore them.
+    """
+    pinned = [(put, get()) for get, put in _blas_pools()]
+    for put, _ in pinned:
+        put(1)
+    return pinned
+
+
 def _run_tasks(fn, tasks, jobs):
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(int(jobs), len(tasks)))
     if jobs == 1 or len(tasks) == 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    # a worker started by spawn or forkserver loads OpenBLAS afresh, at its
+    # default thread count
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas) as ex:
         return list(ex.map(fn, tasks))
 
 
@@ -765,7 +816,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; BLAS runs one thread per process until it returns.
+
+    Two OpenBLAS pools of one thread per CPU each (numpy's and scipy's)
+    oversubscribe the CPUs; ``--jobs`` workers are the parallelism instead.
+    The previous thread counts are restored on the way out.
+    """
     args = _build_parser().parse_args(argv)
+    pinned = _pin_blas()
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
@@ -775,6 +833,9 @@ def main(argv=None) -> int:
     except FracLabError as exc:
         print(f"fraclab: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for put, count in pinned:
+            put(count)
 
 
 if __name__ == "__main__":

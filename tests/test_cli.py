@@ -10,11 +10,14 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -615,6 +618,75 @@ def test_fraclap_short_cutoff_rows_match_single_points(tmp_path):
 def test_fraclap_cutoff_too_large_exit_2(tmp_path):
     cfg = write_config(tmp_path, {"out": str(tmp_path)})
     assert main(["fraclap", "--config", cfg, "--R", "1e8"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def blas_threads(_task=None):
+    """The thread count of every OpenBLAS pool loaded in this process."""
+    return [get() for get, _ in cli._blas_pools()]
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every loaded OpenBLAS pool set to two threads, restored afterwards, so
+    that a pinned count of one cannot be the count the test started from."""
+    pools = cli._blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS library is loaded")
+    saved = blas_threads()
+    for _, put in pools:
+        put(2)
+    yield [2] * len(pools)
+    for (_, put), count in zip(pools, saved):
+        put(count)
+
+
+def test_main_runs_every_blas_pool_on_one_thread(blas_at_two, monkeypatch):
+    inside = []
+    monkeypatch.setitem(cli._COMMANDS, "fraclap", lambda cfg: inside.extend(blas_threads()))
+    assert main(["fraclap"]) is None
+    assert inside == [1] * len(blas_at_two)
+    assert blas_threads() == blas_at_two
+
+
+@pytest.mark.parametrize(
+    "exc, rc",
+    [
+        (fraclab.errors.ConvergenceError("stub"), 1),
+        (fraclab.errors.ConfigError("stub"), 2),
+        (RuntimeError("stub"), None),
+    ],
+)
+def test_main_restores_the_blas_threads_when_the_command_fails(
+    blas_at_two, monkeypatch, exc, rc
+):
+    def fail(cfg):
+        assert blas_threads() == [1] * len(blas_at_two)
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "fraclap", fail)
+    if rc is None:
+        with pytest.raises(RuntimeError):
+            main(["fraclap"])
+    else:
+        assert main(["fraclap"]) == rc
+    assert blas_threads() == blas_at_two
+
+
+# fork copies this process's counts, spawn and forkserver load OpenBLAS afresh
+@pytest.mark.parametrize(
+    "method",
+    [m for m in ("fork", "spawn", "forkserver") if m in multiprocessing.get_all_start_methods()],
+)
+def test_pool_workers_run_blas_on_one_thread(blas_at_two, monkeypatch, method):
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+    counts = cli._run_tasks(blas_threads, [0, 1, 2, 3], 2)
+    assert counts == [[1] * len(blas_at_two)] * 4
+    assert blas_threads() == blas_at_two
 
 
 # ---------------------------------------------------------------------------
