@@ -421,15 +421,13 @@ def _blas_pools() -> list:
     Empty where ``/proc`` is missing or no OpenBLAS is loaded.
     """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            rows = [line.split(None, 5) for line in fh]
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            # of the six fields of a line, only the path can contain "openblas"
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
     except OSError:
         return []
-    paths = sorted(
-        {r[5].strip() for r in rows if len(r) == 6 and "openblas" in os.path.basename(r[5])}
-    )
     pools = []
-    for path in paths:
+    for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -443,6 +441,8 @@ def _blas_pools() -> list:
             get = getattr(lib, stem % "get", None)
             put = getattr(lib, stem % "set", None)
             if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
                 pools.append((get, put))
                 break
     return pools
