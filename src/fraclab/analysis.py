@@ -271,7 +271,7 @@ def pohozaev_check(
     lhs = _gamma2(s) * sum(
         t.psi**2 * float(X.at1(t.bp.x)) * t.bp.normal for t in tr
     )
-    B = assemble_deformation(mesh, X, s).matrix
+    B = assemble_deformation(mesh, X, s)
     rhs = 2.0 * integrate_density(mesh, u, weight=X.div1, transform=F) - float(
         u @ (B @ u)
     )
@@ -362,7 +362,7 @@ def ibp_check(
         abs(a.psi * b.psi * float(X.at1(a.bp.x)))
         for a, b in zip(tr_u, tr_v)
     )
-    B = assemble_deformation(mesh, X, s).matrix
+    B = assemble_deformation(mesh, X, s)
     t4 = float(u @ (B @ v))
     lhs = t1 + t2 + t3
     rhs = -t4
@@ -483,7 +483,7 @@ def lemma21_check(
     n_f = _interp_resolution(quad_tol)
     mesh_f = make_mesh(make_domain([(lo, hi)]), n_f, beta=1.0)
     u_f = bump(mesh_f.interior_x)
-    B = assemble_deformation(mesh_f, X, s).matrix
+    B = assemble_deformation(mesh_f, X, s)
     lhs = float(u_f @ (B @ u_f))
 
     R = 10.0 * domain.diameter
@@ -550,7 +550,7 @@ def hadamard_check(
     # leading values of the full forms, which the even context holds.
     full = ctx.values
     if even_only:
-        A, M = ctx.forms.stiffness, ctx.forms.mass
+        A, M = ctx.stiffness, ctx.mass
         full = _eigh(A, M, min(A.shape[0], 2 * _K_KEEP), eigvals_only=True)
         idx = int(np.argmin(np.abs(full - pair.value)))
         if abs(full[idx] - pair.value) > 1e-8 * max(abs(pair.value), 1.0):

@@ -27,11 +27,12 @@ element-pair rule.  Element-pair classes:
   the remaining leaf pairs, with the far pairs masked in.
 
 One geometry pass per mesh (``_pair_tables``) builds the cluster tree,
-classifies the pairs and lists only the near sub-pairs; both forms share
-it and the kernel pass.  Every part of a form adds into the one K x K
-matrix the far pass creates, which is symmetrized in place at the end.
-The forms differ only in R and in their exterior tails: a closed form for
-E, Gauss rules for E_X.
+classifies the pairs and lists only the near sub-pairs.  One driver
+(``_assemble``) builds both forms from R: E is R = 1, E_X passes its
+field's R.  Every part of a form adds into the one K x K matrix the far
+pass creates, which is symmetrized in place at the end.  The forms differ
+only in R and in their exterior tails: a closed form for E, Gauss rules
+for E_X.  The assemblers return that matrix.
 
 Also provides the pointwise principal-value fractional Laplacian used as
 an independent cross-check, and weighted density integrals.
@@ -39,7 +40,7 @@ an independent cross-check, and weighted density integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -57,12 +58,9 @@ from .quadrature import (
 )
 
 __all__ = [
-    "AssembledForms",
-    "DeformationMatrix",
     "FracLapValue",
     "assemble_mass",
     "assemble_gagliardo",
-    "assemble_forms",
     "assemble_deformation",
     "frac_laplacian_pointwise",
     "integrate_density",
@@ -418,21 +416,6 @@ def _touching(out, mesh, s, rfun, touching) -> None:
     _scatter_add(out, 2.0 * total, dofs)
 
 
-def _separated(mesh, tables, points, kernel, scale=None) -> np.ndarray:
-    """Separated pairs: far pairs by ``_far``, near sub-pairs by 8x8 GL.
-
-    ``points(x)`` returns the data the kernel reads at points x (x first);
-    ``kernel(p, q)`` evaluates it on two broadcastable point sets, and
-    ``scale(p, q)`` the size of its terms, the scale of its rounding error
-    (default |kernel|).  Returns a new K x K matrix whose symmetric part is
-    the separated part of the form, each unordered pair counted for both
-    orders; the other parts of the form are added into it.
-    """
-    out = _far(mesh, tables, points, kernel, scale)
-    _near(out, mesh, tables.near, points, kernel)
-    return out
-
-
 def _near(out, mesh, near, points, kernel) -> None:
     """Add chunked 8x8 tensor GL over the subdivided near sub-pairs."""
     tg, wg = gauss_legendre_01(_GL_SEP)
@@ -706,77 +689,58 @@ def _deformation_exterior(out, mesh, X, s, c) -> None:
 # public assembly entry points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class AssembledForms:
-    """Mass and Gagliardo stiffness for one (mesh, s)."""
+def _assemble(mesh, s, points, smooth, scale, tail) -> np.ndarray:
+    """The matrix of the form with kernel (c/2) R(x, y) |x - y|^{-1-2s}.
 
-    mesh: Mesh1D
-    s: float
-    mass: np.ndarray = field(repr=False)
-    stiffness: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict, repr=False)
+    ``points(x)`` returns the data R reads at points x (x first), and
+    ``smooth(p, q)`` evaluates R on two broadcastable point sets.
+    ``scale(p, q)`` is the size of R's terms, which sets the rounding
+    scale of the far pass's interpolation check (None: |R|).
+    ``tail(out, c)`` adds the form's exterior tail.  Every part adds into
+    the K x K matrix of the far pass, symmetrized once at the end.
+    """
+    c = frac_constant(1, s)
+    coeff = 0.5 * c
+    expo = -1.0 - 2.0 * s
+    tables = _pair_tables(mesh)
 
+    def kernel(p, q):
+        d = _distance_power(p[0], q[0], expo)
+        d *= smooth(p, q)
+        d *= coeff
+        return d
 
-@dataclass(frozen=True, eq=False)
-class DeformationMatrix:
-    """Matrix of E_X(phi_i, phi_j) for one (mesh, X, s)."""
+    def size(p, q):
+        return coeff * scale(p, q) * _distance_power(p[0], q[0], expo)
 
-    mesh: Mesh1D
-    s: float
-    X: VectorField
-    matrix: np.ndarray = field(repr=False)
+    def rfun(x, y):
+        # a full array even for a constant R: einsum sums a stride-0
+        # operand in another order
+        r = coeff * smooth(points(x), points(y))
+        return np.ascontiguousarray(np.broadcast_to(r, np.broadcast(x, y).shape))
 
-
-def _check_s(s: float) -> None:
-    if not (0.0 < s < 1.0):
-        raise ArgumentError(f"s must lie in (0, 1), got {s}")
+    out = _far(mesh, tables, points, kernel, None if scale is None else size)
+    _near(out, mesh, tables.near, points, kernel)
+    _identical(out, mesh, s, rfun)
+    _touching(out, mesh, s, rfun, tables.touching)
+    tail(out, c)
+    out += out.T
+    out *= 0.5
+    return out
 
 
 def assemble_gagliardo(mesh: Mesh1D, s: float) -> np.ndarray:
     """Stiffness A_ij = E(phi_i, phi_j) over the full plane."""
-    _check_s(s)
-    c = frac_constant(1, s)
-    coeff = 0.5 * c
-    tables = _pair_tables(mesh)
-    expo = -1.0 - 2.0 * s
 
-    def rfun(x, y):
-        return np.full(np.broadcast(x, y).shape, coeff)
+    def tail(out, c):
+        _gagliardo_exterior(out, mesh, s, 0.5 * c)
 
-    def kernel(p, q):
-        d = _distance_power(p[0], q[0], expo)
-        d *= coeff
-        return d
-
-    A = _separated(mesh, tables, lambda x: (x,), kernel)
-    _identical(A, mesh, s, rfun)
-    _touching(A, mesh, s, rfun, tables.touching)
-    _gagliardo_exterior(A, mesh, s, coeff)
-    A += A.T
-    A *= 0.5
-    return A
+    return _assemble(mesh, s, lambda x: (x,), lambda p, q: 1.0, None, tail)
 
 
-def assemble_forms(mesh: Mesh1D, s: float) -> AssembledForms:
-    """Mass plus Gagliardo stiffness with quadrature metadata."""
-    A = assemble_gagliardo(mesh, s)
-    M = assemble_mass(mesh)
-    meta = {
-        "gl_near": _GL_SEP,
-        "gl_far": _GL_FAR,
-        "far_gap_ratio": _FAR_RATIO,
-        "subdivision_cap": _SUBDIV_CAP,
-        "gl_touch": _GL_TOUCH,
-        "jacobi_order": _JACOBI_ORDER,
-        "exterior": "closed-form",
-        "pairs": dict(_pair_tables(mesh).counts),
-    }
-    return AssembledForms(mesh=mesh, s=s, mass=M, stiffness=A, meta=meta)
-
-
-def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationMatrix:
+def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> np.ndarray:
     """Deformation matrix B_ij = E_X(phi_i, phi_j) (no extra 1/2)."""
-    _check_s(s)
+    frac_constant(1, s)  # ArgumentError for s outside (0, 1), before the field
     if X.dim != 1:
         raise DimensionMismatchError("deformation assembly needs a 1D field")
     lo, hi = mesh.domain.hull
@@ -784,14 +748,12 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
         raise ArgumentError("field box must cover the mesh hull")
     if not np.isfinite(X.lip):
         raise ArgumentError("field needs a finite Lipschitz bound on its box")
-    c = frac_constant(1, s)
-    expo = -1.0 - 2.0 * s
 
     def points(x):
         return x, X.at1(x), X.div1(x)
 
     def smooth(p, q):
-        # R(x,y) = |x-y|^{1+2s} K_X(x,y) without the factor c/2
+        # R(x, y) = X'(x) + X'(y) - (1 + 2s) (X(x) - X(y)) / (x - y)
         (x, fx, dx), (y, fy, dy) = p, q
         dq = fx - fy
         dq /= x - y
@@ -800,30 +762,16 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> DeformationM
         r -= dq
         return r
 
-    def rfun(x, y):
-        return 0.5 * c * smooth(points(x), points(y))
-
-    def kernel(p, q):
-        d = _distance_power(p[0], q[0], expo)
-        d *= smooth(p, q)
-        d *= 0.5 * c
-        return d
-
     def scale(p, q):
         # every term of R in size: R cancels to rounding where X is nearly
         # quadratic at s near 1/2, or flat near a point
         (x, fx, dx), (y, fy, dy) = p, q
-        r = np.abs(dx) + np.abs(dy) + (1.0 + 2.0 * s) * (np.abs(fx) + np.abs(fy)) / np.abs(x - y)
-        return 0.5 * c * r * _distance_power(x, y, expo)
+        return np.abs(dx) + np.abs(dy) + (1.0 + 2.0 * s) * (np.abs(fx) + np.abs(fy)) / np.abs(x - y)
 
-    tables = _pair_tables(mesh)
-    B = _separated(mesh, tables, points, kernel, scale)
-    _identical(B, mesh, s, rfun)
-    _touching(B, mesh, s, rfun, tables.touching)
-    _deformation_exterior(B, mesh, X, s, c)
-    B += B.T
-    B *= 0.5
-    return DeformationMatrix(mesh=mesh, s=s, X=X, matrix=B)
+    def tail(out, c):
+        _deformation_exterior(out, mesh, X, s, c)
+
+    return _assemble(mesh, s, points, smooth, scale, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +818,7 @@ def frac_laplacian_pointwise(
     Raises ToleranceError when ``tol`` is given and the estimate of a point
     exceeds it (the first such point, in order).
     """
-    _check_s(s)
+    c = frac_constant(1, s)
     if R is None:
         if domain is None:
             raise ArgumentError("need R or a domain to size the cutoff")
@@ -897,7 +845,6 @@ def frac_laplacian_pointwise(
     edges = np.concatenate([[0.5, 1.0, 2.0], np.arange(4.0, top + 8.0, 4.0)])
     n_far = np.searchsorted(edges, ratio, side="left")
     per_batch = max(1, _PV_BYTES // (_PV_ROW_BYTES * int(np.max(n_far, initial=1))))
-    c = frac_constant(1, s)
     value = np.empty(xs.size)
     error = np.empty(xs.size)
     for lo in range(0, xs.size, per_batch):

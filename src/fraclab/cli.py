@@ -501,8 +501,8 @@ def _eigen_task(arg):
         "json": pairs_to_json(dom, s, ctx.mesh, pairs),
     }
     if cfg.dump_matrices:
-        out["mass"] = _matrix_text(ctx.forms.mass)
-        out["stiffness"] = _matrix_text(ctx.forms.stiffness)
+        out["mass"] = _matrix_text(ctx.mass)
+        out["stiffness"] = _matrix_text(ctx.stiffness)
     return out
 
 

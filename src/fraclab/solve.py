@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .assembly import AssembledForms, assemble_forms, integrate_density
+from .assembly import assemble_gagliardo, assemble_mass, integrate_density
 from .domain import Domain1D, Mesh1D, make_mesh
 from .errors import (
     ArgumentError,
@@ -255,7 +255,9 @@ def restrict_even(mesh: Mesh1D, A: np.ndarray, M: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class SolveContext:
     mesh: Mesh1D
-    forms: AssembledForms
+    s: float
+    stiffness: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
     pairs: tuple[EigenPair, ...]
     # first 2*_K_KEEP eigenvalues (all of them if the dimension is smaller)
     values: np.ndarray = field(repr=False)
@@ -272,8 +274,7 @@ def solve_context(
 ) -> SolveContext:
     """Mesh + assembled forms + leading eigenpairs, memoized."""
     mesh = make_mesh(domain, n, beta)
-    forms = assemble_forms(mesh, s)
-    A, M = forms.stiffness, forms.mass
+    A, M = assemble_gagliardo(mesh, s), assemble_mass(mesh)
     if even_only:
         Ae, Me, P = restrict_even(mesh, A, M)
         raw = solve_geig(Ae, Me, min(_K_KEEP, Ae.shape[0]))
@@ -285,7 +286,8 @@ def solve_context(
         raw = solve_geig(A, M, min(_K_KEEP, A.shape[0]))
         pairs = tuple(raw)
     return SolveContext(
-        mesh=mesh, forms=forms, pairs=pairs, values=raw.values, even_only=even_only
+        mesh=mesh, s=s, stiffness=A, mass=M, pairs=pairs, values=raw.values,
+        even_only=even_only,
     )
 
 
@@ -297,8 +299,8 @@ def _leading_values(
     Unlike ``solve_context`` nothing is cached: a Hadamard check reads one
     value from each perturbed domain and never comes back to it.
     """
-    forms = assemble_forms(make_mesh(domain, n, beta), s)
-    return _eigh(forms.stiffness, forms.mass, m, eigvals_only=True)
+    mesh = make_mesh(domain, n, beta)
+    return _eigh(assemble_gagliardo(mesh, s), assemble_mass(mesh), m, eigvals_only=True)
 
 
 def solve_semilinear(
@@ -323,15 +325,15 @@ def solve_semilinear(
     """
     if p <= 2.0:
         raise ArgumentError(f"need p > 2, got {p}")
-    s = ctx.forms.s
+    s = ctx.s
     if s < 0.5 and p >= 2.0 / (1.0 - 2.0 * s):
         raise SupercriticalError(
             f"p = {p} is supercritical for s = {s} (critical exponent "
             f"{2.0 / (1.0 - 2.0 * s):g}); no positive solution exists"
         )
-    A, mesh = ctx.forms.stiffness, ctx.mesh
+    A, mesh = ctx.stiffness, ctx.mesh
     # the P1 mass matrix is tridiagonal: apply it from its band
-    m_diag, m_off = np.diagonal(ctx.forms.mass), np.diagonal(ctx.forms.mass, -1)
+    m_diag, m_off = np.diagonal(ctx.mass), np.diagonal(ctx.mass, -1)
 
     def mass(f: np.ndarray) -> np.ndarray:
         mf = m_diag * f

@@ -325,8 +325,8 @@ def test_hadamard_even_only_finds_the_last_kept_mode():
     lam = []
     for dx in (h, -h):
         mesh = fl.make_mesh(fl.perturb_endpoint(INTERVAL, bp, dx), 64, beta=2.0)
-        F = fl.assemble_forms(mesh, 0.5)
-        lam.append(scipy.linalg.eigh(F.stiffness, F.mass, eigvals_only=True)[22])
+        A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
+        lam.append(scipy.linalg.eigh(A, M, eigvals_only=True)[22])
     assert rep.fd_slope == pytest.approx((lam[0] - lam[1]) / (2.0 * h), rel=1e-9)
 
 
@@ -469,11 +469,11 @@ def test_hadamard_even_only_assembles_each_form_once(monkeypatch):
     solve = importlib.import_module("fraclab.solve")
     calls = []
 
-    def counted(mesh, s, _original=solve.assemble_forms):
+    def counted(mesh, s, _original=solve.assemble_gagliardo):
         calls.append((mesh, s))
         return _original(mesh, s)
 
-    monkeypatch.setattr(solve, "assemble_forms", counted)
+    monkeypatch.setattr(solve, "assemble_gagliardo", counted)
     dom = fl.make_domain([(-1.25, 1.25)])  # no other test meshes this domain
     fl.run_verify("hadamard", dom, 0.5, [32], k=2, even_only=True)
     # the even context's forms serve the full spectrum too; the two

@@ -95,8 +95,8 @@ def test_stiffness_scaling_law():
 
 
 def test_stiffness_symmetric_positive_definite():
-    F = fl.assemble_forms(fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 16), 0.5)
-    A, M = F.stiffness, F.mass
+    mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 16)
+    A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
     assert np.linalg.norm(A - A.T) <= 1e-12 * np.linalg.norm(A)
     assert np.min(np.linalg.eigvalsh(A)) > 0
     assert np.min(np.linalg.eigvalsh(M)) > 0
@@ -125,12 +125,9 @@ def test_near_pair_table_stays_linear_in_elements():
     assert near["k"].size < 32 * mesh.elem_h.size
 
 
-def test_forms_meta_records_rule_and_pair_counts():
+def test_pair_tables_count_every_pair_once():
     mesh = fl.make_mesh(fl.make_domain([(-2.0, -1.0), (1.0, 2.0)]), 64, 2.0)
-    meta = fl.assemble_forms(mesh, 0.5).meta
-    assert (meta["gl_near"], meta["gl_far"]) == (8, 4)
-    assert (meta["far_gap_ratio"], meta["subdivision_cap"]) == (16, 16)
-    pairs = meta["pairs"]
+    pairs = _pair_tables(mesh).counts
     E = mesh.elem_h.size
     assert pairs["identical"] == E
     assert pairs["touching"] == E - 2  # one fewer per interval
@@ -231,14 +228,13 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
 
     def assembled():
         return [fl.assemble_gagliardo(mesh, s)] + [
-            fl.assemble_deformation(mesh, Xf, s).matrix for Xf in X
+            fl.assemble_deformation(mesh, Xf, s) for Xf in X
         ]
 
     got = assembled()
     # the identical, touching and exterior parts, with no separated pairs
-    monkeypatch.setattr(
-        assembly, "_separated", lambda mesh, *args: np.zeros((mesh.n_interior,) * 2)
-    )
+    monkeypatch.setattr(assembly, "_far", lambda mesh, *args: np.zeros((mesh.n_interior,) * 2))
+    monkeypatch.setattr(assembly, "_near", lambda *args: None)
     rest = assembled()
     A_ref = rest[0] + refs[0]
     for name, B, R, ref in zip(["gagliardo", *fields], got, rest, refs):
@@ -466,7 +462,7 @@ def test_assemblies_are_bit_identical_and_share_the_pair_tables():
     misses = _pair_tables.cache_info().misses
     for s in (0.3, 0.7):
         A = [fl.assemble_gagliardo(mesh, s) for _ in range(2)]
-        B = [fl.assemble_deformation(mesh, X, s).matrix for _ in range(2)]
+        B = [fl.assemble_deformation(mesh, X, s) for _ in range(2)]
         assert np.array_equal(A[0], A[1]) and np.array_equal(B[0], B[1])
         assert np.array_equal(A[0], A[0].T) and np.array_equal(B[0], B[0].T)
     assert _pair_tables.cache_info().misses == misses
@@ -568,9 +564,9 @@ def test_touching_rule_is_converged_on_graded_meshes(n, monkeypatch):
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), n, 3.0)
     X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
     A = fl.assemble_gagliardo(mesh, s)
-    B = fl.assemble_deformation(mesh, X, s).matrix
+    B = fl.assemble_deformation(mesh, X, s)
     monkeypatch.setattr(assembly, "_GL_TOUCH", 64)
-    B64 = fl.assemble_deformation(mesh, X, s).matrix
+    B64 = fl.assemble_deformation(mesh, X, s)
     scale = max(np.linalg.norm(B), np.linalg.norm(A))
     assert np.linalg.norm(B64 - B) <= 1e-12 * scale
 
@@ -585,14 +581,14 @@ BOX1 = [(-3.0, 3.0)]
 def test_deformation_constant_field_zero():
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 8)
     A = fl.assemble_gagliardo(mesh, 0.4)
-    B = fl.assemble_deformation(mesh, fl.constant_field([0.7], BOX1), 0.4).matrix
+    B = fl.assemble_deformation(mesh, fl.constant_field([0.7], BOX1), 0.4)
     assert np.max(np.abs(B)) <= 1e-12 * np.linalg.norm(A)
 
 
 def test_deformation_identity_s_half_zero():
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 8)
     A = fl.assemble_gagliardo(mesh, 0.5)
-    B = fl.assemble_deformation(mesh, fl.identity_field(1, box=BOX1), 0.5).matrix
+    B = fl.assemble_deformation(mesh, fl.identity_field(1, box=BOX1), 0.5)
     assert np.max(np.abs(B)) <= 1e-12 * np.linalg.norm(A)
 
 
@@ -600,7 +596,7 @@ def test_deformation_identity_reduces_to_scaled_stiffness():
     s = 0.25
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 8)
     A = fl.assemble_gagliardo(mesh, s)
-    B = fl.assemble_deformation(mesh, fl.identity_field(1, box=BOX1), s).matrix
+    B = fl.assemble_deformation(mesh, fl.identity_field(1, box=BOX1), s)
     np.testing.assert_allclose(B, (1.0 - 2.0 * s) * A, rtol=1e-8)
 
 
@@ -609,9 +605,9 @@ def test_deformation_linearity():
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 8)
     X = fl.identity_field(1, box=BOX1)
     Z = fl.make_field(["x + 0.25*x^2"], box=BOX1)
-    BX = fl.assemble_deformation(mesh, X, s).matrix
-    BZ = fl.assemble_deformation(mesh, Z, s).matrix
-    BS = fl.assemble_deformation(mesh, fl.add_fields(X, Z), s).matrix
+    BX = fl.assemble_deformation(mesh, X, s)
+    BZ = fl.assemble_deformation(mesh, Z, s)
+    BS = fl.assemble_deformation(mesh, fl.add_fields(X, Z), s)
     scale = np.linalg.norm(BX) + np.linalg.norm(BZ)
     assert np.max(np.abs(BS - BX - BZ)) <= 1e-10 * scale
 
@@ -619,7 +615,7 @@ def test_deformation_linearity():
 def test_deformation_symmetric():
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 8)
     X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
-    B = fl.assemble_deformation(mesh, X, 0.3).matrix
+    B = fl.assemble_deformation(mesh, X, 0.3)
     assert np.linalg.norm(B - B.T) <= 1e-12 * np.linalg.norm(B)
 
 
@@ -631,8 +627,8 @@ def test_deformation_rational_field_derived_div_matches_given(s):
     derived = fl.make_field(["x/(1 + x^2)"], box=BOX1)
     given = fl.make_field(["x/(1 + x^2)"], box=BOX1, div="(1 - x^2)/(1 + x^2)^2")
     assert derived.div_method == "symbolic"
-    B = fl.assemble_deformation(mesh, derived, s).matrix
-    B_given = fl.assemble_deformation(mesh, given, s).matrix
+    B = fl.assemble_deformation(mesh, derived, s)
+    B_given = fl.assemble_deformation(mesh, given, s)
     scale = np.linalg.norm(fl.assemble_gagliardo(mesh, s))
     assert np.linalg.norm(B - B_given) <= 1e-13 * scale
 
@@ -817,11 +813,11 @@ def test_integrate_density_interior_vector_clamped():
 
 def test_integrate_density_transform_matches_mass_form():
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 32, beta=2.0)
-    F = fl.assemble_forms(mesh, 0.5)
+    M = fl.assemble_mass(mesh)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(mesh.interior_x.size)
     quad = fl.integrate_density(mesh, u, transform=lambda t: t * t)
-    assert quad == pytest.approx(float(u @ (F.mass @ u)), rel=1e-12)
+    assert quad == pytest.approx(float(u @ (M @ u)), rel=1e-12)
 
 
 def test_integrate_density_per_interval_tuple():

@@ -19,7 +19,7 @@ from fraclab.errors import (
 
 def interval_forms(n, s, beta=2.0, lo=-1.0, hi=1.0):
     mesh = fl.make_mesh(fl.make_domain([(lo, hi)]), n, beta=beta)
-    return mesh, fl.assemble_forms(mesh, s)
+    return mesh, fl.assemble_gagliardo(mesh, s), fl.assemble_mass(mesh)
 
 
 def interval_context(n, s):
@@ -117,9 +117,8 @@ def test_geig_accepts_a_pencil_symmetrized_in_place(dim):
 
 
 def test_geig_assembled_problem_invariants():
-    _, F = interval_forms(64, 0.5)
-    pairs = fl.solve_geig(F.stiffness, F.mass, 6)
-    A, M = F.stiffness, F.mass
+    _, A, M = interval_forms(64, 0.5)
+    pairs = fl.solve_geig(A, M, 6)
     vals = [p.value for p in pairs]
     assert vals == sorted(vals)
     assert all(v > 0 for v in vals)
@@ -137,10 +136,10 @@ def test_geig_assembled_problem_invariants():
 
 
 def test_geig_galerkin_monotonicity():
-    _, Fc = interval_forms(64, 0.5)
-    _, Ff = interval_forms(128, 0.5)
-    coarse = [p.value for p in fl.solve_geig(Fc.stiffness, Fc.mass, 5)]
-    fine = [p.value for p in fl.solve_geig(Ff.stiffness, Ff.mass, 5)]
+    _, Ac, Mc = interval_forms(64, 0.5)
+    _, Af, Mf = interval_forms(128, 0.5)
+    coarse = [p.value for p in fl.solve_geig(Ac, Mc, 5)]
+    fine = [p.value for p in fl.solve_geig(Af, Mf, 5)]
     for vc, vf in zip(coarse, fine):
         assert vc >= vf - 1e-10
 
@@ -160,7 +159,7 @@ def test_geig_galerkin_monotonicity():
 )
 def test_context_values_are_the_leading_values_of_a_full_solve(intervals, n, even_only):
     ctx = fl.solve_context(fl.make_domain(intervals), 0.5, n, 2.0, even_only)
-    A, M = ctx.forms.stiffness, ctx.forms.mass
+    A, M = ctx.stiffness, ctx.mass
     if even_only:
         A, M, _ = fl.restrict_even(ctx.mesh, A, M)
     full = scipy.linalg.eigh(A, M, eigvals_only=True)
@@ -176,15 +175,15 @@ def test_context_values_are_the_leading_values_of_a_full_solve(intervals, n, eve
 def stiff_forms():
     # s = 0.7 at n = 1024: lambda_max / lambda_1 is about 6.7e7, so the dense
     # reduction's absolute error eps * lambda_max costs lambda_1 digits
-    _, F = interval_forms(1024, 0.7)
-    assert F.stiffness.shape[0] >= _SHIFT_INVERT_DIM
-    return F
+    _, A, M = interval_forms(1024, 0.7)
+    assert A.shape[0] >= _SHIFT_INVERT_DIM
+    return A, M
 
 
 def test_shift_invert_values_match_the_inverted_dense_route(stiff_forms):
     # an independent route: the largest eigenvalues mu of L^-1 M L^-T, with
     # A = L L^T, are 1/lambda for the smallest lambda, with relative accuracy
-    A, M = stiff_forms.stiffness, stiff_forms.mass
+    A, M = stiff_forms
     L = np.linalg.cholesky(A)
     C = scipy.linalg.solve_triangular(
         L, scipy.linalg.solve_triangular(L, M, lower=True).T, lower=True
@@ -195,7 +194,7 @@ def test_shift_invert_values_match_the_inverted_dense_route(stiff_forms):
 
 
 def test_shift_invert_pairs_are_accurate_and_m_orthonormal(stiff_forms):
-    A, M = stiff_forms.stiffness, stiff_forms.mass
+    A, M = stiff_forms
     pairs = fl.solve_geig(A, M, 12)
     assert max(p.residual for p in pairs) <= 1e-12
     V = np.column_stack([p.vector for p in pairs])
@@ -205,7 +204,7 @@ def test_shift_invert_pairs_are_accurate_and_m_orthonormal(stiff_forms):
 
 
 def test_shift_invert_reruns_are_bit_identical(stiff_forms):
-    A, M = stiff_forms.stiffness, stiff_forms.mass
+    A, M = stiff_forms
     first, second = fl.solve_geig(A, M, 12), fl.solve_geig(A, M, 12)
     assert np.array_equal(first.values, second.values)
     for a, b in zip(first, second):
@@ -247,10 +246,10 @@ def test_dilation_law_exact_on_affine_meshes():
     # the graded mesh scales affinely with the interval, so the discrete
     # eigenvalues obey lambda(R) = R^{-2s} lambda(1) to machine precision
     s = 0.4
-    _, F1 = interval_forms(32, s)
-    _, FR = interval_forms(32, s, lo=-2.0, hi=2.0)
-    l1 = [p.value for p in fl.solve_geig(F1.stiffness, F1.mass, 3)]
-    lR = [p.value for p in fl.solve_geig(FR.stiffness, FR.mass, 3)]
+    _, A1, M1 = interval_forms(32, s)
+    _, AR, MR = interval_forms(32, s, lo=-2.0, hi=2.0)
+    l1 = [p.value for p in fl.solve_geig(A1, M1, 3)]
+    lR = [p.value for p in fl.solve_geig(AR, MR, 3)]
     for a, b in zip(l1, lR):
         assert b * 2.0 ** (2 * s) == pytest.approx(a, rel=1e-10)
 
@@ -286,17 +285,17 @@ def test_eigenvalues_match_kwasnicki_asymptotics(s):
 # ---------------------------------------------------------------------------
 
 def test_restrict_even_dimension_count():
-    mesh, F = interval_forms(8, 0.5)
-    Ae, Me, lift = fl.restrict_even(mesh, F.stiffness, F.mass)
+    mesh, A, M = interval_forms(8, 0.5)
+    Ae, Me, lift = fl.restrict_even(mesh, A, M)
     assert mesh.interior_x.size == 7  # 2m + 1 with m = 3
     assert Ae.shape == Me.shape == (4, 4)
     assert lift.shape == (7, 4)
 
 
 def test_restrict_even_subspectrum():
-    mesh, F = interval_forms(64, 0.5)
-    full = [p.value for p in fl.solve_geig(F.stiffness, F.mass, 8)]
-    Ae, Me, _ = fl.restrict_even(mesh, F.stiffness, F.mass)
+    mesh, A, M = interval_forms(64, 0.5)
+    full = [p.value for p in fl.solve_geig(A, M, 8)]
+    Ae, Me, _ = fl.restrict_even(mesh, A, M)
     even = [p.value for p in fl.solve_geig(Ae, Me, 4)]
     for ev in even:
         assert min(abs(ev - fv) / ev for fv in full) < 1e-10
@@ -307,8 +306,8 @@ def test_restrict_even_subspectrum():
 
 
 def test_restrict_even_lift_reconstructs_even_vectors():
-    mesh, F = interval_forms(32, 0.5)
-    Ae, Me, lift = fl.restrict_even(mesh, F.stiffness, F.mass)
+    mesh, A, M = interval_forms(32, 0.5)
+    Ae, Me, lift = fl.restrict_even(mesh, A, M)
     pairs = fl.solve_geig(Ae, Me, 2)
     for p in pairs:
         u = lift @ p.vector
@@ -322,17 +321,17 @@ def test_restrict_even_lift_reconstructs_even_vectors():
 )
 def test_restrict_even_is_the_projection_bit_for_bit(intervals, n):
     mesh = fl.make_mesh(fl.make_domain(intervals), n, beta=2.0)
-    F = fl.assemble_forms(mesh, 0.5)
-    Ae, Me, P = fl.restrict_even(mesh, F.stiffness, F.mass)
-    assert np.array_equal(Ae, P.T @ F.stiffness @ P)
-    assert np.array_equal(Me, P.T @ F.mass @ P)
+    A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
+    Ae, Me, P = fl.restrict_even(mesh, A, M)
+    assert np.array_equal(Ae, P.T @ A @ P)
+    assert np.array_equal(Me, P.T @ M @ P)
 
 
 def test_restrict_even_requires_symmetric_mesh():
     mesh = fl.make_mesh(fl.make_domain([(0.0, 1.0)]), 8)
-    F = fl.assemble_forms(mesh, 0.5)
+    A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
     with pytest.raises(AsymmetricMeshError):
-        fl.restrict_even(mesh, F.stiffness, F.mass)
+        fl.restrict_even(mesh, A, M)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +340,9 @@ def test_restrict_even_requires_symmetric_mesh():
 
 def test_semilinear_nehari_identity():
     ctx = interval_context(128, 0.75)
-    mesh, F = ctx.mesh, ctx.forms
+    mesh = ctx.mesh
     sol = fl.solve_semilinear(ctx, 4.0, tol=1e-10)
-    energy = float(sol.u @ (F.stiffness @ sol.u))
+    energy = float(sol.u @ (ctx.stiffness @ sol.u))
     power = fl.integrate_density(
         mesh, sol.u, transform=lambda t: np.maximum(t, 0.0) ** 4.0
     )
@@ -392,8 +391,7 @@ def test_semilinear_iteration_cap():
 def test_pairs_to_json_shape():
     dom = fl.make_domain([(-1.0, 1.0)])
     mesh = fl.make_mesh(dom, 16)
-    F = fl.assemble_forms(mesh, 0.5)
-    pairs = fl.solve_geig(F.stiffness, F.mass, 3)
+    pairs = fl.solve_geig(fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh), 3)
     obj = json.loads(fl.pairs_to_json(dom, 0.5, mesh, pairs))
     assert obj["s"] == 0.5
     assert obj["domain"] == [[-1.0, 1.0]]
@@ -408,8 +406,7 @@ def test_pairs_to_json_shape():
 def test_pairs_to_nodal_rows():
     dom = fl.make_domain([(-1.0, 1.0)])
     mesh = fl.make_mesh(dom, 8)
-    F = fl.assemble_forms(mesh, 0.5)
-    pairs = fl.solve_geig(F.stiffness, F.mass, 2)
+    pairs = fl.solve_geig(fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh), 2)
     rows = fl.pairs_to_nodal_rows(mesh, pairs)
     assert len(rows) == 2 * 9  # one row per node per mode
     ks = sorted({r[0] for r in rows})
