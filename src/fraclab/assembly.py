@@ -624,65 +624,49 @@ def _gagliardo_exterior(out, mesh, s, coeff) -> None:
         _scatter_add(out, local, mesh.elem_dof)
 
 
-def _deformation_exterior(out, mesh, X, s, c) -> None:
-    """Add 2 * int psi_a psi_b(x) rho_X(x) dx with closed-form rho_X tails.
+def _exterior(out, mesh, s, c, a, b) -> None:
+    """Add 2 int psi_i psi_j(x) rho(x) dx, rho = sum over the anchors r of
 
-    For each complement-component endpoint r (orientation sigma):
-      term = (c/2) [ div X(x) sigma G(r, x) + sigma (X(r) - X(x)) |r-x|^{-1-2s} ]
-    with G(r, x) = -sign(r - x) |r - x|^{-2s} / (2s).  The element's own
-    boundary node is singular and handled with a Jacobi(2-2s) rule after
-    factoring psi_a psi_b = t^2 / h^2.
+      rho_r(x) = -(c/2) sigma sign(r - x) |r - x|^{-2s} (a(x)/(2s) - q(x)),
+
+    q = (b(r) - b(x)) / (r - x): the kernel integrated over the complement,
+    for E_X with (a, b) = (X', X), for E with (1, 0).  An element away from
+    r takes _GL_EXTERIOR points in t with |r - x| = g (1 + h/g)^t, g its
+    distance to r, which keeps |r - x|^{-2s} smooth at any h/g; distances
+    and hat values come from the map, so neither cancels, and q takes r - x
+    from the rounded x, so a linear b gives its slope exactly.  The element
+    ending at r takes a Jacobi(2-2s) rule after factoring psi psi = t^2/h^2.
     """
-    allanch = _anchors(mesh)
-    anchor_x = np.array([r for r, _ in allanch])
-    anchor_sig = np.array([sg for _, sg in allanch])
-    anchor_X = X.at1(anchor_x)
-
+    x0, x1, h = mesh.elem_x0, mesh.elem_x1, mesh.elem_h
     tg, wg = gauss_legendre_01(_GL_EXTERIOR)
-    tjac, wjac = gauss_jacobi_01(_JACOBI_ORDER, 2.0 - 2.0 * s)
-
-    x0 = mesh.elem_x0
-    x1 = mesh.elem_x1
-    h = mesh.elem_h
-    E = h.size
-    xs = x0[:, None] + h[:, None] * tg[None, :]  # (E, G)
-    div_xs = X.div1(xs)
-    X_xs = X.at1(xs)
-
-    own_left = mesh.elem_dof[:, 0] == -1  # left node is a domain boundary point
-    own_right = mesh.elem_dof[:, 1] == -1
-
-    rho = np.zeros_like(xs)
-    for r, sg, Xr in zip(anchor_x, anchor_sig, anchor_X):
-        skip = (own_left & (x0 == r)) | (own_right & (x1 == r))
-        d = r - xs
-        ad = np.abs(d)
-        g = -np.sign(d) * ad ** (-2.0 * s) / (2.0 * s)
-        term = 0.5 * c * (div_xs * sg * g + sg * (Xr - X_xs) * ad ** (-1.0 - 2.0 * s))
-        rho += np.where(skip[:, None], 0.0, term)
-    vx = _element_hats(mesh, np.arange(E), xs)  # (E, 2, G)
-    local = np.einsum("eag,ebg,eg->eab", vx, vx, rho * (h[:, None] * wg[None, :]))
+    tj, wj = gauss_jacobi_01(_JACOBI_ORDER, 2.0 - 2.0 * s)
+    anchors = _anchors(mesh)
+    b_r = b(np.array([r for r, _ in anchors]))
+    local = np.zeros((h.size, 2, 2))
+    for (r, sigma), br in zip(anchors, b_r):
+        left = r <= x0  # r left of the element, whose near end is then x0
+        sgn = np.where(left, -1.0, 1.0)  # sign(r - x)
+        g = np.where(left, x0 - r, r - x1)
+        e = np.flatnonzero(g > 0.0)
+        lg = np.log1p(h[e] / g[e])[:, None]
+        d = g[e, None] * np.exp(lg * tg)  # |r - x|
+        u = g[e, None] * np.expm1(lg * tg)  # x's distance from the near end
+        x = np.where(left[e, None], x0[e, None] + u, x1[e, None] - u)
+        q = (br - b(x)) / (r - x)
+        rho = (-0.5 * c * sigma) * sgn[e, None] * d ** (-2.0 * s) * (a(x) / (2.0 * s) - q)
+        hats = np.stack([h[e, None] - u, u], axis=1) / h[e, None, None]  # near end first
+        flip = ~left[e]
+        hats[flip] = hats[flip, ::-1]
+        local[e] += np.einsum("eag,ebg,eg->eab", hats, hats, rho * (wg * d * lg))
+        # the element ending at r: its one live hat is t/h, t = |x - r|
+        for k in np.flatnonzero(g == 0.0):
+            t = h[k] * tj
+            x = r - sgn[k] * t
+            q = (br - b(x)) / (r - x)
+            f = (-0.5 * c * sigma * sgn[k]) * (a(x) / (2.0 * s) - q)
+            live = 1 if left[k] else 0
+            local[k, live, live] += h[k] ** (1.0 - 2.0 * s) * (f @ wj)
     _scatter_add(out, 2.0 * local, mesh.elem_dof)
-
-    # singular own-anchor pieces on boundary elements
-    for side, own in (("left", own_left), ("right", own_right)):
-        idx = np.nonzero(own)[0]
-        if idx.size == 0:
-            continue
-        hb = h[idx]
-        if side == "left":
-            r = x0[idx]
-            xq = r[:, None] + hb[:, None] * tjac[None, :]  # t = x - r
-            dq = (X.at1(xq) - X.at1(r)[:, None]) / (xq - r[:, None])
-            live = mesh.elem_dof[idx, 1]
-        else:
-            r = x1[idx]
-            xq = r[:, None] - hb[:, None] * tjac[None, :]  # t = r - x
-            dq = (X.at1(r)[:, None] - X.at1(xq)) / (r[:, None] - xq)
-            live = mesh.elem_dof[idx, 0]
-        fac = 0.5 * c * (X.div1(xq) / (2.0 * s) - dq)
-        vals = hb ** (3.0 - 2.0 * s) * (fac @ wjac) / hb**2
-        out[live, live] += 2.0 * vals
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +753,7 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> np.ndarray:
         return np.abs(dx) + np.abs(dy) + (1.0 + 2.0 * s) * (np.abs(fx) + np.abs(fy)) / np.abs(x - y)
 
     def tail(out, c):
-        _deformation_exterior(out, mesh, X, s, c)
+        _exterior(out, mesh, s, c, X.div1, X.at1)
 
     return _assemble(mesh, s, points, smooth, scale, tail)
 
