@@ -195,7 +195,6 @@ class Mesh1D:
         return tuple(out)
 
 
-@lru_cache(maxsize=32)
 def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1D:
     """Graded mesh with ``n_per_interval`` elements on every interval.
 
@@ -203,17 +202,21 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
     and beta >= 1; beta = 1 is the uniform mesh.  Raises DegenerateError
     when the grading rounds an element to zero length.
 
-    Memoized: equal arguments, passed the same way, return the same
-    read-only mesh, so tables cached per mesh (element-pair classes) are
-    shared by every ``s``.  ``beta`` by keyword and by position are
-    separate cache entries.
+    Memoized on (domain, n, beta) by value: equal arguments return the
+    same read-only mesh, so tables cached per mesh (element-pair classes)
+    are shared by every ``s``.
     """
     n = int(n_per_interval)
     if n < 2:
         raise ArgumentError(f"n_per_interval must be >= 2, got {n_per_interval}")
     if not (beta >= 1.0):
         raise ArgumentError(f"beta must be >= 1, got {beta}")
-    sig = _grading(n, float(beta))
+    return _make_mesh(domain, n, float(beta))
+
+
+@lru_cache(maxsize=32)
+def _make_mesh(domain: Domain1D, n: int, beta: float) -> Mesh1D:
+    sig = _grading(n, beta)
     nodes = []
     for a, b in domain.intervals:
         nd = a + (b - a) * sig
@@ -250,7 +253,7 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
         )
     return Mesh1D(
         domain=domain,
-        beta=float(beta),
+        beta=beta,
         nodes=tuple(nodes),
         elem_x0=elem_x0,
         elem_x1=elem_x1,

@@ -117,6 +117,25 @@ def test_make_mesh_refuses_grading_that_rounds_an_element_to_zero():
     assert np.all(fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 512, 6.0).elem_h > 0)
 
 
+def test_make_mesh_is_memoized_by_value():
+    # beta by position, by keyword or by default, and n or beta of another
+    # numeric type, give one mesh, so the pair tables are built once
+    from fraclab.assembly import _pair_tables
+
+    d = fl.make_domain([(-1.0, 0.625)])  # no other test meshes this domain
+    misses = _pair_tables.cache_info().misses
+    meshes = [
+        fl.make_mesh(d, 64, 2.0),
+        fl.make_mesh(d, 64, beta=2.0),
+        fl.make_mesh(d, 64),
+        fl.make_mesh(d, np.int64(64), 2),
+    ]
+    assert all(m is meshes[0] for m in meshes)
+    for m in meshes:
+        _pair_tables(m)
+    assert _pair_tables.cache_info().misses == misses + 1
+
+
 def test_make_mesh_argument_errors():
     d = fl.make_domain([(-1.0, 1.0)])
     with pytest.raises(ArgumentError):
