@@ -624,27 +624,26 @@ def _identity_tail_exact(mesh, s, i):
     (1 - 2s) times that of E: 2 (1 - 2s) int phi_i^2 rho_E with
     rho_E(x) = (c/2) int_{S^c} |x - y|^{-1-2s} dy, by 34-digit quadrature."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 34
-    c = mp.mpf(fl.frac_constant(1, s))
-    ends = [mp.mpf(e) for iv in mesh.domain.intervals for e in iv]
 
     def rho(dx):
         # dx[j] = x - ends[j]: the two tails give |x - e|^{-2s} / 2s at the
         # outer ends e, each gap (a, b) gives | |x - a|^{-2s} - |x - b|^{-2s} | / 2s
         p = [abs(d) ** (-2 * s) for d in dx]
         gaps = sum(abs(p[j] - p[j + 1]) for j in range(1, len(p) - 1, 2))
-        return c / 2 * (p[0] + p[-1] + gaps) / (2 * s)
+        return mp.mpf(fl.frac_constant(1, s)) / 2 * (p[0] + p[-1] + gaps) / (2 * s)
 
-    total = mp.mpf(0)
-    for k, slots in enumerate(mesh.elem_dof):
-        if i in slots:
-            h = mp.mpf(mesh.elem_x1[k]) - mp.mpf(mesh.elem_x0[k])
-            # u runs from the node where phi_i vanishes, so a boundary node
-            # is the exact point u = 0 and never a rounded x
-            end, step = (mesh.elem_x1[k], -1) if slots[0] == i else (mesh.elem_x0[k], 1)
-            off = [mp.mpf(end) - e for e in ends]
-            total += mp.quad(lambda u: (u / h) ** 2 * rho([o + step * u for o in off]), [0, h])
-    return float(2 * (1 - 2 * s) * total)
+    with mp.workdps(34):
+        ends = [mp.mpf(e) for iv in mesh.domain.intervals for e in iv]
+        total = mp.mpf(0)
+        for k, slots in enumerate(mesh.elem_dof):
+            if i in slots:
+                h = mp.mpf(mesh.elem_x1[k]) - mp.mpf(mesh.elem_x0[k])
+                # u runs from the node where phi_i vanishes, so a boundary
+                # node is the exact point u = 0 and never a rounded x
+                end, step = (mesh.elem_x1[k], -1) if slots[0] == i else (mesh.elem_x0[k], 1)
+                off = [mp.mpf(end) - e for e in ends]
+                total += mp.quad(lambda u: (u / h) ** 2 * rho([o + step * u for o in off]), [0, h])
+        return float(2 * (1 - 2 * s) * total)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.9])
