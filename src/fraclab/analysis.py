@@ -429,6 +429,8 @@ def polynomial_bump(center: float = 0.0, halfwidth: float = 0.5, power: int = 3)
     if not float(power).is_integer():
         raise ArgumentError(f"bump power must be an integer, got {power}")
     c, w, q = float(center), float(halfwidth), int(power)
+    if not w > 0.0:
+        raise ArgumentError(f"bump halfwidth must be positive, got {halfwidth}")
 
     def f(x):
         z = (np.asarray(x, dtype=float) - c) / w

@@ -26,13 +26,16 @@ element-pair rule.  Element-pair classes:
   a shorter scale than the clusters) is dense point-kernel blocks, as are
   the remaining leaf pairs, with the far pairs masked in.
 
-One geometry pass per mesh (``_pair_tables``) builds the cluster tree,
-classifies the pairs and lists only the near sub-pairs.  One driver
-(``_assemble``) builds both forms from R: E is R = 1, E_X passes its
-field's R.  Every part of a form adds into the one K x K matrix the far
-pass creates, which is symmetrized in place at the end.  The forms differ
-only in R and in their exterior tails: a closed form for E, Gauss rules
-for E_X.  The assemblers return that matrix.
+One cached geometry pass per mesh (``_pair_tables``) builds all that only
+the mesh determines, for both forms at every s: the cluster tree and its
+blocks, the pair classes, the near sub-pairs, the far-rule points and hats,
+where each run of elements' dofs starts, and the Chebyshev data of the
+clusters (``_clusters``).  One driver (``_assemble``) builds both forms
+from R: E is R = 1, E_X passes its field's R.  Every part of a form adds
+into the one K x K matrix the far pass creates, which is symmetrized in
+place at the end.  The forms differ only in R and in their exterior tails:
+a closed form for E, Gauss rules for E_X.  The assemblers return that
+matrix.
 
 Also provides the pointwise principal-value fractional Laplacian used as
 an independent cross-check, and weighted density integrals.
@@ -104,8 +107,7 @@ class _Clusters(NamedTuple):
     probes: np.ndarray  # (C, _PROBE.size) the points _PROBE on the hull of each cluster
     Sp: np.ndarray  # (_PROBE.size, _CHEB) S at the points _PROBE
     moments: np.ndarray  # (C, _CHEB) sum over each cluster's far points of h w S
-    D: dict  # cluster -> (dofs, _CHEB) sum of h w hat S into its dofs from dof0
-    dof0: np.ndarray  # (C,) first dof of each cluster's elements
+    D: dict  # cluster -> (its dof slice, (dofs, _CHEB) sum of h w hat S into them)
     elems: np.ndarray  # elements of the clusters in admissible pairs, cluster-major
     owner: np.ndarray  # cluster of each of those rows
     t: np.ndarray  # (elems.size, _GL_FAR) their far points mapped to [-1, 1]
@@ -127,10 +129,13 @@ class _PairTables(NamedTuple):
     touching: np.ndarray  # left element k of each touching pair (k, k+1)
     near: dict  # subdivided near sub-pairs: kx0, kx1, ly0, ly1, k, l
     far_x: np.ndarray  # (E, _GL_FAR) far-rule points of each element
+    wh: np.ndarray  # (_GL_FAR, 2) far-rule weights times the reference hats (1 - t, t)
+    before: np.ndarray  # (E, 2) first slot-a dof of the elements from k on
     counts: dict  # unordered element pairs by class
     leaves: list  # dense leaf blocks (k0, k1, l0, l1, far mask), k0 <= l0
     blocks: np.ndarray  # (B, 2) admissible pairs (I, J) of clusters, I left of J
     spans: np.ndarray  # (C, 2) element range [e0, e1) of each cluster
+    clusters: Optional[_Clusters]  # None without admissible pairs
 
 
 def _partition(mesh):
@@ -189,10 +194,9 @@ def _partition(mesh):
     return np.array(spans), dense, np.array(admissible, dtype=int).reshape(-1, 2)
 
 
-def _clusters(mesh, tables) -> _Clusters:
+def _clusters(mesh, spans, blocks, far_x, wh, before) -> _Clusters:
     """Chebyshev nodes, moments and dof bases of the clusters in admissible pairs."""
     p = _CHEB
-    spans = tables.spans
     lo = mesh.elem_x0[spans[:, 0]]
     hi = mesh.elem_x1[spans[:, 1] - 1]
     theta = (np.arange(p) + 0.5) * np.pi / p
@@ -200,13 +204,11 @@ def _clusters(mesh, tables) -> _Clusters:
     probes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _PROBE[None, :]
     Tn = np.cos(np.arange(p)[:, None] * theta[None, :])
     Sp = (2.0 / p) * (np.stack(list(_chebyshev_series(_PROBE)), axis=1) @ Tn) - 1.0 / p
-    used = np.unique(tables.blocks)
+    used = np.unique(blocks)
     sizes = spans[used, 1] - spans[used, 0]
     elems = np.concatenate([np.arange(e0, e1) for e0, e1 in spans[used]])
     owner = np.repeat(used, sizes)
-    t = (2.0 * tables.far_x[elems] - (lo + hi)[owner, None]) / (hi - lo)[owner, None]
-    tf, wf = gauss_legendre_01(_GL_FAR)
-    wh = wf[:, None] * np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
+    t = (2.0 * far_x[elems] - (lo + hi)[owner, None]) / (hi - lo)[owner, None]
     # h w hat(t_i) T_k summed over each element's points, then S from T
     slots = np.stack([Tk @ wh for Tk in _chebyshev_series(t)], axis=2)  # (rows, 2, p)
     slots = (2.0 / p) * (slots @ Tn) - (1.0 / p) * slots[:, :, :1]
@@ -214,17 +216,16 @@ def _clusters(mesh, tables) -> _Clusters:
     moments = np.zeros_like(nodes)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     moments[used] = np.add.reduceat(slots.sum(axis=1), starts)
-    dof0 = np.zeros(lo.size, dtype=int)
     D = {}
     for c, r0, n in zip(used, starts, sizes):
         dofs = mesh.elem_dof[elems[r0 : r0 + n]]
-        dof0[c] = dofs[dofs >= 0].min()
-        Dc = np.zeros((dofs.max() + 1 - dof0[c], p))
+        rows = slice(before[spans[c, 0], 0], dofs.max() + 1)
+        Dc = np.zeros((rows.stop - rows.start, p))
         for a in (0, 1):
             live = dofs[:, a] >= 0
-            Dc[dofs[live, a] - dof0[c]] += slots[r0 : r0 + n][live, a]
-        D[int(c)] = Dc
-    return _Clusters(nodes, Tn, probes, Sp, moments, D, dof0, elems, owner, t)
+            Dc[dofs[live, a] - rows.start] += slots[r0 : r0 + n][live, a]
+        D[int(c)] = (rows, Dc)
+    return _Clusters(nodes, Tn, probes, Sp, moments, D, elems, owner, t)
 
 
 @lru_cache(maxsize=32)
@@ -288,8 +289,14 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "k": ku[parent],
         "l": lu[parent],
     }
-    tf, _ = gauss_legendre_01(_GL_FAR)
+    tf, wf = gauss_legendre_01(_GL_FAR)
     far_x = x0[:, None] + h[:, None] * tf[None, :]
+    wh = wf[:, None] * np.stack([1.0 - tf, tf], axis=1)
+    # the slot-a dofs other than -1 are 0, 1, ..., K - 1 in element order,
+    # so those of a run of elements fill a run of rows
+    live = mesh.elem_dof >= 0
+    before = np.cumsum(live, axis=0) - live
+    clusters = _clusters(mesh, spans, blocks, far_x, wh, before) if blocks.size else None
     pair_counts = {
         "identical": E,
         "touching": int(touching.size),
@@ -297,7 +304,9 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "near_subpairs": total,
         "far": n_far,
     }
-    return _PairTables(touching, near, far_x, pair_counts, leaves, blocks, spans)
+    return _PairTables(
+        touching, near, far_x, wh, before, pair_counts, leaves, blocks, spans, clusters
+    )
 
 
 def _element_hats(mesh, elems, pts):
@@ -484,15 +493,12 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
     h = mesh.elem_h
     tf, wf = gauss_legendre_01(G)
     hat = np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
-    wh = wf[:, None] * hat
+    wh, before = tables.wh, tables.before
+    live = mesh.elem_dof >= 0
     out = np.zeros((K, K))
     rsum = np.zeros((E, G))  # sum over far partners of h_l w_j k(x_i, y_j)
 
     pts = points(tables.far_x)  # once per quadrature point, each (E, G)
-    # the slot-a dofs other than -1 are 0, 1, ..., K - 1 in element order,
-    # so those of a run of elements fill a run of rows
-    live = mesh.elem_dof >= 0
-    before = np.cumsum(live, axis=0) - live
 
     def dense(k0, k1, l0, l1, far):
         # rows hold the points of elements k0:k1 (element-major), columns
@@ -530,9 +536,8 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
             dense(k0, k1, l0, l1, far)
 
     # admissible blocks: k(x, y) ~ S_I(x) C S_J(y)'
-    blocks = tables.blocks
+    blocks, cl = tables.blocks, tables.clusters
     if blocks.size:
-        cl = _clusters(mesh, tables)
         C, ok = _interpolate(cl, blocks, points, kernel, scale)
         for i, j in blocks[~ok]:
             (k0, k1), (l0, l1) = tables.spans[i], tables.spans[j]
@@ -553,9 +558,7 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
         np.add.at(rsum, cl.elems, pot)
         C *= -4.0
         for (i, j), Cb in zip(blocks, C):
-            Di, Dj = cl.D[i], cl.D[j]
-            rows = slice(cl.dof0[i], cl.dof0[i] + Di.shape[0])
-            cols = slice(cl.dof0[j], cl.dof0[j] + Dj.shape[0])
+            (rows, Di), (cols, Dj) = cl.D[i], cl.D[j]
             out[rows, cols] += (Di @ Cb) @ Dj.T
 
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)

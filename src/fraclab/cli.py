@@ -26,6 +26,7 @@ import argparse
 import csv
 import ctypes
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -104,15 +105,10 @@ def _fmt(v) -> str:
 def _numbers(v, name) -> tuple[float, ...]:
     if isinstance(v, bool):
         raise ConfigError(f"'{name}' must be a number or list of numbers")
-    if isinstance(v, (int, float)):
-        return (float(v),)
-    if (
-        isinstance(v, (list, tuple))
-        and v
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-    ):
-        return tuple(float(x) for x in v)
-    raise ConfigError(f"'{name}' must be a number or non-empty list of numbers")
+    vals = v if isinstance(v, (list, tuple)) else [v]
+    if not vals or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vals):
+        raise ConfigError(f"'{name}' must be a number or non-empty list of numbers")
+    return tuple(_one_float(x, name) for x in vals)
 
 
 def _integers(v, name) -> tuple[int, ...]:
@@ -137,7 +133,13 @@ def _one_int(v, name, lo=1) -> int:
 def _one_float(v, name) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"'{name}' must be a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # json reads integers of any size
+        x = math.inf
+    if not math.isfinite(x):  # json also reads NaN, Infinity and -Infinity
+        raise ConfigError(f"'{name}' must be finite, got {x}")
+    return x
 
 
 # Checks: each takes a config value and its key, and returns the normalized
@@ -567,13 +569,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError("'verify' needs an 'identity' entry")
     tasks = [(cfg, s) for s in cfg.s_list]
     results = _run_tasks(_verify_task, tasks, cfg.jobs)
-    rows = []
-    reports = []
-    all_pass = True
-    for res in results:
-        rows.extend(res["rows"])
-        reports.append(res["report"])
-        all_pass = all_pass and res["passed"]
+    rows = [row for res in results for row in res["rows"]]
+    reports = [res["report"] for res in results]
     _write_csv(
         _outpath(cfg, "verify.csv"),
         ("identity", "s", "n", "lhs", "rhs", "rel_residual", "pass"),
@@ -586,7 +583,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"rhs = {_fmt(rhs)}  rel = {_fmt(rel)}  "
             + ("pass" if ok else "FAIL")
         )
-    return 0 if all_pass else 1
+    return 0 if all(res["passed"] for res in results) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -225,32 +225,23 @@ def _make_mesh(domain: Domain1D, n: int, beta: float) -> Mesh1D:
         nd.flags.writeable = False
         nodes.append(nd)
 
-    ex0, ex1, eiv, edof_l, edof_r = [], [], [], [], []
-    interior = []
-    dof = 0
-    for i, nd in enumerate(nodes):
-        for j in range(len(nd) - 1):
-            ex0.append(nd[j])
-            ex1.append(nd[j + 1])
-            eiv.append(i)
-            edof_l.append(dof + j - 1 if j > 0 else -1)
-            edof_r.append(dof + j if j < len(nd) - 2 else -1)
-        interior.append(nd[1:-1])
-        dof += len(nd) - 2
-
-    def _arr(v, dtype=float):
-        a = np.asarray(v, dtype=dtype)
-        a.flags.writeable = False
-        return a
-
-    elem_x0 = _arr(ex0)
-    elem_x1 = _arr(ex1)
-    elem_h = _arr(elem_x1 - elem_x0)
+    # element j of interval i: its interior nodes are dofs i (n - 1) + j - 1
+    # (left, for j > 0) and i (n - 1) + j (right, for j < n - 1)
+    j = np.tile(np.arange(n), len(nodes))
+    elem_interval = np.repeat(np.arange(len(nodes)), n)
+    dof = elem_interval * (n - 1) + j
+    elem_dof = np.column_stack([np.where(j > 0, dof - 1, -1), np.where(j < n - 1, dof, -1)])
+    elem_x0 = np.concatenate([nd[:-1] for nd in nodes])
+    elem_x1 = np.concatenate([nd[1:] for nd in nodes])
+    elem_h = elem_x1 - elem_x0
     if np.any(elem_h <= 0):
         raise DegenerateError(
             f"grading beta = {beta} with {n} elements per interval rounds "
             f"{int(np.sum(elem_h <= 0))} element(s) to zero length"
         )
+    interior_x = np.concatenate([nd[1:-1] for nd in nodes])
+    for a in (elem_x0, elem_x1, elem_h, elem_interval, elem_dof, interior_x):
+        a.flags.writeable = False
     return Mesh1D(
         domain=domain,
         beta=beta,
@@ -258,9 +249,9 @@ def _make_mesh(domain: Domain1D, n: int, beta: float) -> Mesh1D:
         elem_x0=elem_x0,
         elem_x1=elem_x1,
         elem_h=elem_h,
-        elem_interval=_arr(eiv, int),
-        elem_dof=_arr(np.column_stack([edof_l, edof_r]), int),
-        interior_x=_arr(np.concatenate(interior)),
+        elem_interval=elem_interval,
+        elem_dof=elem_dof,
+        interior_x=interior_x,
     )
 
 

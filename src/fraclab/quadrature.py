@@ -99,8 +99,9 @@ def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, group
     ``f`` must accept an ndarray and evaluate elementwise.  ``panels`` is a
     sequence (or (P, 2) array) of (a, b) with a < b.  Bisects panels whose
     embedded (GL10 vs GL20) error estimate exceeds their share of ``tol``
-    until the estimate is met; raises QuadratureError past ``max_depth``
-    levels or ``max_panels`` panels.
+    until the estimate is met; raises QuadratureError on a non-finite
+    estimate, which no bisection meets, or past ``max_depth`` levels or
+    ``max_panels`` panels.
 
     Returns (value, error_estimate).
 
@@ -144,6 +145,8 @@ def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, group
         i20 = half * _row_dot(fx[:, :20], w20)
         i10 = half * _row_dot(fx[:, 20:], w10)
         e = np.abs(i20 - i10)
+        if not np.all(np.isfinite(e)):
+            raise QuadratureError("adaptive quadrature: the integrand is not finite")
         budget = tol_g[g] * (b - a) / total_len[g]
         done = (e <= budget) | (half <= 1e-15 * np.maximum(np.abs(a), 1.0))
         value += np.bincount(g[done], weights=i20[done], minlength=n_groups)

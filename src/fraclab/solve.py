@@ -1,5 +1,5 @@
-"""Generalized symmetric eigensolver, even-subspace restriction, the cached
-solve context, and a subcritical semilinear fixed-point solver.
+"""Generalized symmetric eigensolver, even-subspace restriction, the solve
+context (the most recent one kept), and a subcritical semilinear fixed-point solver.
 
 The eigenproblem is A u = lambda M u on the interior P1 basis (Dirichlet).
 In one dimension the "radial" subspace is the span of even functions; the
@@ -264,7 +264,7 @@ class SolveContext:
     even_only: bool = False
 
 
-@lru_cache(maxsize=24)
+@lru_cache(maxsize=1)
 def solve_context(
     domain: Domain1D,
     s: float,
@@ -272,7 +272,7 @@ def solve_context(
     beta: float = 2.0,
     even_only: bool = False,
 ) -> SolveContext:
-    """Mesh + assembled forms + leading eigenpairs, memoized."""
+    """Mesh + assembled forms + leading eigenpairs; the most recent one is kept."""
     mesh = make_mesh(domain, n, beta)
     A, M = assemble_gagliardo(mesh, s), assemble_mass(mesh)
     if even_only:

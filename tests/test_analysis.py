@@ -263,6 +263,13 @@ def test_lemma21_calls_the_operator_once_per_node_array(monkeypatch):
     assert sizes == outer + [12 * 8]
 
 
+@pytest.mark.parametrize("halfwidth", [0.0, -0.5])
+def test_polynomial_bump_halfwidth_must_be_positive(halfwidth):
+    # a zero halfwidth divided by zero, a negative one inverted the support
+    with pytest.raises(ArgumentError, match="halfwidth must be positive"):
+        fl.polynomial_bump(halfwidth=halfwidth)
+
+
 def test_polynomial_bump_power_must_be_an_integer():
     with pytest.raises(ArgumentError, match="bump power must be an integer, got 2.5"):
         fl.polynomial_bump(power=2.5)
@@ -330,13 +337,14 @@ def test_hadamard_even_only_finds_the_last_kept_mode():
     assert rep.fd_slope == pytest.approx((lam[0] - lam[1]) / (2.0 * h), rel=1e-9)
 
 
-@pytest.mark.parametrize("even_only, contexts", [(False, 1), (True, 1)])
-def test_hadamard_perturbed_solves_are_not_cached(even_only, contexts):
-    # an even check reads the full spectrum from its own context's full
-    # forms, so it caches no full context either
+@pytest.mark.parametrize("even_only, misses", [(False, 1), (True, 1)])
+def test_hadamard_perturbed_solves_are_not_cached(even_only, misses):
+    # the perturbed domains are solved without a context, and an even check
+    # reads the full spectrum from its own context's full forms, so a check
+    # builds one context
     fl.solve_context.cache_clear()
     fl.hadamard_check(INTERVAL, 0.43, 2, right_bp(), h=1e-3, n=48, even_only=even_only)
-    assert fl.solve_context.cache_info().currsize == contexts
+    assert fl.solve_context.cache_info().misses == misses
 
 
 def test_hadamard_refuses_a_near_degenerate_eigenvalue():

@@ -409,7 +409,7 @@ def test_interpolation_check_keeps_smooth_kernels_and_refuses_steep_ones(domain)
     intervals = FAR_DOMAINS[domain]
     mesh = fl.make_mesh(fl.make_domain(intervals), 512 // len(intervals), 2.0)
     tables = _pair_tables(mesh)
-    cl = assembly._clusters(mesh, tables)
+    cl = tables.clusters
     for s in (0.25, 0.5, 0.75):
         *smooth, steep = _far_kernels(s)
         for points, kernel, scale in smooth:
@@ -466,6 +466,25 @@ def test_assemblies_are_bit_identical_and_share_the_pair_tables():
         assert np.array_equal(A[0], A[1]) and np.array_equal(B[0], B[1])
         assert np.array_equal(A[0], A[0].T) and np.array_equal(B[0], B[0].T)
     assert _pair_tables.cache_info().misses == misses
+
+
+def test_cluster_tables_are_built_once_per_mesh(monkeypatch):
+    # the Chebyshev data of the clusters depends on the mesh alone; it was
+    # rebuilt for every form and every s
+    calls = []
+
+    def counted(*args, _original=assembly._clusters):
+        calls.append(args[0])
+        return _original(*args)
+
+    monkeypatch.setattr(assembly, "_clusters", counted)
+    mesh = fl.make_mesh(fl.make_domain([(-0.875, 1.0)]), 128, 2.0)  # no other test's mesh
+    X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
+    for s in (0.3, 0.7):
+        fl.assemble_gagliardo(mesh, s)
+        fl.assemble_deformation(mesh, X, s)
+    assert _pair_tables(mesh).blocks.size > 0
+    assert calls == [mesh]
 
 
 def test_mass_matrix_scatter_is_the_bincount_sum():

@@ -275,6 +275,23 @@ CONFIG_ERRORS = [
         {"field": {"components": ["-" * 900 + "x"], "box": [-1, 1]}},
         "field expression nested too deeply (901 characters)",
     ),
+    # json reads NaN and Infinity: they ended in a ValueError or
+    # OverflowError traceback, in scipy's refusal of infs, or ran and failed
+    # every row; a NaN bump center made fraclap grow panels without end
+    ({"n": math.nan}, "'n' must be finite, got nan"),
+    ({"k_max": math.nan}, "'k_max' must be finite, got nan"),
+    ({"n": math.inf}, "'n' must be finite, got inf"),
+    ({"samples": math.inf}, "'samples' must be finite, got inf"),
+    ({"quad_tols": [math.nan]}, "'quad_tols' must be finite, got nan"),
+    ({"quad_tols": [1e-6, math.inf]}, "'quad_tols' must be finite, got inf"),
+    ({"beta": math.inf}, "'beta' must be finite, got inf"),
+    ({"beta": -math.inf}, "'beta' must be finite, got -inf"),
+    ({"tol": math.nan}, "'tol' must be finite, got nan"),
+    ({"bump": {"center": math.nan}}, "'bump.center' must be finite, got nan"),
+    ({"n": 10**400}, "'n' must be finite, got inf"),
+    # a zero halfwidth divided by zero, a negative one inverted the support
+    ({"bump": {"halfwidth": 0}}, "bump halfwidth must be positive, got 0"),
+    ({"bump": {"halfwidth": -0.5}}, "bump halfwidth must be positive, got -0.5"),
 ]
 
 
@@ -373,6 +390,20 @@ def test_verify_ros_refines_and_passes(tmp_path):
     reports = json.loads((tmp_path / "verify.json").read_text())
     assert reports[0]["identity"] == "ros-oton-serra"
     assert reports[0]["flag"] == "OK"
+
+
+def test_verify_jobs_never_changes_a_byte(tmp_path):
+    base = {"identity": "pohozaev", "p": 3, "s": [0.3, 0.7], "n": [16, 32]}
+    codes = []
+    for jobs in ("1", "2"):
+        # pool workers fork from this process: empty the context cache, or
+        # they would start from the serial run's last context
+        fraclab.solve_context.cache_clear()
+        cfg = write_config(tmp_path, dict(base, out=str(tmp_path / jobs)), jobs + ".json")
+        codes.append(main(["verify", "--config", cfg, "--jobs", jobs]))
+    assert codes[0] == codes[1]
+    for name in ("verify.csv", "verify.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_verify_unattainable_tol_exit_1(tmp_path):

@@ -91,6 +91,20 @@ def test_adaptive_panels_depth_cap():
         adaptive_panels(lambda x: 1.0 / np.abs(x), [(0.0, 1.0)], 1e-6)
 
 
+def test_adaptive_panels_refuses_a_non_finite_integrand_at_once():
+    # no bisection meets a NaN estimate: the panels doubled up to the cap,
+    # nine integrand calls before it raised
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        adaptive_panels(f, [(0.0, 1.0)], 1e-6, max_panels=1000)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # grouped adaptive panels
 # ---------------------------------------------------------------------------
