@@ -10,6 +10,7 @@ field certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -76,9 +77,9 @@ class BoundaryPoint1D:
 def make_domain(intervals: Sequence[Sequence[float]]) -> Domain1D:
     """Validate and sort intervals into a :class:`Domain1D`.
 
-    Raises ArgumentError when an entry is not a pair of numbers,
-    DegenerateError for an empty/inverted interval and OverlapError when two
-    intervals touch or overlap.
+    Raises ArgumentError when an entry is not a pair of numbers or has an
+    infinite endpoint, DegenerateError for an empty/inverted interval (or a
+    NaN endpoint) and OverlapError when two intervals touch or overlap.
     """
     if not intervals:
         raise DegenerateError("domain needs at least one interval")
@@ -91,6 +92,8 @@ def make_domain(intervals: Sequence[Sequence[float]]) -> Domain1D:
     for a, b in ivs:
         if not (b > a):
             raise DegenerateError(f"interval ({a}, {b}) has non-positive length")
+        if math.isinf(a) or math.isinf(b):
+            raise ArgumentError(f"interval ({a}, {b}) has an infinite endpoint")
     for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
         if a1 <= b0:
             raise OverlapError(f"intervals ({a0}, {b0}) and ({a1}, {b1}) touch or overlap")

@@ -107,13 +107,14 @@ def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, group
 
     ``groups`` (one index 0..G-1 per panel) integrates G independent
     integrals in one pass.  Group g shares ``tol[g]`` (``tol`` broadcasts)
-    among its own panels by length, and the depth and panel caps apply to
-    each group.  ``f`` then receives a (P, 1 + m) array, one row per panel:
-    column 0 holds the panel's group index and the other m columns its
-    nodes; it returns the (P, m) values at the nodes.  Returns arrays of
-    value and error per group.  A group's results do not depend on the
-    other groups of the batch: its panels keep their order, and each
-    panel's rule is applied by ``_row_dot``.
+    among its own panels by length.  The depth cap applies to each group,
+    and ``max_panels`` to all panels of the call together, so a batch holds
+    no more panels than one integral may.  ``f`` then receives a (P, 1 + m)
+    array, one row per panel: column 0 holds the panel's group index and the
+    other m columns its nodes; it returns the (P, m) values at the nodes.
+    Returns arrays of value and error per group.  A group's results do not
+    depend on the other groups of the batch: its panels keep their order,
+    and each panel's rule is applied by ``_row_dot``.
     """
     ab = np.asarray(panels, dtype=float).reshape(-1, 2)
     a, b = ab[:, 0], ab[:, 1]
@@ -131,7 +132,7 @@ def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, group
 
     value = np.zeros(n_groups)
     err = np.zeros(n_groups)
-    n_seen = np.bincount(g, minlength=n_groups)
+    n_seen = a.size
     depth = 0
     while a.size:
         if depth > max_depth:
@@ -158,8 +159,8 @@ def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, group
         a = np.concatenate([a_k, m_k])
         b = np.concatenate([m_k, b_k])
         g = np.concatenate([g_k, g_k])
-        n_seen += np.bincount(g, minlength=n_groups)
-        if np.any(n_seen > max_panels):
+        n_seen += a.size
+        if n_seen > max_panels:
             raise QuadratureError("adaptive quadrature: panel cap exceeded")
         depth += 1
     if groups is None:

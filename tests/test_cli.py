@@ -292,6 +292,15 @@ CONFIG_ERRORS = [
     # a zero halfwidth divided by zero, a negative one inverted the support
     ({"bump": {"halfwidth": 0}}, "bump halfwidth must be positive, got 0"),
     ({"bump": {"halfwidth": -0.5}}, "bump halfwidth must be positive, got -0.5"),
+    # an infinite interval endpoint ended in scipy's refusal of infs
+    (
+        {"domain": {"intervals": [[-math.inf, 1]]}},
+        "interval (-inf, 1.0) has an infinite endpoint",
+    ),
+    (
+        {"domain": {"intervals": [[-1, 1], [2, math.inf]]}},
+        "interval (2.0, inf) has an infinite endpoint",
+    ),
 ]
 
 

@@ -42,6 +42,13 @@ def test_make_domain_degenerate_rejected():
         fl.make_domain([(2.0, 1.0)])
 
 
+@pytest.mark.parametrize("interval", [(-np.inf, 1.0), (0.0, np.inf), (-np.inf, np.inf)])
+def test_make_domain_infinite_endpoint_rejected(interval):
+    # an infinite endpoint reached the mesh and scipy's refusal of infs
+    with pytest.raises(ArgumentError, match="infinite endpoint"):
+        fl.make_domain([interval])
+
+
 # ---------------------------------------------------------------------------
 # distance to complement
 # ---------------------------------------------------------------------------

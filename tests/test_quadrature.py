@@ -144,19 +144,20 @@ def test_adaptive_panels_depth_cap_applies_to_each_group():
         adaptive_panels(f, [(0.0, 1.0), (0.0, 1.0)], 1e-6, groups=[0, 1])
 
 
-def test_adaptive_panels_panel_cap_applies_to_each_group():
-    # the smallest cap one integral of |x| fits in also holds for forty
-    # copies in one pass, which need forty times the panels together
+def test_adaptive_panels_panel_cap_applies_to_the_whole_call():
+    # the smallest cap one integral of |x| fits in; forty copies in one pass
+    # need forty times the panels together, and the cap counts them together,
+    # although each group alone would fit
     cap = next(
         m for m in range(1, 500)
         if _fits(lambda: adaptive_panels(np.abs, [(-1.0, 2.0)], 1e-12, max_panels=m))
     )
     with pytest.raises(QuadratureError, match="panel cap"):
         adaptive_panels(np.abs, [(-1.0, 2.0)], 1e-12, max_panels=cap - 1)
-    value, _ = adaptive_panels(
-        _grouped([np.abs] * 40), [(-1.0, 2.0)] * 40, 1e-12,
-        max_panels=cap, groups=np.arange(40),
-    )
+    batch = (_grouped([np.abs] * 40), [(-1.0, 2.0)] * 40, 1e-12)
+    with pytest.raises(QuadratureError, match="panel cap"):
+        adaptive_panels(*batch, max_panels=40 * cap - 1, groups=np.arange(40))
+    value, _ = adaptive_panels(*batch, max_panels=40 * cap, groups=np.arange(40))
     assert value == pytest.approx(np.full(40, 2.5), abs=1e-11)
 
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import fraclab as fl
+from fraclab import solve
 from fraclab.solve import _K_KEEP, _SHIFT_INVERT_DIM
 from fraclab.errors import (
     ArgumentError,
@@ -332,6 +333,154 @@ def test_restrict_even_requires_symmetric_mesh():
     A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
     with pytest.raises(AsymmetricMeshError):
         fl.restrict_even(mesh, A, M)
+    with pytest.raises(AsymmetricMeshError):
+        fl.solve_context(fl.make_domain([(0.0, 1.0)]), 0.5, 8, 2.0, True)
+
+
+# ---------------------------------------------------------------------------
+# mirror halves (symmetric meshes of full dimension _SHIFT_INVERT_DIM or more)
+# ---------------------------------------------------------------------------
+
+def cho_factor_shapes(monkeypatch):
+    """The shapes of every Cholesky factor made from here on."""
+    shapes = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize(
+    "intervals, n",
+    [([(-1.0, 1.0)], 1024), ([(-1.0, 1.0)], 2048), ([(-2.0, -1.0), (1.0, 2.0)], 512)],
+)
+def test_split_context_matches_the_whole_solve(monkeypatch, intervals, n, s):
+    shapes = cho_factor_shapes(monkeypatch)
+    ctx = fl.solve_context(fl.make_domain(intervals), s, n, 2.0, False)
+    A, M = ctx.stiffness, ctx.mass
+    K = A.shape[0]
+    assert K >= _SHIFT_INVERT_DIM
+    # one factor per half, none of dimension K: the even half holds the
+    # centre node when K is odd, and no half is solved twice
+    assert shapes == [((K + 1) // 2,) * 2, (K // 2,) * 2]
+    whole = fl.solve_geig(A, M, _K_KEEP)
+    assert ctx.values.size == 2 * _K_KEEP
+    np.testing.assert_allclose(ctx.values, whole.values, rtol=1e-12, atol=0)
+    V = np.column_stack([p.vector for p in ctx.pairs])
+    assert np.max(np.abs(V.T @ M @ V - np.eye(_K_KEEP))) <= 1e-12
+    assert np.array_equal(np.abs(V), np.abs(V[::-1]))  # exactly even or odd
+    # against the mirror-averaged pencil, which the halves solve exactly, the
+    # residuals are those of a Lanczos solve: about 1e-12 at s = 0.7, as for
+    # the whole pencil
+    J_A = A[::-1, ::-1]
+    MV = (M @ V) * ctx.values[:_K_KEEP]
+    avg = 0.5 * (A + J_A) @ V
+    r_avg = np.linalg.norm(avg - MV, axis=0)
+    whole_res = max(p.residual for p in whole)
+    assert np.all(r_avg <= max(1e-12, 2.0 * whole_res) * np.linalg.norm(avg, axis=0))
+    # against A itself they add A's mirror asymmetry: A v - lambda M v is
+    # (A - JAJ) v / 2 plus the residual against the average
+    AV = A @ V
+    r_A = np.linalg.norm(AV - MV, axis=0)
+    asym = 0.5 * np.linalg.norm((A - J_A) @ V, axis=0)
+    assert np.all(r_A <= (asym + r_avg) * (1.0 + 1e-6))
+    assert [p.residual for p in ctx.pairs] == pytest.approx(
+        r_A / np.linalg.norm(AV, axis=0), rel=1e-6
+    )
+
+
+def test_split_signs_follow_orientation():
+    ctx = fl.solve_context(fl.make_domain([(-1.0, 1.0)]), 0.5, 1024, 2.0, False)
+    for p in ctx.pairs:
+        assert solve._orientation(p.vector) > 0
+    # even and odd modes alternate on an interval, the ground state even
+    even = [np.array_equal(p.vector, p.vector[::-1]) for p in ctx.pairs]
+    assert even == [k % 2 == 0 for k in range(_K_KEEP)]
+
+
+def test_an_asymmetric_context_is_the_whole_solve(monkeypatch):
+    # (-0.3, 0.7) at n = 1024 is past _SHIFT_INVERT_DIM but not mirror-symmetric
+    shapes = cho_factor_shapes(monkeypatch)
+    ctx = fl.solve_context(fl.make_domain([(-0.3, 0.7)]), 0.5, 1024, 2.0, False)
+    K = ctx.stiffness.shape[0]
+    assert K >= _SHIFT_INVERT_DIM and shapes == [(K, K)]
+    whole = fl.solve_geig(ctx.stiffness, ctx.mass, _K_KEEP)
+    assert np.array_equal(ctx.values, whole.values)
+    for a, b in zip(ctx.pairs, whole):
+        assert np.array_equal(a.vector, b.vector)
+        assert (a.k, a.value, a.residual) == (b.k, b.value, b.residual)
+
+
+def test_even_only_context_solves_the_even_half_on_the_full_path(monkeypatch):
+    # the path follows the full dimension: the even half of 512 dofs goes to
+    # shift-invert Lanczos, and no odd half is solved
+    shapes = cho_factor_shapes(monkeypatch)
+    ctx = fl.solve_context(fl.make_domain([(-1.0, 1.0)]), 0.7, 1024, 2.0, True)
+    assert shapes == [(512, 512)]
+    Ae, Me, P = fl.restrict_even(ctx.mesh, ctx.stiffness, ctx.mass)
+    expected = fl.solve_geig(Ae, Me, _K_KEEP).values  # dense on the half
+    np.testing.assert_allclose(ctx.values, expected, rtol=1e-9, atol=0)
+    for p in ctx.pairs:
+        assert np.array_equal(p.vector, p.vector[::-1])
+
+
+def fake_half(spectra, calls):
+    """A ``half(sign, count)`` for ``_merge_halves`` whose half ``sign`` has
+    the eigenvalues ``spectra[sign]``; each vector is its value times a
+    column of ones, so the merge's order can be read from the vectors."""
+
+    def half(sign, count):
+        calls.append((sign, count))
+        vals = np.asarray(spectra[sign][:count], dtype=float)
+        return vals, np.ones((3, 1)) * vals
+
+    return half
+
+
+def test_merge_interleaved_halves_asks_each_once():
+    calls = []
+    spectra = {1.0: np.arange(1.0, 60.0, 2.0), -1.0: np.arange(2.0, 60.0, 2.0)}
+    vals, vecs = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
+    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1)]
+    assert vals.tolist() == list(range(1, 2 * _K_KEEP + 1))
+    assert np.array_equal(vecs[0], vals)
+
+
+def test_merge_solves_a_crowded_half_again():
+    # the even half holds the 24 smallest values: its 13th lies below the
+    # merged 24th, so it is asked again for 24
+    calls = []
+    spectra = {1.0: np.arange(1.0, 40.0), -1.0: np.arange(100.0, 140.0)}
+    vals, vecs = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
+    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1), (1.0, 2 * _K_KEEP)]
+    assert vals.tolist() == list(range(1, 2 * _K_KEEP + 1))
+    assert np.array_equal(vecs[0], vals)
+
+
+def test_merge_keeps_a_half_whose_largest_value_ties_the_limit():
+    # merged, 1..13 and 0.5, 1.5, .., 10.5, 13, 50 have 13 as their 24th
+    # value: no value of the even half beyond its 13th can come before it
+    calls = []
+    odd = np.concatenate([np.arange(0.5, 11.0), [13.0, 50.0, 60.0]])
+    spectra = {1.0: np.arange(1.0, 40.0), -1.0: odd}
+    vals, _ = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
+    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1)]
+    assert vals[-2:].tolist() == [12.0, 13.0]
+
+
+def test_lift_inverts_the_fold_basis():
+    # _lift is P @ V for the basis _fold projects on, for odd and even K
+    for K in (7, 8):
+        for sign in (1.0, -1.0):
+            n = K // 2 + (K % 2 if sign > 0 else 0)
+            P = solve._lift(np.eye(n), sign, K)
+            T = np.random.default_rng(K).standard_normal((K, K))
+            assert np.array_equal(solve._fold(T, sign), P.T @ T @ P)
 
 
 # ---------------------------------------------------------------------------
