@@ -473,7 +473,7 @@ def test_merge_keeps_a_half_whose_largest_value_ties_the_limit():
     assert vals[-2:].tolist() == [12.0, 13.0]
 
 
-def test_lift_inverts_the_fold_basis():
+def test_fold_is_the_projection_on_the_lift_basis():
     # _lift is P @ V for the basis _fold projects on, for odd and even K
     for K in (7, 8):
         for sign in (1.0, -1.0):
