@@ -12,9 +12,12 @@ element-pair rule.  Element-pair classes:
 * touching   -- Duffy split of the corner singularity: Jacobi(2-2s)
   radially, GL in the angular variable after an exponential map that
   keeps it smooth at any size ratio of the two elements;
-* near       -- separated, gap < 16 max(h_k, h_l): 8x8 Gauss-Legendre
-  after halving elements until the gap is at least the element size
-  (cap -> QuadratureError);
+* near       -- separated, gap < 16 max(h_k, h_l): elements are halved
+  until the gap is at least the element size (cap -> QuadratureError),
+  and each sub-pair takes tensor Gauss-Legendre graded by its gap in
+  sub-element sizes (Sauter & Schwab 2011, ch. 5): 8 points a direction
+  below 4, 6 on [4, 8), 5 from 8.  The hats are affine on a sub-element,
+  so the rule is contracted against the monomials 1, t, t^2 in two matmuls;
 * far        -- gap >= 16 max(h_k, h_l): order-4 Gauss points per element.
   A cluster tree halves contiguous element ranges down to 32 elements;
   a pair of clusters at distance d with both diameters <= d and
@@ -28,9 +31,9 @@ element-pair rule.  Element-pair classes:
 
 One cached geometry pass per mesh (``_pair_tables``) builds all that only
 the mesh determines, for both forms at every s: the cluster tree and its
-blocks, the pair classes, the near sub-pairs, the far-rule points and hats,
-where each run of elements' dofs starts, and the Chebyshev data of the
-clusters (``_clusters``).  One driver (``_assemble``) builds both forms
+blocks, the pair classes, the near sub-pairs grouped by order, the far-rule
+points and hats, where each run of elements' dofs starts, and the Chebyshev
+data of the clusters (``_clusters``).  One driver (``_assemble``) builds both forms
 from R: E is R = 1, E_X passes its field's R.  Every part of a form adds
 into the one K x K matrix the far pass creates, which is symmetrized in
 place at the end.  The forms differ only in R and in their exterior tails:
@@ -69,7 +72,13 @@ __all__ = [
     "integrate_density",
 ]
 
-_GL_SEP = 8  # near separated-pair tensor order
+# near sub-pair tensor order by r = gap / max(hx, hy): rows (end, order),
+# each for r below its end and at or above the previous row's
+_NEAR_ORDER = ((4.0, 8), (8.0, 6), (np.inf, 5))
+# Z of ``_near``: index of each entry's moment in the flattened [t_j^b, t_i^a]
+# table, and its sign, for b = (1, t_i, -1, -t_j)
+_NEAR_MOMENT = np.array([[0, 1, 0, 3], [1, 2, 1, 4], [0, 1, 0, 3], [3, 4, 3, 6]])
+_NEAR_SIGN = np.array([[1, 1, -1, -1], [1, 1, -1, -1], [-1, -1, 1, 1], [-1, -1, 1, 1]])
 _GL_FAR = 4  # per-element order for far pairs
 _FAR_RATIO = 16  # far pair: gap >= _FAR_RATIO * max(h_k, h_l)
 _LEAF = 32  # elements per leaf cluster, at most
@@ -84,7 +93,7 @@ _GL_INNER = 8  # inner direction for identical pairs
 _GL_EXTERIOR = 16  # smooth exterior terms
 _JACOBI_ORDER = 12  # singular directions
 _SUBDIV_CAP = 16  # per-element halvings for separated pairs
-_CHUNK = 16384  # near sub-pairs per chunk
+_CHUNK = 1 << 20  # near kernel values per chunk
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +136,7 @@ class _PairTables(NamedTuple):
     """Per-mesh geometry shared by every kernel and every s."""
 
     touching: np.ndarray  # left element k of each touching pair (k, k+1)
-    near: dict  # subdivided near sub-pairs: kx0, kx1, ly0, ly1, k, l
+    near: dict  # tensor order -> its near sub-pairs: kx0, kx1, ly0, ly1, k, l
     far_x: np.ndarray  # (E, _GL_FAR) far-rule points of each element
     wh: np.ndarray  # (_GL_FAR, 2) far-rule weights times the reference hats (1 - t, t)
     before: np.ndarray  # (E, 2) first slot-a dof of the elements from k on
@@ -281,7 +290,7 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
     h2s = h[lu][parent] / m2[parent]
     sx0 = x0[ku][parent] + i1 * h1s
     sy0 = x0[lu][parent] + i2 * h2s
-    near = {
+    sub = {
         "kx0": sx0,
         "kx1": sx0 + h1s,
         "ly0": sy0,
@@ -289,6 +298,14 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "k": ku[parent],
         "l": lu[parent],
     }
+    # each sub-pair's tensor order, from its gap in sub-element sizes
+    ratio = (sub["ly0"] - sub["kx1"]) / np.maximum(h1s, h2s)
+    band = np.searchsorted([end for end, _ in _NEAR_ORDER], ratio, side="right")
+    near = {}
+    for row, (_, order) in enumerate(_NEAR_ORDER):
+        take = np.flatnonzero(band == row)
+        if take.size:
+            near[order] = {key: v[take] for key, v in sub.items()}
     tf, wf = gauss_legendre_01(_GL_FAR)
     far_x = x0[:, None] + h[:, None] * tf[None, :]
     wh = wf[:, None] * np.stack([1.0 - tf, tf], axis=1)
@@ -302,23 +319,12 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "touching": int(touching.size),
         "near": int(ku.size),
         "near_subpairs": total,
+        "near_by_order": {order: int(g["k"].size) for order, g in near.items()},
         "far": n_far,
     }
     return _PairTables(
         touching, near, far_x, wh, before, pair_counts, leaves, blocks, spans, clusters
     )
-
-
-def _element_hats(mesh, elems, pts):
-    """P1 hat values of the two element dofs at points inside the element.
-
-    ``pts`` has shape (P, G) with pts[p] inside element elems[p]; returns
-    (P, 2, G): slot 0 the left-node hat, slot 1 the right-node hat.
-    """
-    x0 = mesh.elem_x0[elems][:, None]
-    x1 = mesh.elem_x1[elems][:, None]
-    h = mesh.elem_h[elems][:, None]
-    return np.stack([(x1 - pts) / h, (pts - x0) / h], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,36 +432,44 @@ def _touching(out, mesh, s, rfun, touching) -> None:
 
 
 def _near(out, mesh, near, points, kernel) -> None:
-    """Add chunked 8x8 tensor GL over the subdivided near sub-pairs."""
-    tg, wg = gauss_legendre_01(_GL_SEP)
-    n = near["kx0"].size
-    for lo in range(0, n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n))
-        kx0 = near["kx0"][sl]
-        kx1 = near["kx1"][sl]
-        ly0 = near["ly0"][sl]
-        ly1 = near["ly1"][sl]
-        ke = near["k"][sl]
-        le = near["l"][sl]
-        hx = (kx1 - kx0)[:, None]
-        hy = (ly1 - ly0)[:, None]
-        xs = kx0[:, None] + hx * tg[None, :]
-        ys = ly0[:, None] + hy * tg[None, :]
-        kv = kernel(points(xs[:, :, None]), points(ys[:, None, :]))
-        kv *= (hx * wg[None, :])[:, :, None] * (hy * wg[None, :])[:, None, :]
-        vx = _element_hats(mesh, ke, xs)  # (P, 2, G)
-        vy = _element_hats(mesh, le, ys)
-        row_w = kv.sum(axis=2)  # (P, G)
-        col_w = kv.sum(axis=1)
-        sxx = np.einsum("pai,pbi,pi->pab", vx, vx, row_w)
-        syy = np.einsum("paj,pbj,pj->pab", vy, vy, col_w)
-        cross = np.einsum("pai,pij,pbj->pab", vx, kv, vy)
-        local = np.block(
-            [[sxx, -cross], [-cross.transpose(0, 2, 1), syy]]
-        )  # (P, 4, 4)
-        dofs = np.concatenate([mesh.elem_dof[ke], mesh.elem_dof[le]], axis=1)
-        # unordered pair counted once; double for (e,f)+(f,e)
-        _scatter_add(out, 2.0 * local, dofs)
+    """Add tensor GL over the subdivided near sub-pairs, one order at a time.
+
+    On a sub-pair the parent elements' hats are affine in the local
+    coordinates: (1, t) times C on the x side, times D on the y side.  The
+    4 x 4 block is then Q Z Q' for Q = diag(C, D) and Z the moments
+    sum k w_i w_j b b' of b = (1, t_i, -1, -t_j).  All of Z comes from the
+    3 x 3 moments sum k w_i w_j t_i^a t_j^b, that is two matmuls of the
+    kernel values against W = diag(w) [1, t, t^2].
+    """
+    x0, x1, h = mesh.elem_x0, mesh.elem_x1, mesh.elem_h
+    for G, sub in near.items():
+        tg, wg = gauss_legendre_01(G)
+        W = wg[:, None] * tg[:, None] ** np.arange(3)  # (G, 3)
+        n = sub["k"].size
+        step = max(1, _CHUNK // (G * G))
+        for lo in range(0, n, step):
+            sl = slice(lo, min(lo + step, n))
+            kx0, ly0, ke, le = sub["kx0"][sl], sub["ly0"][sl], sub["k"][sl], sub["l"][sl]
+            hx = sub["kx1"][sl] - kx0
+            hy = sub["ly1"][sl] - ly0
+            P = ke.size
+            xs = kx0[:, None] + hx[:, None] * tg
+            ys = ly0[:, None] + hy[:, None] * tg
+            kv = kernel(points(xs[:, :, None]), points(ys[:, None, :]))  # (P, G, G)
+            m = (kv.reshape(P * G, G) @ W).reshape(P, G, 3)  # [p, i, b]: t_j^b
+            m = (m.transpose(0, 2, 1).reshape(P * 3, G) @ W).reshape(P, 9)  # [p, 3b + a]: t_i^a
+            m *= (2.0 * hx * hy)[:, None]  # unordered pair counted once: (e,f)+(f,e)
+            Z = m[:, _NEAR_MOMENT] * _NEAR_SIGN
+            Q = np.zeros((P, 4, 4))
+            for i, (e, a, ha) in zip((0, 2), ((ke, kx0, hx), (le, ly0, hy))):
+                # the element's left and right hats at a + ha t
+                Q[:, i, i] = (x1[e] - a) / h[e]
+                Q[:, i + 1, i] = (a - x0[e]) / h[e]
+                Q[:, i + 1, i + 1] = ha / h[e]
+                Q[:, i, i + 1] = -Q[:, i + 1, i + 1]
+            local = Q @ Z @ Q.transpose(0, 2, 1)
+            dofs = np.concatenate([mesh.elem_dof[ke], mesh.elem_dof[le]], axis=1)
+            _scatter_add(out, local, dofs)
 
 
 def _interpolate(cl, blocks, points, kernel, scale):

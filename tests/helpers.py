@@ -3,13 +3,15 @@
 Everything in this module is computed *without* the package's own
 quadrature/assembly code paths: closed forms, scipy reference quadrature,
 or values frozen from one-off high-resolution runs (with the generating
-recipe recorded next to each constant).
+recipe recorded next to each constant).  ``cho_factor_shapes`` records the
+Cholesky factors a solve makes.
 """
 
 import math
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 
 def hat_energy_exact(w: float, s: float) -> float:
@@ -81,3 +83,16 @@ DBLQUAD_STIFFNESS = {
     (0.6, 0, 2): -0.153137982796,
     (0.6, 1, 4): -0.045587154409,
 }
+
+
+def cho_factor_shapes(monkeypatch):
+    """The shapes of every Cholesky factor made from here on."""
+    shapes = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    return shapes

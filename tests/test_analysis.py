@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import fraclab as fl
 from fraclab.assembly import _pair_tables
 from fraclab.errors import ArgumentError, SupportError, WindowError
+from helpers import cho_factor_shapes
 
 BOX1 = [(-3.0, 3.0)]
 INTERVAL = fl.make_domain([(-1.0, 1.0)])
@@ -335,6 +336,16 @@ def test_hadamard_even_only_finds_the_last_kept_mode():
         A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
         lam.append(scipy.linalg.eigh(A, M, eigvals_only=True)[22])
     assert rep.fd_slope == pytest.approx((lam[0] - lam[1]) / (2.0 * h), rel=1e-9)
+
+
+def test_hadamard_even_only_factors_no_full_form(monkeypatch):
+    # K = 1023: the even context and the full-spectrum values come from the
+    # halves (512 and 511 dofs); the only K x K factors are those of the two
+    # perturbed domains, which are not mirror-symmetric
+    fl.solve_context.cache_clear()
+    shapes = cho_factor_shapes(monkeypatch)
+    fl.hadamard_check(INTERVAL, 0.5, 2, right_bp(), h=1e-3, n=1024, even_only=True)
+    assert shapes == [(512, 512), (512, 512), (511, 511), (1023, 1023), (1023, 1023)]
 
 
 @pytest.mark.parametrize("even_only, misses", [(False, 1), (True, 1)])

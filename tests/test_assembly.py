@@ -121,8 +121,8 @@ def test_near_pair_table_stays_linear_in_elements():
     # far pairs are assembled as dense blocks, so the cached table lists
     # only the near sub-pairs: O(E), not one row per separated pair
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 1024, 2.0)
-    near = _pair_tables(mesh)[1]
-    assert near["k"].size < 32 * mesh.elem_h.size
+    near = _pair_tables(mesh).near
+    assert sum(sub["k"].size for sub in near.values()) < 32 * mesh.elem_h.size
 
 
 def test_pair_tables_count_every_pair_once():
@@ -135,6 +135,25 @@ def test_pair_tables_count_every_pair_once():
     assert pairs["near_subpairs"] >= pairs["near"]
     total = pairs["identical"] + pairs["touching"] + pairs["near"] + pairs["far"]
     assert total == E * (E + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "intervals, n, beta",
+    [([(-1.0, 1.0)], 1024, 2.0), ([(-2.0, -1.0), (1.0, 2.0)], 64, 3.0), ([(0.0, 1.0)], 64, 1.0)],
+)
+def test_near_subpairs_by_order_follow_their_gap_bands(intervals, n, beta):
+    # gap / max(hx, hy) below 4 takes 8 points a direction, [4, 8) 6, from 8 on 5
+    bands = {8: (0.0, 4.0), 6: (4.0, 8.0), 5: (8.0, np.inf)}
+    tables = _pair_tables(fl.make_mesh(fl.make_domain(intervals), n, beta))
+    by_order = tables.counts["near_by_order"]
+    assert sum(by_order.values()) == tables.counts["near_subpairs"]
+    assert by_order.keys() == tables.near.keys() <= bands.keys()
+    for order, sub in tables.near.items():
+        assert sub["k"].size == by_order[order] > 0
+        gap = sub["ly0"] - sub["kx1"]
+        ratio = gap / np.maximum(sub["kx1"] - sub["kx0"], sub["ly1"] - sub["ly0"])
+        lo, hi = bands[order]
+        assert np.all((ratio >= lo) & (ratio < hi)), order
 
 
 # ---------------------------------------------------------------------------
