@@ -33,10 +33,10 @@ One cached geometry pass per mesh (``_pair_tables``) builds all that only
 the mesh determines, for both forms at every s: the cluster tree and its
 blocks, the pair classes, the near sub-pairs grouped by order, the far-rule
 points and hats, where each run of elements' dofs starts, and the Chebyshev
-data of the clusters (``_clusters``).  One driver (``_assemble``) builds both forms
-from R: E is R = 1, E_X passes its field's R.  Every part of a form adds
-into the one K x K matrix the far pass creates, which is symmetrized in
-place at the end.  The forms differ only in R and in their exterior tails:
+data of the clusters (``_clusters``).  One driver (``_assemble``) builds
+both forms from R: E is R = 1, E_X passes its field's R.  Every part of a
+form adds into the one K x K matrix the far pass creates, which is
+symmetrized in place at the end.  The forms differ only in R and in their exterior tails:
 a closed form for E, Gauss rules for E_X.  The assemblers return that
 matrix.
 
@@ -237,39 +237,14 @@ def _clusters(mesh, spans, blocks, far_x, wh, before) -> _Clusters:
     return _Clusters(nodes, Tn, probes, Sp, moments, D, elems, owner, t)
 
 
-@lru_cache(maxsize=32)
-def _pair_tables(mesh: Mesh1D) -> _PairTables:
-    """Classify all unordered element pairs through the cluster tree.
+def _near_subpairs(mesh, ku, lu) -> dict:
+    """The near pairs (ku, lu), ku < lu, as sub-pairs grouped by tensor order.
 
-    Admissible cluster pairs hold only far pairs, so the near pairs are the
-    separated pairs of the dense leaf blocks that are not far; they are
-    expanded into sub-pairs here.
+    Both elements are halved until the gap is at least their size, and each
+    sub-pair takes its order from ``_NEAR_ORDER``.  Returns order -> kx0, kx1,
+    ly0, ly1 (the sub-elements) and k, l (their elements).
     """
-    E = mesh.elem_h.size
-    x0, x1, h, iv = mesh.elem_x0, mesh.elem_x1, mesh.elem_h, mesh.elem_interval
-
-    # touching: consecutive elements of the same interval
-    k = np.arange(E - 1)
-    touching = k[iv[k] == iv[k + 1]]
-
-    spans, dense, blocks = _partition(mesh)
-    leaves, near_k, near_l = [], [], []
-    sizes = spans[:, 1] - spans[:, 0]
-    n_far = int(np.sum(sizes[blocks[:, 0]] * sizes[blocks[:, 1]]))
-    for i, j in dense:
-        (k0, k1), (l0, l1) = spans[i], spans[j]
-        kk = np.arange(k0, k1)[:, None]
-        ll = np.arange(l0, l1)[None, :]
-        gap = x0[None, l0:l1] - x1[k0:k1, None]
-        far = gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, l0:l1])
-        separated = (ll > kk) & ~((ll == kk + 1) & (iv[kk] == iv[ll]))
-        ki, li = np.nonzero(separated & ~far)
-        near_k.append(ki + k0)
-        near_l.append(li + l0)
-        n_far += int(np.count_nonzero(far))
-        leaves.append((k0, k1, l0, l1, far))
-    ku = np.concatenate(near_k)
-    lu = np.concatenate(near_l)
+    x0, x1, h = mesh.elem_x0, mesh.elem_x1, mesh.elem_h
     gap = x0[lu] - x1[ku]
     if np.any(gap <= 0):
         raise QuadratureError("element ordering broke; separated pair with gap <= 0")
@@ -306,6 +281,43 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         take = np.flatnonzero(band == row)
         if take.size:
             near[order] = {key: v[take] for key, v in sub.items()}
+    return near
+
+
+@lru_cache(maxsize=32)
+def _pair_tables(mesh: Mesh1D) -> _PairTables:
+    """Classify all unordered element pairs through the cluster tree.
+
+    Admissible cluster pairs hold only far pairs, so the near pairs are the
+    separated pairs of the dense leaf blocks that are not far; they are
+    expanded into sub-pairs by ``_near_subpairs``.
+    """
+    E = mesh.elem_h.size
+    x0, x1, h, iv = mesh.elem_x0, mesh.elem_x1, mesh.elem_h, mesh.elem_interval
+
+    # touching: consecutive elements of the same interval
+    k = np.arange(E - 1)
+    touching = k[iv[k] == iv[k + 1]]
+
+    spans, dense, blocks = _partition(mesh)
+    leaves, near_k, near_l = [], [], []
+    sizes = spans[:, 1] - spans[:, 0]
+    n_far = int(np.sum(sizes[blocks[:, 0]] * sizes[blocks[:, 1]]))
+    for i, j in dense:
+        (k0, k1), (l0, l1) = spans[i], spans[j]
+        kk = np.arange(k0, k1)[:, None]
+        ll = np.arange(l0, l1)[None, :]
+        gap = x0[None, l0:l1] - x1[k0:k1, None]
+        far = gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, l0:l1])
+        separated = (ll > kk) & ~((ll == kk + 1) & (iv[kk] == iv[ll]))
+        ki, li = np.nonzero(separated & ~far)
+        near_k.append(ki + k0)
+        near_l.append(li + l0)
+        n_far += int(np.count_nonzero(far))
+        leaves.append((k0, k1, l0, l1, far))
+    ku = np.concatenate(near_k)
+    lu = np.concatenate(near_l)
+    near = _near_subpairs(mesh, ku, lu)
     tf, wf = gauss_legendre_01(_GL_FAR)
     far_x = x0[:, None] + h[:, None] * tf[None, :]
     wh = wf[:, None] * np.stack([1.0 - tf, tf], axis=1)
@@ -318,7 +330,7 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "identical": E,
         "touching": int(touching.size),
         "near": int(ku.size),
-        "near_subpairs": total,
+        "near_subpairs": sum(g["k"].size for g in near.values()),
         "near_by_order": {order: int(g["k"].size) for order, g in near.items()},
         "far": n_far,
     }
