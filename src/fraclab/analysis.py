@@ -550,10 +550,11 @@ def hadamard_check(
     # sub-spectrum of the same discrete problem, so the k-th even value
     # sits at an exact position of the full spectrum; locate it among the
     # leading values of the full forms, which the even context holds, solved
-    # as their even and odd halves so that no factor of the full forms is made.
+    # for values only as their even and odd halves so that no factor of the
+    # full forms is made.
     full = ctx.values
     if even_only:
-        full = _solve_halves(ctx.stiffness, ctx.mass, (1.0, -1.0)).values
+        full = _solve_halves(ctx.stiffness, ctx.mass, (1.0, -1.0), eigvals_only=True)
         idx = int(np.argmin(np.abs(full - pair.value)))
         if abs(full[idx] - pair.value) > 1e-8 * max(abs(pair.value), 1.0):
             raise ArgumentError(

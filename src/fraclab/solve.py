@@ -292,38 +292,46 @@ def _lift(V: np.ndarray, sign: float, K: int) -> np.ndarray:
 
 
 def _merge_halves(half, signs: tuple[float, ...]):
-    """The first 2*_K_KEEP values of a pencil and their vectors, ascending,
-    from its mirror halves ``signs``.
+    """The first 2*_K_KEEP values of a pencil (all of them if it is smaller)
+    and their vectors, ascending, from its mirror halves ``signs``.
 
     ``half(sign, count)`` returns the first ``count`` values of one half
-    (all of them if it is smaller) and their full nodal vectors.  A single
-    half is asked for 2*_K_KEEP values.  Two halves, each at least that
-    large, are asked for _K_KEEP + 1 each: on an interval the even and odd
-    values interleave, so that is enough.  A half whose largest value lies
-    below the merged 2*_K_KEEP-th may hold more below it, and is asked again
-    for 2*_K_KEEP.  Ties keep the order of ``signs``.
+    (all of them if it is smaller) and their full nodal vectors, or None in
+    place of the vectors when only values are solved.  A single half is
+    asked for 2*_K_KEEP values.  Two halves are asked for _K_KEEP + 1 each:
+    on an interval the even and odd values interleave, so that is mostly
+    enough.  A half that gave all _K_KEEP + 1 values, the largest below the
+    merged 2*_K_KEEP-th (the largest merged value, if the halves hold fewer),
+    may hold more below it, and is asked again for 2*_K_KEEP.  Ties keep the
+    order of ``signs``.
     """
     want = 2 * _K_KEEP
     if len(signs) == 1:
         return half(signs[0], want)
     solved = [half(sign, _K_KEEP + 1) for sign in signs]
-    limit = np.sort(np.concatenate([v for v, _ in solved]))[want - 1]
+    limit = np.sort(np.concatenate([v for v, _ in solved]))[:want][-1]
     solved = [
-        half(sign, want) if v[-1] < limit else (v, u)
+        half(sign, want) if v.size > _K_KEEP and v[-1] < limit else (v, u)
         for sign, (v, u) in zip(signs, solved)
     ]
     vals = np.concatenate([v for v, _ in solved])
     order = np.argsort(vals, kind="stable")[:want]
+    if solved[0][1] is None:
+        return vals[order], None
     return vals[order], np.concatenate([u for _, u in solved], axis=1)[:, order]
 
 
-def _solve_halves(A: np.ndarray, M: np.ndarray, signs: tuple[float, ...]) -> _Pairs:
+def _solve_halves(
+    A: np.ndarray, M: np.ndarray, signs: tuple[float, ...], eigvals_only: bool = False
+):
     """Leading eigenpairs of (A, M) on a mirror-symmetric mesh, solved on
     the halves ``signs`` (1 even, -1 odd) and lifted to full nodal vectors.
 
     Each half is folded, solved on the path of the full dimension (see
     ``_eigh``) and freed before the next is folded, so no factor of the full
-    dimension is made.  Residuals are taken against the full A and M.
+    dimension is made.  Residuals are taken against the full A and M.  With
+    ``eigvals_only`` the halves solve for values alone, and the merged
+    values are returned as an array.
     """
     K = A.shape[0]
 
@@ -331,10 +339,12 @@ def _solve_halves(A: np.ndarray, M: np.ndarray, signs: tuple[float, ...]) -> _Pa
         Ah, Mh = _fold(A, sign), _fold(M, sign)
         _check_sym("A", Ah)
         _check_sym("M", Mh)
-        vals, vecs = _eigh(Ah, Mh, min(count, Ah.shape[0]), eigvals_only=False, dim=K)
-        return vals, _lift(vecs, sign, K)
+        out = _eigh(Ah, Mh, min(count, Ah.shape[0]), eigvals_only=eigvals_only, dim=K)
+        return (out, None) if eigvals_only else (out[0], _lift(out[1], sign, K))
 
     vals, vecs = _merge_halves(half, signs)
+    if eigvals_only:
+        return vals
     return _pairs(A, M, vals, vecs, min(_K_KEEP, vals.size))
 
 

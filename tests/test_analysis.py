@@ -324,6 +324,17 @@ def test_hadamard_even_only_tracks_full_mode():
     assert re.formula == pytest.approx(rf.formula, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [16, 24])
+def test_hadamard_even_only_on_fewer_dofs_than_solved_values(n):
+    # K = 15 and 23: the even and odd halves together hold fewer than the 24
+    # values a context solves, and the lookup takes all of them
+    bp = right_bp()
+    re = fl.hadamard_check(INTERVAL, 0.5, 2, bp, h=1e-3, n=n, even_only=True)
+    rf = fl.hadamard_check(INTERVAL, 0.5, 3, bp, h=1e-3, n=n, even_only=False)
+    assert re.fd_slope == pytest.approx(rf.fd_slope, rel=1e-12)
+    assert re.formula == pytest.approx(rf.formula, rel=1e-10)
+
+
 def test_hadamard_even_only_finds_the_last_kept_mode():
     # even mode 12 on one interval is full mode 23, near the end of the 24
     # eigenvalues a context solves; compare with full solves of the

@@ -467,6 +467,41 @@ def test_merge_keeps_a_half_whose_largest_value_ties_the_limit():
     assert vals[-2:].tolist() == [12.0, 13.0]
 
 
+def test_merge_takes_all_values_of_halves_smaller_than_the_request():
+    # K = 15: halves of 8 and 7 values hold fewer than 24 together, and a
+    # half that gave fewer values than asked is not asked again
+    calls = []
+    spectra = {1.0: np.arange(1.0, 16.0, 2.0), -1.0: np.arange(2.0, 15.0, 2.0)}
+    vals, vecs = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
+    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1)]
+    assert vals.tolist() == list(range(1, 16))
+    assert np.array_equal(vecs[0], vals)
+
+
+def test_merge_of_values_only_halves_has_no_vectors():
+    spectra = {1.0: np.arange(1.0, 60.0, 2.0), -1.0: np.arange(2.0, 60.0, 2.0)}
+
+    def half(sign, count):
+        return np.asarray(spectra[sign][:count], dtype=float), None
+
+    vals, vecs = solve._merge_halves(half, (1.0, -1.0))
+    assert vals.tolist() == list(range(1, 2 * _K_KEEP + 1)) and vecs is None
+
+
+@pytest.mark.parametrize("intervals", [[(-1.0, 1.0)], [(-2.0, -1.0), (1.0, 2.0)]])
+@pytest.mark.parametrize("n", [8, 16, 1024])
+def test_halves_values_only_are_the_leading_values(intervals, n):
+    # small pencils have fewer than 24 values in both halves together; at
+    # n = 1024 the halves go to shift-invert Lanczos
+    mesh = fl.make_mesh(fl.make_domain(intervals), n, beta=2.0)
+    A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
+    vals = solve._solve_halves(A, M, (1.0, -1.0), eigvals_only=True)
+    assert vals.size == min(A.shape[0], 2 * _K_KEEP)
+    np.testing.assert_allclose(vals, inverted_values(A, M, vals.size), rtol=1e-12, atol=0)
+    with_vectors = solve._solve_halves(A, M, (1.0, -1.0)).values
+    np.testing.assert_allclose(vals, with_vectors, rtol=1e-13, atol=0)
+
+
 def test_fold_is_the_projection_on_the_lift_basis():
     # _lift is P @ V for the basis _fold projects on, for odd and even K
     for K in (7, 8):
