@@ -11,7 +11,7 @@ near the boundary point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import wraps
 from typing import Callable, Optional, Sequence
 
@@ -64,7 +64,6 @@ __all__ = [
     "IDENTITIES",
     "verify_steps",
     "run_verify",
-    "report_to_dict",
 ]
 
 _RESID_FLOOR = 1e-30
@@ -155,16 +154,6 @@ def _report(identity, lhs, rhs, rel, n, s, history) -> PohozaevReport:
 def _rel(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
     den = max(abs(lhs), abs(rhs), scale or 0.0, _RESID_FLOOR)
     return abs(lhs - rhs) / den
-
-
-def report_to_dict(report) -> dict:
-    """Plain-dict form of any report dataclass (JSON-ready)."""
-    d = asdict(report)
-    if "bp" in d:
-        d["bp"] = {"x": report.bp.x, "normal": report.bp.normal}
-    if "history" in d:
-        d["history"] = [[int(n), float(r)] for n, r in report.history]
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -548,20 +537,16 @@ def hadamard_check(
     # Moving one endpoint breaks the x -> -x symmetry, so the perturbed
     # solves always use the full problem.  The even restriction is a
     # sub-spectrum of the same discrete problem, so the k-th even value
-    # sits at an exact position of the full spectrum; locate it among the
-    # leading values of the full forms, which the even context holds, solved
-    # for values only as their even and odd halves so that no factor of the
-    # full forms is made.
-    full = ctx.values
+    # sits in the full spectrum after the odd values below it.  The even
+    # context already holds the even values; the odd half of its forms is
+    # solved for values only, so that no factor of the full forms is made.
+    full, idx = ctx.values, k - 1
     if even_only:
-        full = _solve_halves(ctx.stiffness, ctx.mass, (1.0, -1.0), eigvals_only=True)
-        idx = int(np.argmin(np.abs(full - pair.value)))
-        if abs(full[idx] - pair.value) > 1e-8 * max(abs(pair.value), 1.0):
-            raise ArgumentError(
-                f"even mode k = {k} not found in the full spectrum"
-            )
-    else:
-        idx = k - 1
+        odd = _solve_halves(ctx.stiffness, ctx.mass, (-1.0,), eigvals_only=True)
+        idx += int(np.count_nonzero(odd < pair.value))
+        full = np.sort(np.concatenate([full, odd]), kind="stable")[: 2 * _K_KEEP]
+        if idx >= full.size:
+            raise ArgumentError(f"even mode k = {k} not found in the full spectrum")
     lam_plus, lam_minus = (
         float(_leading_values(perturb_endpoint(domain, bp, dx), s, n, beta, idx + 1)[idx])
         for dx in (+h, -h)

@@ -17,7 +17,8 @@ Exit codes: 0 success / all checks pass, 1 a verification or certificate
 failed (or a runtime tolerance was not met), 2 config error.
 
 All floating-point output is printed with 17 significant digits so reruns
-with identical configs are byte-identical.
+with identical configs are byte-identical.  The numerical modules return
+data; this module alone turns it into files.
 """
 
 from __future__ import annotations
@@ -30,20 +31,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .analysis import (
-    IDENTITIES,
-    HadamardReport,
-    polynomial_bump,
-    report_to_dict,
-    verify_steps,
-)
+from .analysis import IDENTITIES, HadamardReport, polynomial_bump, verify_steps
 from .domain import (
     Domain1D,
     boundary_points,
@@ -52,6 +47,7 @@ from .domain import (
 )
 from .errors import (
     ArgumentError,
+    AsymmetricMeshError,
     ConfigError,
     DegenerateError,
     DimensionMismatchError,
@@ -73,13 +69,14 @@ from .fields import (
     nonexistence_threshold,
 )
 from .assembly import frac_laplacian_pointwise
-from .solve import _K_KEEP, _nodal_rows, pairs_to_json, solve_context, solve_semilinear
+from .solve import _K_KEEP, solve_context, solve_semilinear
 
 __all__ = ["RunConfig", "main"]
 
 _CONFIG_ERRORS = (
     ConfigError,
     ArgumentError,
+    AsymmetricMeshError,
     DegenerateError,
     RangeError,
     SupportError,
@@ -400,12 +397,28 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _matrix_text(mat: np.ndarray) -> str:
-    mat = np.asarray(mat, dtype=float)
-    lines = [f"{mat.shape[0]} {mat.shape[1]}"]
-    for row in mat:
-        lines.append(" ".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _write_matrix(path: str, mat: np.ndarray) -> None:
+    """The shape, then one line of space-separated entries per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
+        for row in mat:
+            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+
+
+def _doc(record) -> dict:
+    """The JSON entry of a report or certificate dataclass: its fields, with
+    a boundary point as {x, normal} and the history as [n, rel] lists."""
+    d = asdict(record)
+    if "bp" in d:
+        d["bp"] = {"x": record.bp.x, "normal": record.bp.normal}
+    if "history" in d:
+        d["history"] = [[int(n), float(r)] for n, r in record.history]
+    return d
+
+
+def _nodal(mesh, u) -> list:
+    """Per-interval lists of u's nodal values, clamped endpoints included."""
+    return [[float(v) for v in seg] for seg in mesh.interior_to_full(u)]
 
 
 def _domain_1d(cfg: RunConfig) -> Domain1D:
@@ -473,8 +486,13 @@ def _run_tasks(fn, tasks, jobs):
         return list(ex.map(fn, tasks))
 
 
-def _suffix(s: float, n: int, multi: bool) -> str:
-    return f"_s{s:g}_n{n}" if multi else ""
+def _basename(command: str, multi: bool, s: float, n: Optional[int] = None) -> str:
+    """The file name stem of one sweep point: the command alone for a single
+    point, else with s by its repr, so that no two values of s share a file,
+    and n when the sweep has one."""
+    if not multi:
+        return command
+    return f"{command}_s{s!r}" + ("" if n is None else f"_n{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +514,15 @@ def _eigen_task(arg):
         gap = float("nan") if prev is None else pr.value - prev
         rows.append((pr.k, pr.value, gap))
         prev = pr.value
-    out = {
+    doc = {
         "s": s,
-        "n": n,
-        "rows": rows,
-        "json": pairs_to_json(dom, s, ctx.mesh, pairs),
+        "domain": [list(iv) for iv in dom.intervals],
+        "lambda": [pr.value for pr in pairs],
+        "nodal": [_nodal(ctx.mesh, pr.vector) for pr in pairs],
     }
+    out = {"rows": rows, "doc": doc}
     if cfg.dump_matrices:
-        out["mass"] = _matrix_text(ctx.mass)
-        out["stiffness"] = _matrix_text(ctx.stiffness)
+        out["mass"], out["stiffness"] = ctx.mass, ctx.stiffness
     return out
 
 
@@ -513,17 +531,12 @@ def cmd_eigen(cfg: RunConfig) -> int:
     multi = len(tasks) > 1
     results = _run_tasks(_eigen_task, tasks, cfg.jobs)
     for (_, s, n), res in zip(tasks, results):
-        base = "eigen" + _suffix(s, n, multi)
+        base = _basename("eigen", multi, s, n)
         _write_csv(_outpath(cfg, base + ".csv"), ("k", "lambda", "gap"), res["rows"])
-        with open(_outpath(cfg, base + ".json"), "w", encoding="utf-8") as fh:
-            fh.write(res["json"])
-            fh.write("\n")
+        _write_json(_outpath(cfg, base + ".json"), res["doc"])
         if cfg.dump_matrices:
             for kind in ("mass", "stiffness"):
-                with open(
-                    _outpath(cfg, f"{base}_{kind}.txt"), "w", encoding="utf-8"
-                ) as fh:
-                    fh.write(res[kind])
+                _write_matrix(_outpath(cfg, f"{base}_{kind}.txt"), res[kind])
         print(
             f"eigen: s = {_fmt(s)}  n = {n}"
             + ("  (even modes only)" if cfg.even_only else "")
@@ -559,7 +572,7 @@ def _verify_task(arg):
         else:
             sides = (rep.lhs, rep.rhs, rep.rel_residual)
         rows.append((cfg.identity, s, rep.n) + sides + (sides[2] <= cfg.tol,))
-    report = report_to_dict(reports[-1])
+    report = _doc(reports[-1])
     report.setdefault("identity", cfg.identity)  # HadamardReport has no identity
     return {"rows": rows, "report": report, "passed": rows[-1][-1]}
 
@@ -624,7 +637,7 @@ def cmd_certify(cfg: RunConfig) -> int:
             c = cert.constants[0]
             last_constants = (X.dim * c, c)
             rows.append((kind, _fmt(c), "", cert.verdict))
-            docs.append(cert.to_json())
+            docs.append(_doc(cert))
             failed = failed or cert.verdict != "pass"
             print(f"c-condition: c = {_fmt(c)}  verdict = {cert.verdict}")
         elif kind == "c1c2-condition":
@@ -632,7 +645,7 @@ def cmd_certify(cfg: RunConfig) -> int:
             c1, c2 = cert.constants
             last_constants = (c1, c2)
             rows.append((kind, f"{_fmt(c1)};{_fmt(c2)}", "", cert.verdict))
-            docs.append(cert.to_json())
+            docs.append(_doc(cert))
             failed = failed or cert.verdict != "pass"
             print(
                 f"c1c2-condition: c1 = {_fmt(c1)}  c2 = {_fmt(c2)}  "
@@ -697,8 +710,8 @@ def cmd_semilinear(cfg: RunConfig) -> int:
     for s, n in combos:
         ctx = solve_context(dom, s, n, cfg.beta, even_only=False)
         sol = solve_semilinear(ctx, cfg.p, tol=cfg.semilinear_tol)
-        base = "semilinear" + _suffix(s, n, multi)
-        segs = ctx.mesh.interior_to_full(sol.u)
+        base = _basename("semilinear", multi, s, n)
+        nodal = _nodal(ctx.mesh, sol.u)
         doc = {
             "s": s,
             "p": cfg.p,
@@ -707,10 +720,14 @@ def cmd_semilinear(cfg: RunConfig) -> int:
             "residual": sol.residual,
             "iterations": sol.iterations,
             "nehari_gap": sol.nehari_gap,
-            "nodal": [[float(v) for v in seg] for seg in segs],
+            "nodal": nodal,
         }
         _write_json(_outpath(cfg, base + ".json"), doc)
-        rows = _nodal_rows(ctx.mesh, sol.u)
+        rows = [
+            (float(x), v)
+            for xs, vals in zip(ctx.mesh.nodes, nodal)
+            for x, v in zip(xs, vals)
+        ]
         _write_csv(_outpath(cfg, base + ".csv"), ("x", "u"), rows)
         print(
             f"semilinear: s = {_fmt(s)}  p = {_fmt(cfg.p)}  n = {n}  "
@@ -749,7 +766,7 @@ def cmd_fraclap(cfg: RunConfig) -> int:
             bump, s, xs, R=R, tol=cfg.quad_tol, tail_sup=tail_sup
         )
         rows = list(zip(xs.tolist(), fv.value.tolist(), fv.error.tolist()))
-        name = "fraclap" + (f"_s{s:g}" if multi else "") + ".csv"
+        name = _basename("fraclap", multi, s) + ".csv"
         _write_csv(_outpath(cfg, name), ("x", "value", "error"), rows)
         print(f"fraclap: s = {_fmt(s)}  points = {len(rows)}")
         for x, v, e in rows:

@@ -317,17 +317,6 @@ class ConditionCertificate:
     verdict: str  # "pass" | "fail"
     div_method: str
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "constants": list(self.constants),
-            "min_flux": self.min_flux,
-            "samples": self.samples,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "div_method": self.div_method,
-        }
-
 
 def _sample_pairs(box, dim, m, rng):
     lo = np.array([b[0] for b in box])

@@ -16,7 +16,6 @@ entry at n = 2048).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,8 +39,6 @@ __all__ = [
     "restrict_even",
     "solve_context",
     "solve_semilinear",
-    "pairs_to_json",
-    "pairs_to_nodal_rows",
 ]
 
 _SYM_TOL = 1e-10
@@ -296,9 +293,9 @@ def _merge_halves(half, signs: tuple[float, ...]):
     and their vectors, ascending, from its mirror halves ``signs``.
 
     ``half(sign, count)`` returns the first ``count`` values of one half
-    (all of them if it is smaller) and their full nodal vectors, or None in
-    place of the vectors when only values are solved.  A single half is
-    asked for 2*_K_KEEP values.  Two halves are asked for _K_KEEP + 1 each:
+    (all of them if it is smaller) and their full nodal vectors.  A single
+    half is asked for 2*_K_KEEP values and returned as it is, so it may give
+    None in place of the vectors.  Two halves are asked for _K_KEEP + 1 each:
     on an interval the even and odd values interleave, so that is mostly
     enough.  A half that gave all _K_KEEP + 1 values, the largest below the
     merged 2*_K_KEEP-th (the largest merged value, if the halves hold fewer),
@@ -316,8 +313,6 @@ def _merge_halves(half, signs: tuple[float, ...]):
     ]
     vals = np.concatenate([v for v, _ in solved])
     order = np.argsort(vals, kind="stable")[:want]
-    if solved[0][1] is None:
-        return vals[order], None
     return vals[order], np.concatenate([u for _, u in solved], axis=1)[:, order]
 
 
@@ -330,8 +325,8 @@ def _solve_halves(
     Each half is folded, solved on the path of the full dimension (see
     ``_eigh``) and freed before the next is folded, so no factor of the full
     dimension is made.  Residuals are taken against the full A and M.  With
-    ``eigvals_only`` the halves solve for values alone, and the merged
-    values are returned as an array.
+    ``eigvals_only``, for a single half, it solves for values alone, and they
+    are returned as an array.
     """
     K = A.shape[0]
 
@@ -491,35 +486,3 @@ def solve_semilinear(
                 p=p, u=u, residual=res, iterations=it, nehari_gap=abs(e - g) / e
             )
     raise ConvergenceError(f"semilinear iteration did not converge in {max_iter} steps")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def pairs_to_json(domain, s: float, mesh: Mesh1D, pairs) -> str:
-    """JSON document with eigenvalues and per-interval nodal values."""
-    doc = {
-        "s": s,
-        "domain": [list(iv) for iv in domain.intervals],
-        "lambda": [p.value for p in pairs],
-        "nodal": [
-            [list(map(float, seg)) for seg in mesh.interior_to_full(p.vector)]
-            for p in pairs
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def _nodal_rows(mesh: Mesh1D, u: np.ndarray) -> list[tuple[float, float]]:
-    """Rows (x, u(x)) at every node of every interval, endpoints included."""
-    return [
-        (float(x), float(v))
-        for seg_nodes, seg_vals in zip(mesh.nodes, mesh.interior_to_full(u))
-        for x, v in zip(seg_nodes, seg_vals)
-    ]
-
-
-def pairs_to_nodal_rows(mesh: Mesh1D, pairs):
-    """Rows (k, x, u_k(x)) covering every node of every mode."""
-    return [(p.k, x, v) for p in pairs for x, v in _nodal_rows(mesh, p.vector)]

@@ -350,13 +350,21 @@ def test_hadamard_even_only_finds_the_last_kept_mode():
 
 
 def test_hadamard_even_only_factors_no_full_form(monkeypatch):
-    # K = 1023: the even context and the full-spectrum values come from the
-    # halves (512 and 511 dofs); the only K x K factors are those of the two
-    # perturbed domains, which are not mirror-symmetric
+    # K = 1023: the even context solves the even half (512 dofs) and the
+    # full-spectrum lookup the odd half alone (511); the only K x K factors
+    # are those of the two perturbed domains, which are not mirror-symmetric
     fl.solve_context.cache_clear()
     shapes = cho_factor_shapes(monkeypatch)
     fl.hadamard_check(INTERVAL, 0.5, 2, right_bp(), h=1e-3, n=1024, even_only=True)
-    assert shapes == [(512, 512), (512, 512), (511, 511), (1023, 1023), (1023, 1023)]
+    assert shapes == [(512, 512), (511, 511), (1023, 1023), (1023, 1023)]
+
+
+def test_hadamard_even_only_refuses_a_mode_past_the_solved_values(monkeypatch):
+    # even mode k sits after the odd values below it; with 24 odd values
+    # below every even one, mode 2 lies past the 24 values of the spectrum
+    monkeypatch.setattr(fl.analysis, "_solve_halves", lambda *args, **kwargs: np.zeros(24))
+    with pytest.raises(ArgumentError, match="even mode k = 2 not found in the full spectrum"):
+        fl.hadamard_check(INTERVAL, 0.5, 2, right_bp(), h=1e-3, n=32, even_only=True)
 
 
 @pytest.mark.parametrize("even_only, misses", [(False, 1), (True, 1)])

@@ -43,6 +43,17 @@ ROTATION_FIELD = {
 ANISOTROPIC_FIELD = {"components": ["0.5*x", "y"], "box": [-1.0, 1.0, -1.0, 1.0]}
 
 
+def src_env():
+    """The environment of a fresh interpreter that imports fraclab from the
+    source tree under test."""
+    src_root = str(pathlib.Path(fraclab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
 def write_config(tmp_path, data, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -77,6 +88,21 @@ def test_eigen_csv_and_json(tmp_path):
     assert doc["s"] == 0.5
     assert len(doc["lambda"]) == 4
     assert len(doc["nodal"][0][0]) == 129
+
+
+def test_eigen_json_shape(tmp_path):
+    cfg = write_config(tmp_path, {"n": 16, "k_max": 3, "out": str(tmp_path)})
+    assert main(["eigen", "--config", cfg]) == 0
+    obj = json.loads((tmp_path / "eigen.json").read_text())
+    assert list(obj) == ["s", "domain", "lambda", "nodal"]
+    assert obj["s"] == 0.5
+    assert obj["domain"] == [[-1.0, 1.0]]
+    assert obj["lambda"] == sorted(obj["lambda"])
+    assert len(obj["lambda"]) == len(obj["nodal"]) == 3
+    # nodal values nest per interval and include the clamped endpoints
+    ground = obj["nodal"][0][0]
+    assert len(ground) == 17
+    assert ground[0] == 0.0 and ground[-1] == 0.0
 
 
 def test_eigen_dump_matrices(tmp_path):
@@ -127,6 +153,28 @@ def test_eigen_on_a_mesh_with_a_zero_length_element_exits_2(tmp_path, capsys):
     assert main(["eigen", "--config", cfg]) == 2
     assert "zero length" in capsys.readouterr().err
     assert not (tmp_path / "eigen.csv").exists()
+
+
+# s = 0.30000001 and 0.3 print alike with six significant digits, and the
+# second point's files overwrote the first's
+@pytest.mark.parametrize(
+    "command, data, suffixes",
+    [
+        ("eigen", {"n": 16, "k_max": 1}, ["_n16.csv", "_n16.json"]),
+        ("semilinear", {"p": 3, "n": 16}, ["_n16.csv", "_n16.json"]),
+        ("fraclap", {"points": [0.0]}, [".csv"]),
+    ],
+)
+def test_sweep_points_of_close_s_write_files_of_their_own(tmp_path, command, data, suffixes):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"s": [0.30000001, 0.3], "jobs": 1, "out": str(out), **data})
+    assert main([command, "--config", cfg]) == 0
+    stems = [f"{command}_s0.30000001", f"{command}_s0.3"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        stem + suffix for stem in stems for suffix in suffixes
+    )
+    for suffix in suffixes:
+        assert (out / (stems[0] + suffix)).read_bytes() != (out / (stems[1] + suffix)).read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -300,6 +348,11 @@ CONFIG_ERRORS = [
     (
         {"domain": {"intervals": [[-1, 1], [2, math.inf]]}},
         "interval (2.0, inf) has an infinite endpoint",
+    ),
+    # the even half needs a mesh symmetric under x -> -x; this exited 1
+    (
+        {"domain": {"intervals": [[-1, 2]]}, "even_only": True},
+        "mesh is not symmetric under x -> -x",
     ),
 ]
 
@@ -729,6 +782,40 @@ def test_pool_workers_run_blas_on_one_thread(blas_at_two, monkeypatch, method):
     assert blas_threads() == blas_at_two
 
 
+# forkserver is the default start method on Linux from Python 3.14: each
+# worker imports fraclab afresh and pins its BLAS pools in its initializer
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method on this platform",
+)
+def test_jobs_under_forkserver_write_the_bytes_of_one_job(tmp_path, capsys):
+    runs = {
+        "eigen": {"s": [0.4, 0.6], "n": [16], "k_max": 3},
+        "verify": {"identity": "ros-oton-serra", "s": [0.4, 0.6], "n": [16, 32], "tol": 1.0},
+    }
+    code = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "from fraclab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for command, data in runs.items():
+        serial, pool = tmp_path / command / "1", tmp_path / command / "2"
+        cfg = write_config(tmp_path, dict(data, out=str(serial)), command + "1.json")
+        assert main([command, "--config", cfg, "--jobs", "1"]) == 0
+        cfg = write_config(tmp_path, dict(data, out=str(pool)), command + "2.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, command, "--config", cfg, "--jobs", "2"],
+            capture_output=True, text=True, timeout=300, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in pool.iterdir()) and names
+        for name in names:
+            assert (serial / name).read_bytes() == (pool / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # console script
 # ---------------------------------------------------------------------------
@@ -758,16 +845,11 @@ def test_console_entry_point(tmp_path):
         "sys.argv[0] = 'fraclab'\n"
         f"sys.exit({func}())\n"
     )
-    src_root = str(pathlib.Path(fraclab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
 
     def run(*args):
         return subprocess.run(
             [sys.executable, "-c", launcher, *args],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=120, env=src_env(),
         )
 
     proc = run("eigen", "--n", "16", "--out", str(tmp_path))
@@ -800,14 +882,9 @@ def test_installed_console_script(tmp_path):
 def test_cli_import_leaves_the_sparse_eigensolver_unloaded():
     # only an eigensolve of dimension _SHIFT_INVERT_DIM or more imports ARPACK,
     # so no other run pays for it
-    src_root = str(pathlib.Path(fraclab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     code = "import sys, fraclab.cli; print('scipy.sparse.linalg' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=src_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -1,7 +1,5 @@
 """Eigensolver, even restriction, and semilinear fixed-point tests."""
 
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -478,27 +476,19 @@ def test_merge_takes_all_values_of_halves_smaller_than_the_request():
     assert np.array_equal(vecs[0], vals)
 
 
-def test_merge_of_values_only_halves_has_no_vectors():
-    spectra = {1.0: np.arange(1.0, 60.0, 2.0), -1.0: np.arange(2.0, 60.0, 2.0)}
-
-    def half(sign, count):
-        return np.asarray(spectra[sign][:count], dtype=float), None
-
-    vals, vecs = solve._merge_halves(half, (1.0, -1.0))
-    assert vals.tolist() == list(range(1, 2 * _K_KEEP + 1)) and vecs is None
-
-
 @pytest.mark.parametrize("intervals", [[(-1.0, 1.0)], [(-2.0, -1.0), (1.0, 2.0)]])
 @pytest.mark.parametrize("n", [8, 16, 1024])
 def test_halves_values_only_are_the_leading_values(intervals, n):
-    # small pencils have fewer than 24 values in both halves together; at
-    # n = 1024 the halves go to shift-invert Lanczos
+    # the odd half alone, as a Hadamard check with even_only solves it: small
+    # pencils have fewer than 24 odd values; at n = 1024 the half goes to
+    # shift-invert Lanczos
     mesh = fl.make_mesh(fl.make_domain(intervals), n, beta=2.0)
     A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
-    vals = solve._solve_halves(A, M, (1.0, -1.0), eigvals_only=True)
-    assert vals.size == min(A.shape[0], 2 * _K_KEEP)
-    np.testing.assert_allclose(vals, inverted_values(A, M, vals.size), rtol=1e-12, atol=0)
-    with_vectors = solve._solve_halves(A, M, (1.0, -1.0)).values
+    Ao, Mo = solve._fold(A, -1.0), solve._fold(M, -1.0)
+    vals = solve._solve_halves(A, M, (-1.0,), eigvals_only=True)
+    assert vals.size == min(Ao.shape[0], 2 * _K_KEEP)
+    np.testing.assert_allclose(vals, inverted_values(Ao, Mo, vals.size), rtol=1e-12, atol=0)
+    with_vectors = solve._solve_halves(A, M, (-1.0,)).values
     np.testing.assert_allclose(vals, with_vectors, rtol=1e-13, atol=0)
 
 
@@ -560,34 +550,3 @@ def test_semilinear_iteration_cap():
     ctx = interval_context(32, 0.75)
     with pytest.raises(ConvergenceError):
         fl.solve_semilinear(ctx, 4.0, tol=1e-14, max_iter=2)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_pairs_to_json_shape():
-    dom = fl.make_domain([(-1.0, 1.0)])
-    mesh = fl.make_mesh(dom, 16)
-    pairs = fl.solve_geig(fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh), 3)
-    obj = json.loads(fl.pairs_to_json(dom, 0.5, mesh, pairs))
-    assert obj["s"] == 0.5
-    assert obj["domain"] == [[-1.0, 1.0]]
-    assert obj["lambda"] == sorted(obj["lambda"])
-    assert len(obj["lambda"]) == len(obj["nodal"]) == 3
-    # nodal values nest per interval and include the clamped endpoints
-    ground = obj["nodal"][0][0]
-    assert len(ground) == 17
-    assert ground[0] == 0.0 and ground[-1] == 0.0
-
-
-def test_pairs_to_nodal_rows():
-    dom = fl.make_domain([(-1.0, 1.0)])
-    mesh = fl.make_mesh(dom, 8)
-    pairs = fl.solve_geig(fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh), 2)
-    rows = fl.pairs_to_nodal_rows(mesh, pairs)
-    assert len(rows) == 2 * 9  # one row per node per mode
-    ks = sorted({r[0] for r in rows})
-    assert ks == [1, 2]
-    first = [r for r in rows if r[0] == 1]
-    assert first[0][1] == -1.0 and first[0][2] == 0.0
