@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsv
 
 from .assembly import assemble_gagliardo, assemble_mass, integrate_density
 from .domain import Domain1D, Mesh1D, make_mesh
@@ -45,9 +46,13 @@ _SYM_TOL = 1e-10
 # rows per panel of the symmetry check and of the mirror fold
 _SYM_PANEL = 256
 # pencils of at least this dimension are solved by shift-invert Lanczos on a
-# Cholesky factor of A, smaller ones by the dense LAPACK reduction: for 24
-# eigenpairs the dense path was faster at 511 and 767 dofs, and at 1023 it
-# was no faster warm and slower in a fresh process
+# Cholesky factor of A, smaller ones by the dense LAPACK reduction.  For 24
+# eigenpairs of the form on (-1, 1) at s = 1/2 (24 runs in one process, one
+# BLAS thread), Lanczos took 10-49 ms at 255 dofs against 6-10 ms dense,
+# 19-31 against 26-36 ms at 511, 38-53 against 70-91 ms at 767 and 62-100
+# against 163-198 ms at 1023.  The bound stays above 511: the gain there is
+# small, and the switch would move those eigenvalues by up to the dense
+# path's absolute error (7.4e-10 relative at s = 0.7)
 _SHIFT_INVERT_DIM = 768
 # eigenvectors kept per cached context; twice as many eigenvalues are solved,
 # enough to find the k-th even mode (k <= _K_KEEP) in the full spectrum
@@ -145,11 +150,25 @@ def _eigh(
         raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
 
 
+def _cho_apply(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for A = L L', with L the lower factor that
+    ``scipy.linalg.cho_factor(A, lower=True)`` returns (its upper triangle
+    is not read).
+
+    Two level-2 triangular solves, BLAS ``dtrsv``: LAPACK ``?potrs`` goes
+    through the level-3 ``trsm`` even for one right-hand side, which took
+    2.2-3.4 times as long on the same factor at 511 to 2047 dofs.  L must
+    be F-contiguous, as ``cho_factor`` returns it, or every call copies it.
+    """
+    return dtrsv(L, dtrsv(L, b, lower=1), lower=1, trans=1, overwrite_x=1)
+
+
 def _eigh_shift_invert(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool):
     """``_eigh`` by the shift-invert spectral transformation at sigma = 0
     (Ericsson & Ruhe 1980): ARPACK's Lanczos process (Lehoucq, Sorensen &
     Yang 1998) finds the m largest eigenvalues 1/lambda of A^-1 M in the
-    M-inner product, applying A^-1 through one Cholesky factor of A.
+    M-inner product, applying A^-1 through one Cholesky factor of A
+    (``_cho_apply``).
 
     The small eigenvalues come out accurate to relative precision.  The start
     vector is fixed, so reruns are bit-identical; it is not even, so modes odd
@@ -172,16 +191,12 @@ def _eigh_shift_invert(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("M is not positive definite") from exc
     try:
-        chol = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        L, _ = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("A is not positive definite") from exc
     offsets = list(range(-len(band) + 1, len(band)))
     sparse_m = diags_array(band[:0:-1] + band, offsets=offsets, format="csr")
-    a_inv = LinearOperator(
-        (dim, dim),
-        matvec=lambda b: scipy.linalg.cho_solve(chol, b, check_finite=False),
-        dtype=float,
-    )
+    a_inv = LinearOperator((dim, dim), matvec=lambda b: _cho_apply(L, b), dtype=float)
     try:
         out = eigsh(
             A, k=m, M=sparse_m, sigma=0.0, OPinv=a_inv, tol=0,
@@ -465,10 +480,10 @@ def solve_semilinear(
 
     v = ctx.pairs[0].vector
     u = nehari(v, float(v @ (A @ v)))
-    chol = scipy.linalg.cho_factor(A)
+    L, _ = scipy.linalg.cho_factor(A, lower=True)
     for it in range(1, max_iter + 1):
         mf = mass(np.maximum(u, 0.0) ** (p - 1.0))
-        z = scipy.linalg.cho_solve(chol, mf, check_finite=False)
+        z = _cho_apply(L, mf)
         unew = nehari(z, float(z @ mf))  # z'Az = z'Mf, since Az = Mf
         change = float(np.max(np.abs(unew - u)))
         u = unew

@@ -218,6 +218,43 @@ def test_shift_invert_reruns_are_bit_identical(stiff_forms):
         assert a.residual == b.residual
 
 
+@pytest.mark.parametrize("n, even_half", [(2048, True), (512, False)])
+def test_cho_apply_matches_cho_solve(n, even_half):
+    # the even half at n = 2048 (K = 1024) and the whole form at n = 512
+    # (K = 511): the factors of the benchmark's and the smaller solves
+    _, A, _ = interval_forms(n, 0.5)
+    if even_half:
+        A = solve._fold(A, 1.0)
+    L, lower = scipy.linalg.cho_factor(A, lower=True)
+    # dtrsv reads L in place only if it is F-contiguous; f2py would copy
+    # any other layout on every call
+    assert lower and L.flags.f_contiguous
+    for b in np.random.default_rng(n).standard_normal((3, A.shape[0])):
+        kept = b.copy()
+        x = solve._cho_apply(L, b)
+        assert np.array_equal(b, kept)  # ARPACK's work vector is not written
+        expected = scipy.linalg.cho_solve((L, lower), b)
+        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_repeated_solves_do_not_go_through_cho_solve(monkeypatch):
+    # both mirror halves, an asymmetric pencil solved whole on the Lanczos
+    # path, and the semilinear iteration apply their factor by _cho_apply
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy.linalg.cho_solve called")
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refused)
+    fl.solve_context.cache_clear()
+    try:
+        ctx = interval_context(1024, 0.5)
+        assert ctx.stiffness.shape[0] >= _SHIFT_INVERT_DIM
+        assert fl.solve_semilinear(ctx, 3.0).iterations > 1
+        skew = fl.solve_context(fl.make_domain([(-0.3, 0.7)]), 0.5, 1024, 2.0, False)
+        assert skew.stiffness.shape[0] >= _SHIFT_INVERT_DIM
+    finally:
+        fl.solve_context.cache_clear()
+
+
 def test_shift_invert_serves_a_wider_mass_band():
     # a pentadiagonal M: the sparse M and its definiteness check follow the
     # band of M, not a tridiagonal assumption
