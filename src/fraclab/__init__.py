@@ -13,8 +13,8 @@ Layers (each importable on its own):
 - :mod:`fraclab.fields` — vector fields, deformation kernel, certificates
 - :mod:`fraclab.assembly` — mass/stiffness/deformation matrices, pointwise
   principal-value operator values
-- :mod:`fraclab.solve` — generalized eigensolver, even restriction,
-  semilinear ground states
+- :mod:`fraclab.solve` — generalized eigensolver, even and odd mirror
+  halves, semilinear ground states
 - :mod:`fraclab.analysis` — boundary-trace extraction and identity checks
 - :mod:`fraclab.cli` — the ``fraclab`` command
 """

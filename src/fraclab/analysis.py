@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import wraps
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,7 +62,6 @@ __all__ = [
     "spectrum_report",
     "IDENTITIES",
     "verify_steps",
-    "run_verify",
 ]
 
 _RESID_FLOOR = 1e-30
@@ -648,8 +646,8 @@ def verify_steps(
     lemma21 runs once per tolerance of ``quad_tols``, largest first; hadamard
     yields one HadamardReport at ``max(ns)`` (the finite-difference step is
     its own refinement axis).  With ``p`` set, pohozaev and ros-oton-serra
-    check the semilinear solution instead of the k-th eigenpair.  Both
-    ``fraclab verify`` and run_verify go through this driver.
+    check the semilinear solution instead of the k-th eigenpair.
+    ``fraclab verify`` goes through this driver.
     """
     if identity not in IDENTITIES:
         raise ArgumentError(
@@ -691,14 +689,3 @@ def verify_steps(
             rep = l2_identity_check(domain, s, sol, mesh=ctx.mesh, history=history)
         history = rep.history
         yield rep
-
-
-@wraps(verify_steps, assigned=())
-def run_verify(*args, **kwargs):
-    """Run one identity check over a refinement list; see verify_steps.
-
-    Takes the arguments of verify_steps and returns the report of the last
-    (finest) step, with the history of (n, rel_residual) attached.
-    """
-    *_, last = verify_steps(*args, **kwargs)
-    return last

@@ -343,11 +343,16 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
 # mass matrix
 # ---------------------------------------------------------------------------
 
-def assemble_mass(mesh: Mesh1D) -> np.ndarray:
-    """Exact P1 mass matrix on interior dofs (tridiagonal per interval)."""
+def assemble_mass(mesh: Mesh1D):
+    """Exact P1 mass matrix on interior dofs, a tridiagonal ``scipy.sparse``
+    CSR array (``.toarray()`` gives a dense copy)."""
+    from scipy.sparse import coo_array  # `import fraclab.cli` loads no scipy.sparse
+
     h = mesh.elem_h
     K = mesh.n_interior
-    return _scatter_add(np.zeros((K, K)), _sym_blocks(h / 3.0, h / 6.0), mesh.elem_dof)
+    rows, cols, valid = _block_index(mesh.elem_dof)
+    local = _sym_blocks(h / 3.0, h / 6.0)[valid]
+    return coo_array((local, (rows[valid], cols[valid])), shape=(K, K)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +365,19 @@ def _sym_blocks(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
+def _block_index(dofs: np.ndarray):
+    """The (P, D, D) row and column dofs of the local blocks of the (P, D)
+    element ``dofs``, and the mask of the entries without a dof -1."""
+    P, D = dofs.shape
+    rows = np.broadcast_to(dofs[:, :, None], (P, D, D))
+    cols = np.broadcast_to(dofs[:, None, :], (P, D, D))
+    return rows, cols, (rows >= 0) & (cols >= 0)
+
+
 def _scatter_add(out: np.ndarray, local: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     """Add (P, D, D) local blocks into the C-contiguous K x K ``out`` (dof -1
     dropped), in block order; returns ``out``."""
-    P, D, _ = local.shape
-    rows = np.broadcast_to(dofs[:, :, None], (P, D, D))
-    cols = np.broadcast_to(dofs[:, None, :], (P, D, D))
-    valid = (rows >= 0) & (cols >= 0)
+    rows, cols, valid = _block_index(dofs)
     np.add.at(out.reshape(-1), rows[valid] * out.shape[1] + cols[valid], local[valid])
     return out
 

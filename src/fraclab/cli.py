@@ -522,7 +522,7 @@ def _eigen_task(arg):
     }
     out = {"rows": rows, "doc": doc}
     if cfg.dump_matrices:
-        out["mass"], out["stiffness"] = ctx.mass, ctx.stiffness
+        out["mass"], out["stiffness"] = ctx.mass.toarray(), ctx.stiffness
     return out
 
 

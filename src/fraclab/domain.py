@@ -33,13 +33,11 @@ __all__ = [
     "Mesh1D",
     "ImplicitDomain2D",
     "make_domain",
-    "dist_to_complement",
     "boundary_points",
     "make_mesh",
     "make_implicit_domain",
     "sample_boundary_2d",
     "perturb_endpoint",
-    "domain_to_json",
     "domain_from_json",
 ]
 
@@ -98,18 +96,6 @@ def make_domain(intervals: Sequence[Sequence[float]]) -> Domain1D:
         if a1 <= b0:
             raise OverlapError(f"intervals ({a0}, {b0}) and ({a1}, {b1}) touch or overlap")
     return Domain1D(tuple(ivs))
-
-
-def dist_to_complement(domain: Domain1D, x):
-    """delta(x) = dist(x, complement of the domain); 0 outside the domain."""
-    arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    for a, b in domain.intervals:
-        inside = (arr > a) & (arr < b)
-        out = np.where(inside, np.minimum(arr - a, b - arr), out)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def boundary_points(domain: Domain1D) -> tuple[BoundaryPoint1D, ...]:
@@ -237,10 +223,11 @@ def _make_mesh(domain: Domain1D, n: int, beta: float) -> Mesh1D:
     elem_x0 = np.concatenate([nd[:-1] for nd in nodes])
     elem_x1 = np.concatenate([nd[1:] for nd in nodes])
     elem_h = elem_x1 - elem_x0
-    if np.any(elem_h <= 0):
+    bad = int(np.count_nonzero(~(elem_h > 0)))  # NaN sizes count too
+    if bad:
         raise DegenerateError(
             f"grading beta = {beta} with {n} elements per interval rounds "
-            f"{int(np.sum(elem_h <= 0))} element(s) to zero length"
+            f"{bad} element(s) to zero length or NaN"
         )
     interior_x = np.concatenate([nd[1:-1] for nd in nodes])
     for a in (elem_x0, elem_x1, elem_h, elem_interval, elem_dof, interior_x):
@@ -385,17 +372,9 @@ def sample_boundary_2d(dom: ImplicitDomain2D, m: int, grad_tol: float = 1e-8):
     ]
 
 
-def domain_to_json(domain) -> dict:
-    """JSON form: {"intervals": [[a, b], ...]} or {"implicit2d": {...}}."""
-    if isinstance(domain, Domain1D):
-        return {"intervals": [[a, b] for a, b in domain.intervals]}
-    if isinstance(domain, ImplicitDomain2D):
-        return {"implicit2d": {"g": domain.source, "bbox": list(domain.bbox)}}
-    raise ArgumentError(f"cannot serialize {type(domain).__name__}")
-
-
 def domain_from_json(obj: dict):
-    """Inverse of :func:`domain_to_json`."""
+    """A domain from its JSON form: {"intervals": [[a, b], ...]} or
+    {"implicit2d": {"g": ..., "bbox": [...]}}."""
     if not isinstance(obj, dict):
         raise ArgumentError("domain JSON must be an object")
     if "intervals" in obj:

@@ -33,15 +33,12 @@ __all__ = [
     "identity_field",
     "constant_field",
     "rotation_field",
-    "add_fields",
-    "scale_field",
     "eval_kernel_KX",
     "check_c_condition",
     "check_c1_c2",
     "min_flux",
     "nonexistence_threshold",
     "admissible_s_interval",
-    "field_to_json",
     "field_from_json",
 ]
 
@@ -243,21 +240,6 @@ def constant_field(values: Sequence[float], box) -> VectorField:
 def rotation_field(box) -> VectorField:
     """The 2D rotation generator Y(x) = (-x2, x1); K_Y vanishes identically."""
     return make_field(["-y", "x"], box)
-
-
-def add_fields(X: VectorField, Z: VectorField) -> VectorField:
-    if X.dim != Z.dim:
-        raise DimensionMismatchError("field dims differ")
-    comps = [f"({a}) + ({b})" for a, b in zip(X.source, Z.source)]
-    box = tuple(
-        (max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(X.box, Z.box)
-    )
-    return make_field(comps, box)
-
-
-def scale_field(X: VectorField, alpha: float) -> VectorField:
-    comps = [f"({repr(float(alpha))}) * ({a})" for a in X.source]
-    return make_field(comps, X.box)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +458,6 @@ def admissible_s_interval(c1: float, c2: float, N: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
-
-def field_to_json(X: VectorField) -> dict:
-    out = {
-        "dim": X.dim,
-        "components": list(X.source),
-        "box": [v for pair in X.box for v in pair],
-    }
-    if X.div_method == "given":
-        out["div"] = X.div_source
-    return out
-
 
 def field_from_json(obj: dict) -> VectorField:
     if not isinstance(obj, dict) or "components" not in obj:

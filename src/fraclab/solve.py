@@ -1,17 +1,18 @@
 """Generalized symmetric eigensolver, even and odd mirror halves, the solve
 context (the most recent one kept), and a subcritical semilinear fixed-point solver.
 
-The eigenproblem is A u = lambda M u on the interior P1 basis (Dirichlet).
-In one dimension the "radial" subspace is the span of even functions; the
-restriction is done at matrix level with symmetrized hat functions so the
-even spectrum is exactly a sub-spectrum of the full discrete problem.  On a
-mesh symmetric under x -> -x the pencil is block diagonal in the even/odd
-basis, and ``solve_context`` solves pencils of full dimension
-``_SHIFT_INVERT_DIM`` or more as an even and an odd half, both by
-shift-invert Lanczos: the path follows the full dimension, not the half's.
-The halves' vectors are exactly even or odd, so their residuals against the
-assembled A stop at A's own mirror asymmetry (about 1e-10 of its largest
-entry at n = 2048).
+The eigenproblem is A u = lambda M u on the interior P1 basis (Dirichlet),
+with A dense and M the sparse tridiagonal mass matrix.  In one dimension the
+"radial" subspace is the span of even functions.  On a mesh symmetric under
+x -> -x the pencil is block diagonal in the basis of symmetrized hat
+functions, the columns of the sparse mirror basis P (``_mirror_basis``), so
+the even spectrum is exactly a sub-spectrum of the full discrete problem.
+Each half is the pencil (P' A P, P' M P), and P @ v lifts its vectors.
+``solve_context`` solves pencils of full dimension ``_SHIFT_INVERT_DIM`` or
+more as an even and an odd half, both by shift-invert Lanczos: the path
+follows the full dimension, not the half's.  The halves' vectors are exactly
+even or odd, so their residuals against the assembled A stop at A's own
+mirror asymmetry (about 1e-10 of its largest entry at n = 2048).
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ __all__ = [
     "EigenPair",
     "SemilinearSolution",
     "solve_geig",
-    "restrict_even",
     "solve_context",
     "solve_semilinear",
 ]
 
 _SYM_TOL = 1e-10
-# rows per panel of the symmetry check and of the mirror fold
+# rows per panel of the dense symmetry check
 _SYM_PANEL = 256
 # pencils of at least this dimension are solved by shift-invert Lanczos on a
 # Cholesky factor of A, smaller ones by the dense LAPACK reduction.  For 24
@@ -91,18 +91,25 @@ class _Pairs(list):
     values: np.ndarray
 
 
-def _check_sym(name: str, T: np.ndarray) -> None:
-    """Raise unless T matches its transpose to _SYM_TOL of its largest entry.
+def _check_sym(name: str, T) -> None:
+    """Raise unless the dense or sparse T is finite and matches its
+    transpose to _SYM_TOL of its largest entry.
 
-    Each panel of ``_SYM_PANEL`` rows right of the diagonal is compared with
-    the matching columns below it, so no K x K temporary is made.
+    A dense T is compared in panels of ``_SYM_PANEL`` rows right of the
+    diagonal against the matching columns below it, so no K x K temporary
+    is made.
     """
-    scale = max(T.max(), -T.min()) or 1.0
-    asym = 0.0
-    for i in range(0, T.shape[0], _SYM_PANEL):
-        j = i + _SYM_PANEL
-        asym = max(asym, np.max(np.abs(T[i:j, i:] - T[i:, i:j].T)))
-    if asym > _SYM_TOL * scale:
+    scale = max(T.max(), -T.min())
+    if not np.isfinite(scale):
+        raise ArgumentError(f"{name} has non-finite entries")
+    if isinstance(T, np.ndarray):
+        asym = 0.0
+        for i in range(0, T.shape[0], _SYM_PANEL):
+            j = i + _SYM_PANEL
+            asym = max(asym, np.max(np.abs(T[i:j, i:] - T[i:, i:j].T)))
+    else:
+        asym = abs(T - T.T).max()
+    if asym > _SYM_TOL * (scale or 1.0):
         raise ArgumentError(f"{name} is not symmetric")
 
 
@@ -121,10 +128,9 @@ def _orientation(v: np.ndarray) -> float:
     return float(top[0])
 
 
-def _eigh(
-    A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool, dim: int | None = None
-):
-    """The first m eigenvalues (and vectors) of A u = lambda M u, ascending.
+def _eigh(A: np.ndarray, M, m: int, eigvals_only: bool, dim: int | None = None):
+    """The first m eigenvalues (and vectors) of A u = lambda M u, ascending,
+    for a dense A and a sparse M.
 
     The path follows ``dim``, the dimension of the full pencil when (A, M) is
     one of its mirror halves (A's own dimension by default).  From
@@ -133,10 +139,12 @@ def _eigh(
     Lanczos basis, it is the dense path: ``subset_by_index`` selects
     LAPACK ``?sygvx``, which reduces the whole pencil to tridiagonal form and
     then finds only the m wanted eigenvalues by bisection and their vectors
-    by inverse iteration.  Its error is absolute, about eps * lambda_max.
+    by inverse iteration on a dense copy of M.  Its error is absolute, about
+    eps * lambda_max.
     """
     if (dim or A.shape[0]) >= _SHIFT_INVERT_DIM and m < A.shape[0] - 1:
         return _eigh_shift_invert(A, M, m, eigvals_only)
+    M = M.toarray()
     try:
         return scipy.linalg.eigh(
             A, M, eigvals_only=eigvals_only, subset_by_index=[0, m - 1]
@@ -163,7 +171,7 @@ def _cho_apply(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dtrsv(L, dtrsv(L, b, lower=1), lower=1, trans=1, overwrite_x=1)
 
 
-def _eigh_shift_invert(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool):
+def _eigh_shift_invert(A: np.ndarray, M, m: int, eigvals_only: bool):
     """``_eigh`` by the shift-invert spectral transformation at sigma = 0
     (Ericsson & Ruhe 1980): ARPACK's Lanczos process (Lehoucq, Sorensen &
     Yang 1998) finds the m largest eigenvalues 1/lambda of A^-1 M in the
@@ -173,19 +181,18 @@ def _eigh_shift_invert(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool)
     The small eigenvalues come out accurate to relative precision.  The start
     vector is fixed, so reruns are bit-identical; it is not even, so modes odd
     on a symmetric mesh enter the Krylov space of an unsplit pencil from the
-    first step.  M is held as a sparse matrix of its lower band (tridiagonal
-    for assembled forms), and its definiteness is checked by a banded
-    Cholesky factor.
+    first step.  The sparse M goes to ARPACK as it is, and its definiteness
+    is checked by a banded Cholesky factor of its lower band (tridiagonal for
+    assembled forms).
     """
-    from scipy.sparse import diags_array  # only large solves pay the import
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     dim = A.shape[0]
+    coo = M.tocoo()
     # the diagonals M[i + k, i] of M's lower triangle, k = 0..bandwidth
-    band = [np.diagonal(M, -k) for k in range(scipy.linalg.bandwidth(M)[0] + 1)]
-    ab = np.zeros((len(band), dim))
-    for k, d in enumerate(band):
-        ab[k, : dim - k] = d
+    ab = np.zeros((int(np.max(coo.row - coo.col, initial=0)) + 1, dim))
+    for k in range(ab.shape[0]):
+        ab[k, : dim - k] = M.diagonal(-k)
     try:
         scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -194,12 +201,10 @@ def _eigh_shift_invert(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool)
         L, _ = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("A is not positive definite") from exc
-    offsets = list(range(-len(band) + 1, len(band)))
-    sparse_m = diags_array(band[:0:-1] + band, offsets=offsets, format="csr")
     a_inv = LinearOperator((dim, dim), matvec=lambda b: _cho_apply(L, b), dtype=float)
     try:
         out = eigsh(
-            A, k=m, M=sparse_m, sigma=0.0, OPinv=a_inv, tol=0,
+            A, k=m, M=M, sigma=0.0, OPinv=a_inv, tol=0,
             v0=np.random.default_rng(0).standard_normal(dim),
             return_eigenvectors=not eigvals_only,
         )
@@ -212,8 +217,10 @@ def _eigh_shift_invert(A: np.ndarray, M: np.ndarray, m: int, eigvals_only: bool)
     return vals[order], vecs[:, order]
 
 
-def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
+def solve_geig(A: np.ndarray, M, k_max: int) -> list[EigenPair]:
     """First k_max eigenpairs of A u = lambda M u, M-orthonormal, ascending.
+
+    A is dense; M is dense or sparse, and is held as a CSR array.
 
     Only the leading eigenpairs are solved for (see ``_eigh``): by the dense
     LAPACK reduction below dimension ``_SHIFT_INVERT_DIM``, by shift-invert
@@ -222,8 +229,10 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     eigenvalues of the same solve (all of them if the dimension is smaller),
     ascending.
     """
+    from scipy.sparse import csr_array
+
     A = np.asarray(A, dtype=float)
-    M = np.asarray(M, dtype=float)
+    M = csr_array(M, dtype=float)
     if A.shape != M.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ArgumentError("A and M must be square matrices of equal shape")
     dim = A.shape[0]
@@ -235,7 +244,7 @@ def solve_geig(A: np.ndarray, M: np.ndarray, k_max: int) -> list[EigenPair]:
     return _pairs(A, M, vals, vecs, k_max)
 
 
-def _pairs(A: np.ndarray, M: np.ndarray, vals, vecs, k_max: int) -> _Pairs:
+def _pairs(A: np.ndarray, M, vals, vecs, k_max: int) -> _Pairs:
     """The first k_max of the solved pairs (vals, vecs) of A u = lambda M u,
     vectors sign-fixed by ``_orientation`` and residuals taken against A and
     M; ``values`` is all of vals."""
@@ -262,45 +271,24 @@ def _mirror_symmetric(mesh: Mesh1D) -> bool:
     return bool(np.max(np.abs(x + x[::-1])) <= 1e-12 * scale)
 
 
-def _fold(T: np.ndarray, sign: float) -> np.ndarray:
-    """P' T P for the even (sign = 1) or odd (sign = -1) half of a K x K form
-    on a mesh symmetric in x -> -x.
+def _mirror_basis(K: int, sign: float):
+    """The sparse K x n basis P of the even (sign = 1) or odd (sign = -1)
+    half of K interior dofs on a mesh symmetric in x -> -x.
 
-    The columns of P are e_i + sign * e_mirror(i) for i < K // 2, and for the
-    even half of odd K also the centre hat alone, which is its own mirror.
-    The fold is formed by index from views of T, rows i and mirror(i) before
-    columns: the same two sums per entry, in the same order, as the matrix
-    product.  It runs in panels of ``_SYM_PANEL`` rows, so its one temporary
-    is a panel, not a K x K or h x h array.
+    Column i < K // 2 is e_i + sign * e_mirror(i); the even half of odd K
+    also holds the centre hat alone, which is its own mirror.  A form T of
+    the half is P' T P, and P @ v lifts its vectors to full nodal values.
+    Each entry of either product sums two terms, so the sparse products
+    match the dense ones bit for bit.
     """
-    K = T.shape[0]
-    h = K // 2
-    n = h + (K % 2 if sign > 0 else 0)
-    op = np.add if sign > 0 else np.subtract
-    out = np.empty((n, n))
-    mirror = T[K - h :][::-1]  # row i is row mirror(i) of T
-    for i in range(0, h, _SYM_PANEL):
-        rows = slice(i, min(i + _SYM_PANEL, h))
-        panel = out[rows, :h]
-        op(T[rows, :h], mirror[rows, :h], out=panel)
-        op(panel, op(T[rows, K - h :][:, ::-1], mirror[rows, K - h :][:, ::-1]), out=panel)
-    if n > h:  # the centre node counts once
-        np.add(T[:h, h], T[K - h :, h][::-1], out=out[:h, h])
-        np.add(T[h, :h], T[h, K - h :][::-1], out=out[h, :h])
-        out[h, h] = T[h, h]
-    return out
+    from scipy.sparse import coo_array
 
-
-def _lift(V: np.ndarray, sign: float, K: int) -> np.ndarray:
-    """P @ V by index: the full nodal vectors of the columns of V, vectors of
-    the even (sign = 1) or odd (sign = -1) half of ``_fold``."""
-    h = K // 2
-    U = np.zeros((K, V.shape[1]))
-    U[:h] = V[:h]
-    U[K - h :] = sign * V[:h][::-1]
-    if V.shape[0] > h:
-        U[h] = V[h]
-    return U
+    rows = np.arange(K)
+    cols = np.minimum(rows, rows[::-1])
+    n = K // 2 + (K % 2 if sign > 0 else 0)
+    keep = cols < n  # drops the centre row of the odd half of odd K
+    data = np.where(rows < (K + 1) // 2, 1.0, sign)
+    return coo_array((data[keep], (rows[keep], cols[keep])), shape=(K, n)).tocsr()
 
 
 def _merge_halves(half, signs: tuple[float, ...]):
@@ -331,26 +319,24 @@ def _merge_halves(half, signs: tuple[float, ...]):
     return vals[order], np.concatenate([u for _, u in solved], axis=1)[:, order]
 
 
-def _solve_halves(
-    A: np.ndarray, M: np.ndarray, signs: tuple[float, ...], eigvals_only: bool = False
-):
+def _solve_halves(A: np.ndarray, M, signs: tuple[float, ...], eigvals_only: bool = False):
     """Leading eigenpairs of (A, M) on a mirror-symmetric mesh, solved on
     the halves ``signs`` (1 even, -1 odd) and lifted to full nodal vectors.
 
-    Each half is folded, solved on the path of the full dimension (see
-    ``_eigh``) and freed before the next is folded, so no factor of the full
-    dimension is made.  Residuals are taken against the full A and M.  With
-    ``eigvals_only``, for a single half, it solves for values alone, and they
-    are returned as an array.
+    Each half folds both forms through its ``_mirror_basis`` P, is solved on
+    the path of the full dimension (see ``_eigh``) and is freed before the
+    next is folded, so no factor of the full dimension is made.  Residuals
+    are taken against the full A and M.  With ``eigvals_only``, for a single
+    half, it solves for values alone, and they are returned as an array.
     """
     K = A.shape[0]
 
     def half(sign: float, count: int):
-        Ah, Mh = _fold(A, sign), _fold(M, sign)
+        P = _mirror_basis(K, sign)
+        Ah = P.T @ A @ P
         _check_sym("A", Ah)
-        _check_sym("M", Mh)
-        out = _eigh(Ah, Mh, min(count, Ah.shape[0]), eigvals_only=eigvals_only, dim=K)
-        return (out, None) if eigvals_only else (out[0], _lift(out[1], sign, K))
+        out = _eigh(Ah, P.T @ M @ P, min(count, Ah.shape[0]), eigvals_only, dim=K)
+        return (out, None) if eigvals_only else (out[0], P @ out[1])
 
     vals, vecs = _merge_halves(half, signs)
     if eigvals_only:
@@ -358,30 +344,15 @@ def _solve_halves(
     return _pairs(A, M, vals, vecs, min(_K_KEEP, vals.size))
 
 
-def restrict_even(mesh: Mesh1D, A: np.ndarray, M: np.ndarray):
-    """Project (A, M) onto the even subspace of a mesh symmetric in x -> -x.
-
-    Returns (A_even, M_even, P) where the columns of P are the symmetrized
-    basis vectors e_i + e_{mirror(i)} (the center hat alone if present);
-    full interior nodal values are recovered as P @ v_even.  The fold is
-    ``_fold``, the one ``solve_context`` solves even and odd halves on.
-    """
-    if not _mirror_symmetric(mesh):
-        raise AsymmetricMeshError("mesh is not symmetric under x -> -x")
-    K = A.shape[0]
-    return _fold(A, 1.0), _fold(M, 1.0), _lift(np.eye((K + 1) // 2), 1.0, K)
-
-
 @dataclass(frozen=True, eq=False)
 class SolveContext:
     mesh: Mesh1D
     s: float
     stiffness: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
+    mass: object = field(repr=False)  # sparse tridiagonal CSR array
     pairs: tuple[EigenPair, ...]
     # first 2*_K_KEEP eigenvalues (all of them if the dimension is smaller)
     values: np.ndarray = field(repr=False)
-    even_only: bool = False
 
 
 @lru_cache(maxsize=1)
@@ -398,11 +369,11 @@ def solve_context(
     even/odd basis.  There a pencil of full dimension ``_SHIFT_INVERT_DIM``
     or more is solved as an even and an odd half (``_solve_halves``), and
     ``even_only`` solves the even half alone at any dimension; any other
-    pencil is solved whole by ``solve_geig``.  The halves share one fold and
-    one lift by index, and their vectors are exactly even or odd, so their
-    residuals against A stop at A's own mirror asymmetry (about 1e-10 of its
-    largest entry at n = 2048, from the exterior tail on the boundary
-    elements) rather than at rounding.
+    pencil is solved whole by ``solve_geig``.  The halves fold and lift
+    through one sparse mirror basis, and their vectors are exactly even or
+    odd, so their residuals against A stop at A's own mirror asymmetry (about
+    1e-10 of its largest entry at n = 2048, from the exterior tail on the
+    boundary elements) rather than at rounding.
     """
     mesh = make_mesh(domain, n, beta)
     symmetric = _mirror_symmetric(mesh)
@@ -416,8 +387,7 @@ def solve_context(
     else:
         pairs = solve_geig(A, M, min(_K_KEEP, A.shape[0]))
     return SolveContext(
-        mesh=mesh, s=s, stiffness=A, mass=M, pairs=tuple(pairs), values=pairs.values,
-        even_only=even_only,
+        mesh=mesh, s=s, stiffness=A, mass=M, pairs=tuple(pairs), values=pairs.values
     )
 
 
@@ -461,15 +431,7 @@ def solve_semilinear(
             f"p = {p} is supercritical for s = {s} (critical exponent "
             f"{2.0 / (1.0 - 2.0 * s):g}); no positive solution exists"
         )
-    A, mesh = ctx.stiffness, ctx.mesh
-    # the P1 mass matrix is tridiagonal: apply it from its band
-    m_diag, m_off = np.diagonal(ctx.mass), np.diagonal(ctx.mass, -1)
-
-    def mass(f: np.ndarray) -> np.ndarray:
-        mf = m_diag * f
-        mf[1:] += m_off * f[:-1]
-        mf[:-1] += m_off * f[1:]
-        return mf
+    A, M, mesh = ctx.stiffness, ctx.mass, ctx.mesh
 
     def nehari(z: np.ndarray, e: float) -> np.ndarray:
         """Rescale z, of energy e = z'Az, onto the Nehari manifold."""
@@ -482,7 +444,7 @@ def solve_semilinear(
     u = nehari(v, float(v @ (A @ v)))
     L, _ = scipy.linalg.cho_factor(A, lower=True)
     for it in range(1, max_iter + 1):
-        mf = mass(np.maximum(u, 0.0) ** (p - 1.0))
+        mf = M @ np.maximum(u, 0.0) ** (p - 1.0)
         z = _cho_apply(L, mf)
         unew = nehari(z, float(z @ mf))  # z'Az = z'Mf, since Az = Mf
         change = float(np.max(np.abs(unew - u)))
@@ -490,7 +452,7 @@ def solve_semilinear(
         if change < tol:
             au = A @ u
             res = float(
-                np.linalg.norm(au - mass(np.maximum(u, 0.0) ** (p - 1.0)))
+                np.linalg.norm(au - M @ np.maximum(u, 0.0) ** (p - 1.0))
                 / np.linalg.norm(au)
             )
             e = float(u @ au)

@@ -24,6 +24,12 @@ INTERVAL = fl.make_domain([(-1.0, 1.0)])
 ANNULUS = fl.make_domain([(-2.0, -1.0), (1.0, 2.0)])
 
 
+def last_report(*args, **kwargs):
+    """The report of the last (finest) step of ``verify_steps``."""
+    *_, last = fl.verify_steps(*args, **kwargs)
+    return last
+
+
 def right_bp(domain=INTERVAL):
     return [b for b in fl.boundary_points(domain) if b.x == max(
         iv[1] for iv in domain.intervals
@@ -38,9 +44,8 @@ def test_trace_exact_on_own_model():
     mesh = fl.make_mesh(INTERVAL, 128, beta=2.0)
     for bp in fl.boundary_points(INTERVAL):
         for psi, c1 in [(1.0, 0.0), (1.3, -0.4), (0.2, 0.8)]:
-            delta = np.array(
-                [fl.dist_to_complement(INTERVAL, float(x)) for x in mesh.interior_x]
-            )
+            x = mesh.interior_x
+            delta = np.minimum(x + 1.0, 1.0 - x)  # distance to the complement
             u = psi * delta**0.5 * (1.0 + c1 * delta)
             est = fl.extract_trace(mesh, u, 0.5, bp)
             assert est.psi == pytest.approx(psi, rel=1e-10)
@@ -56,9 +61,8 @@ def test_trace_exact_on_own_model():
 )
 def test_trace_recovers_model_property(psi, c1, s):
     mesh = fl.make_mesh(INTERVAL, 64, beta=2.0)
-    delta = np.array(
-        [fl.dist_to_complement(INTERVAL, float(x)) for x in mesh.interior_x]
-    )
+    x = mesh.interior_x
+    delta = np.minimum(x + 1.0, 1.0 - x)  # distance to the complement
     u = psi * delta**s * (1.0 + c1 * delta)
     est = fl.extract_trace(mesh, u, s, right_bp())
     assert est.psi == pytest.approx(psi, rel=1e-9)
@@ -345,7 +349,7 @@ def test_hadamard_even_only_finds_the_last_kept_mode():
     for dx in (h, -h):
         mesh = fl.make_mesh(fl.perturb_endpoint(INTERVAL, bp, dx), 64, beta=2.0)
         A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
-        lam.append(scipy.linalg.eigh(A, M, eigvals_only=True)[22])
+        lam.append(scipy.linalg.eigh(A, M.toarray(), eigvals_only=True)[22])
     assert rep.fd_slope == pytest.approx((lam[0] - lam[1]) / (2.0 * h), rel=1e-9)
 
 
@@ -431,7 +435,7 @@ def test_spectrum_k_max_beyond_the_solved_values(k_max):
 # ---------------------------------------------------------------------------
 
 def test_run_verify_refinement_history():
-    rep = fl.run_verify("ros-oton-serra", INTERVAL, 0.5, [64, 128])
+    rep = last_report("ros-oton-serra", INTERVAL, 0.5, [64, 128])
     assert rep.n == 128
     assert [n for n, _ in rep.history] == [64, 128]
     assert rep.history[1][1] < rep.history[0][1]
@@ -439,32 +443,32 @@ def test_run_verify_refinement_history():
 
 
 def test_run_verify_hadamard_route():
-    rep = fl.run_verify("hadamard", INTERVAL, 0.5, [64], k=1)
+    rep = last_report("hadamard", INTERVAL, 0.5, [64], k=1)
     assert rep.rel_error <= 0.05
 
 
 def test_run_verify_unknown_identity():
     misses = fl.solve_context.cache_info().misses
     with pytest.raises(ArgumentError):
-        fl.run_verify("not-an-identity", INTERVAL, 0.37, [16])
+        last_report("not-an-identity", INTERVAL, 0.37, [16])
     assert fl.solve_context.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("identity", ["pohozaev", "ibp", "l2-radial", "hadamard"])
 def test_run_verify_rejects_mode_zero(identity):
     with pytest.raises(ArgumentError):
-        fl.run_verify(identity, INTERVAL, 0.5, [16], k=0)
+        last_report(identity, INTERVAL, 0.5, [16], k=0)
 
 
 def test_run_verify_rejects_k2_beyond_solved_modes():
     with pytest.raises(ArgumentError):
-        fl.run_verify("ibp", INTERVAL, 0.5, [64], k2=13)
+        last_report("ibp", INTERVAL, 0.5, [64], k2=13)
 
 
 def test_run_verify_rejects_unknown_bp_side_before_solving():
     misses = fl.solve_context.cache_info().misses
     with pytest.raises(ArgumentError):
-        fl.run_verify("hadamard", INTERVAL, 0.5, [16], bp_side="top")
+        last_report("hadamard", INTERVAL, 0.5, [16], bp_side="top")
     assert fl.solve_context.cache_info().misses == misses
 
 
@@ -488,7 +492,7 @@ def test_semilinear_verify_runs_one_eigensolve(monkeypatch):
 
             monkeypatch.setattr(module, "solve_geig", counted)
     # s = 0.41, n = 16: a context no other test builds
-    fl.run_verify("pohozaev", INTERVAL, 0.41, [16], p=3)
+    last_report("pohozaev", INTERVAL, 0.41, [16], p=3)
     assert len(calls) == 1
 
 
@@ -513,7 +517,7 @@ def test_hadamard_even_only_assembles_each_form_once(monkeypatch):
 
     monkeypatch.setattr(solve, "assemble_gagliardo", counted)
     dom = fl.make_domain([(-1.25, 1.25)])  # no other test meshes this domain
-    fl.run_verify("hadamard", dom, 0.5, [32], k=2, even_only=True)
+    last_report("hadamard", dom, 0.5, [32], k=2, even_only=True)
     # the even context's forms serve the full spectrum too; the two
     # perturbed domains have their own
     assert len(calls) == len(set(calls)) == 3

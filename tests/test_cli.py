@@ -112,6 +112,12 @@ def test_eigen_dump_matrices(tmp_path):
         text = (tmp_path / f"eigen_{kind}.txt").read_text().splitlines()
         assert text[0] == "127 127"
         assert len(text) == 128
+    # the sparse mass matrix is written densely, every entry in %.17g
+    mesh = fraclab.make_mesh(fraclab.make_domain([(-1.0, 1.0)]), 128, 2.0)
+    M = fraclab.assemble_mass(mesh).toarray()
+    assert (tmp_path / "eigen_mass.txt").read_text().splitlines()[1:] == [
+        " ".join("%.17g" % v for v in row) for row in M
+    ]
 
 
 def test_eigen_sweep_jobs_deterministic(tmp_path):
@@ -153,6 +159,26 @@ def test_eigen_on_a_mesh_with_a_zero_length_element_exits_2(tmp_path, capsys):
     assert main(["eigen", "--config", cfg]) == 2
     assert "zero length" in capsys.readouterr().err
     assert not (tmp_path / "eigen.csv").exists()
+
+
+# a grading that computes 0/0 gives NaN element sizes; the domains below
+# mesh, but their element sizes underflow or overflow the stiffness form,
+# with the floating-point warnings that go with it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 8, "beta": 1e300}, "8 element(s) to zero length or NaN"),
+        ({"domain": {"intervals": [[0, 1e-300]]}}, "A has non-finite entries"),
+        ({"domain": {"intervals": [[1e300, 1.5e300]]}}, "A has non-finite entries"),
+        ({"domain": {"intervals": [[-1e300, 1e300]]}}, "A has non-finite entries"),
+    ],
+    ids=["nan-grading", "tiny-interval", "far-interval", "wide-interval"],
+)
+def test_eigen_on_a_non_finite_mesh_or_form_exits_2(tmp_path, capsys, data, message):
+    cfg = write_config(tmp_path, {"n": 8, "out": str(tmp_path), **data})
+    assert main(["eigen", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
 
 
 # s = 0.30000001 and 0.3 print alike with six significant digits, and the
@@ -827,6 +853,18 @@ def _declared_scripts():
         tomllib = pytest.importorskip("tomli")
     with open(PYPROJECT, "rb") as fh:
         return tomllib.load(fh)["project"].get("scripts", {})
+
+
+def test_importing_the_cli_loads_no_scipy_sparse():
+    # the sparse mass matrix and mirror basis import scipy.sparse inside the
+    # functions that build them, so start-up does not pay for it
+    code = "import sys, fraclab.cli; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,4 @@
-"""Eigensolver, even restriction, and semilinear fixed-point tests."""
+"""Eigensolver, mirror halves, and semilinear fixed-point tests."""
 
 import numpy as np
 import pytest
@@ -26,14 +26,20 @@ def interval_context(n, s):
     return fl.solve_context(fl.make_domain([(-1.0, 1.0)]), s, n, 2.0, False)
 
 
+def even_half(T):
+    """P' T P on the even mirror basis P of T's dimension."""
+    P = solve._mirror_basis(T.shape[0], 1.0)
+    return P.T @ T @ P
+
+
 def inverted_values(A, M, m):
-    """The m smallest eigenvalues of A u = lambda M u to relative accuracy:
-    1/mu for the m largest eigenvalues mu of L^-1 M L^-T, with A = L L^T.
-    A dense reduction of (A, M) errs by about eps * lambda_max instead,
-    which at n = 1024 is 1e-12 to 1e-9 of lambda_1."""
+    """The m smallest eigenvalues of A u = lambda M u, M sparse, to relative
+    accuracy: 1/mu for the m largest eigenvalues mu of L^-1 M L^-T, with
+    A = L L^T.  A dense reduction of (A, M) errs by about eps * lambda_max
+    instead, which at n = 1024 is 1e-12 to 1e-9 of lambda_1."""
     L = np.linalg.cholesky(A)
     C = scipy.linalg.solve_triangular(
-        L, scipy.linalg.solve_triangular(L, M, lower=True).T, lower=True
+        L, scipy.linalg.solve_triangular(L, M.toarray(), lower=True).T, lower=True
     )
     return 1.0 / np.linalg.eigvalsh(0.5 * (C + C.T))[::-1][:m]
 
@@ -84,6 +90,14 @@ def test_geig_failure_with_definite_mass_is_convergence_error(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError):
         fl.solve_geig(np.eye(2), np.eye(2), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_geig_rejects_a_non_finite_stiffness(bad):
+    A = np.eye(3)
+    A[1, 1] = bad
+    with pytest.raises(ArgumentError, match="^A has non-finite entries$"):
+        fl.solve_geig(A, np.eye(3), 1)
 
 
 def test_geig_k_max_out_of_range():
@@ -173,7 +187,7 @@ def test_context_values_are_the_leading_values_of_a_full_solve(intervals, n, eve
     ctx = fl.solve_context(fl.make_domain(intervals), 0.5, n, 2.0, even_only)
     A, M = ctx.stiffness, ctx.mass
     if even_only:
-        A, M, _ = fl.restrict_even(ctx.mesh, A, M)
+        A, M = even_half(A), even_half(M)
     assert ctx.values.size == min(A.shape[0], 2 * _K_KEEP)
     expected = inverted_values(A, M, ctx.values.size)
     np.testing.assert_allclose(ctx.values, expected, rtol=1e-13, atol=0)
@@ -218,13 +232,13 @@ def test_shift_invert_reruns_are_bit_identical(stiff_forms):
         assert a.residual == b.residual
 
 
-@pytest.mark.parametrize("n, even_half", [(2048, True), (512, False)])
-def test_cho_apply_matches_cho_solve(n, even_half):
+@pytest.mark.parametrize("n, halved", [(2048, True), (512, False)])
+def test_cho_apply_matches_cho_solve(n, halved):
     # the even half at n = 2048 (K = 1024) and the whole form at n = 512
     # (K = 511): the factors of the benchmark's and the smaller solves
     _, A, _ = interval_forms(n, 0.5)
-    if even_half:
-        A = solve._fold(A, 1.0)
+    if halved:
+        A = even_half(A)
     L, lower = scipy.linalg.cho_factor(A, lower=True)
     # dtrsv reads L in place only if it is F-contiguous; f2py would copy
     # any other layout on every call
@@ -324,22 +338,21 @@ def test_eigenvalues_match_kwasnicki_asymptotics(s):
 
 
 # ---------------------------------------------------------------------------
-# even-subspace restriction
+# even-subspace restriction (the even mirror basis)
 # ---------------------------------------------------------------------------
 
 def test_restrict_even_dimension_count():
     mesh, A, M = interval_forms(8, 0.5)
-    Ae, Me, lift = fl.restrict_even(mesh, A, M)
+    P = solve._mirror_basis(A.shape[0], 1.0)
     assert mesh.interior_x.size == 7  # 2m + 1 with m = 3
-    assert Ae.shape == Me.shape == (4, 4)
-    assert lift.shape == (7, 4)
+    assert even_half(A).shape == even_half(M).shape == (4, 4)
+    assert P.shape == (7, 4)
 
 
 def test_restrict_even_subspectrum():
     mesh, A, M = interval_forms(64, 0.5)
     full = [p.value for p in fl.solve_geig(A, M, 8)]
-    Ae, Me, _ = fl.restrict_even(mesh, A, M)
-    even = [p.value for p in fl.solve_geig(Ae, Me, 4)]
+    even = [p.value for p in fl.solve_geig(even_half(A), even_half(M), 4)]
     for ev in even:
         assert min(abs(ev - fv) / ev for fv in full) < 1e-10
     # ground state is even: first even eigenvalue equals first full one
@@ -350,10 +363,10 @@ def test_restrict_even_subspectrum():
 
 def test_restrict_even_lift_reconstructs_even_vectors():
     mesh, A, M = interval_forms(32, 0.5)
-    Ae, Me, lift = fl.restrict_even(mesh, A, M)
-    pairs = fl.solve_geig(Ae, Me, 2)
+    P = solve._mirror_basis(A.shape[0], 1.0)
+    pairs = fl.solve_geig(even_half(A), even_half(M), 2)
     for p in pairs:
-        u = lift @ p.vector
+        u = P @ p.vector
         assert np.max(np.abs(u - u[::-1])) <= 1e-12 * np.max(np.abs(u))
 
 
@@ -365,16 +378,12 @@ def test_restrict_even_lift_reconstructs_even_vectors():
 def test_restrict_even_is_the_projection_bit_for_bit(intervals, n):
     mesh = fl.make_mesh(fl.make_domain(intervals), n, beta=2.0)
     A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
-    Ae, Me, P = fl.restrict_even(mesh, A, M)
-    assert np.array_equal(Ae, P.T @ A @ P)
-    assert np.array_equal(Me, P.T @ M @ P)
+    P = solve._mirror_basis(A.shape[0], 1.0).toarray()
+    assert np.array_equal(even_half(A), P.T @ A @ P)
+    assert np.array_equal(even_half(M).toarray(), P.T @ M.toarray() @ P)
 
 
 def test_restrict_even_requires_symmetric_mesh():
-    mesh = fl.make_mesh(fl.make_domain([(0.0, 1.0)]), 8)
-    A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
-    with pytest.raises(AsymmetricMeshError):
-        fl.restrict_even(mesh, A, M)
     with pytest.raises(AsymmetricMeshError):
         fl.solve_context(fl.make_domain([(0.0, 1.0)]), 0.5, 8, 2.0, True)
 
@@ -451,8 +460,7 @@ def test_even_only_context_solves_the_even_half_on_the_full_path(monkeypatch):
     shapes = cho_factor_shapes(monkeypatch)
     ctx = fl.solve_context(fl.make_domain([(-1.0, 1.0)]), 0.7, 1024, 2.0, True)
     assert shapes == [(512, 512)]
-    Ae, Me, _ = fl.restrict_even(ctx.mesh, ctx.stiffness, ctx.mass)
-    expected = inverted_values(Ae, Me, ctx.values.size)
+    expected = inverted_values(even_half(ctx.stiffness), even_half(ctx.mass), ctx.values.size)
     np.testing.assert_allclose(ctx.values, expected, rtol=1e-13, atol=0)
     for p in ctx.pairs:
         assert np.array_equal(p.vector, p.vector[::-1])
@@ -521,7 +529,8 @@ def test_halves_values_only_are_the_leading_values(intervals, n):
     # shift-invert Lanczos
     mesh = fl.make_mesh(fl.make_domain(intervals), n, beta=2.0)
     A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
-    Ao, Mo = solve._fold(A, -1.0), solve._fold(M, -1.0)
+    P = solve._mirror_basis(A.shape[0], -1.0)
+    Ao, Mo = P.T @ A @ P, P.T @ M @ P
     vals = solve._solve_halves(A, M, (-1.0,), eigvals_only=True)
     assert vals.size == min(Ao.shape[0], 2 * _K_KEEP)
     np.testing.assert_allclose(vals, inverted_values(Ao, Mo, vals.size), rtol=1e-12, atol=0)
@@ -529,14 +538,27 @@ def test_halves_values_only_are_the_leading_values(intervals, n):
     np.testing.assert_allclose(vals, with_vectors, rtol=1e-13, atol=0)
 
 
-def test_fold_is_the_projection_on_the_lift_basis():
-    # _lift is P @ V for the basis _fold projects on, for odd and even K
-    for K in (7, 8):
-        for sign in (1.0, -1.0):
-            n = K // 2 + (K % 2 if sign > 0 else 0)
-            P = solve._lift(np.eye(n), sign, K)
-            T = np.random.default_rng(K).standard_normal((K, K))
-            assert np.array_equal(solve._fold(T, sign), P.T @ T @ P)
+# K = 7, 8 and 1023, 1024: with and without a centre node, small and past
+# _SHIFT_INVERT_DIM
+@pytest.mark.parametrize("K", [7, 8, 1023, 1024])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mirror_basis_folds_and_lifts_exactly(K, sign):
+    P = solve._mirror_basis(K, sign)
+    dense = P.toarray()
+    assert P.shape == (K, K // 2 + (K % 2 if sign > 0 else 0))
+    T = np.random.default_rng(K).standard_normal((K, K))
+    assert np.array_equal(P.T @ T @ P, dense.T @ T @ dense)
+    M = fl.assemble_mass(fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), K + 1, 2.0))
+    assert np.array_equal((P.T @ M @ P).toarray(), dense.T @ M.toarray() @ dense)
+    U = P @ np.random.default_rng(K + 1).standard_normal((P.shape[1], 3))
+    assert np.array_equal(U[::-1], sign * U)  # exactly even or odd
+
+
+def test_context_mass_is_tridiagonal_and_sparse():
+    ctx = interval_context(2048, 0.5)
+    K = ctx.stiffness.shape[0]
+    assert not isinstance(ctx.mass, np.ndarray)
+    assert ctx.mass.shape == (K, K) and ctx.mass.nnz == 3 * K - 2
 
 
 # ---------------------------------------------------------------------------
