@@ -647,7 +647,7 @@ def verify_steps(
     yields one HadamardReport at ``max(ns)`` (the finite-difference step is
     its own refinement axis).  With ``p`` set, pohozaev and ros-oton-serra
     check the semilinear solution instead of the k-th eigenpair.
-    ``fraclab verify`` goes through this driver.
+    ``fraclab verify`` runs every check through this generator.
     """
     if identity not in IDENTITIES:
         raise ArgumentError(
