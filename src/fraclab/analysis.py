@@ -11,7 +11,7 @@ near the boundary point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from .assembly import (
     assemble_deformation,
     frac_laplacian_pointwise,
     integrate_density,
-    _full_nodal,
 )
 from .domain import (
     BoundaryPoint1D,
@@ -70,6 +69,8 @@ _RESID_FLOOR = 1e-30
 _TRACE_SKIP = 1
 _TRACE_COUNT = 11
 _TRACE_FRAC_CAP = 0.25
+# relative gap below which neighbouring eigenvalues count as one cluster
+_CLUSTER_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +134,8 @@ def _history_flag(history) -> str:
     return "OK" if rises == 0 else ("WARN" if rises == 1 else "FAIL")
 
 
-def _report(identity, lhs, rhs, rel, n, s, history) -> PohozaevReport:
-    """Report of one refinement step, with (n, rel) appended to the history."""
-    hist = tuple(history) + ((n, rel),)
+def _report(identity, lhs, rhs, rel, n, s) -> PohozaevReport:
+    """Report of one refinement step; its history is that step alone."""
     return PohozaevReport(
         identity=identity,
         lhs=lhs,
@@ -144,8 +144,7 @@ def _report(identity, lhs, rhs, rel, n, s, history) -> PohozaevReport:
         rel_residual=rel,
         n=n,
         s=s,
-        history=hist,
-        flag=_history_flag(hist),
+        history=((n, rel),),
     )
 
 
@@ -167,11 +166,12 @@ def extract_trace(
 ) -> TraceEstimate:
     """Fit u(x_j) = psi * d_j^s * (1 + c1 d_j) near bp, d_j = |x_j - bp.x|.
 
-    ``window`` restricts to distances d in [d_min, d_max]; the default uses
-    the 2nd..12th nodes from the boundary (the nearest node carries the
-    largest discretization error), capped at a quarter of the interval.
+    ``u`` holds the values at the interior dofs.  ``window`` restricts to
+    distances d in [d_min, d_max]; the default uses the 2nd..12th nodes from
+    the boundary (the nearest node carries the largest discretization
+    error), capped at a quarter of the interval.
     """
-    vals = _full_nodal(mesh, u)[bp.interval_index]
+    vals = mesh.interior_to_full(u)[bp.interval_index]
     nd = mesh.nodes[bp.interval_index]
     d = np.abs(nd - bp.x)
     order = np.argsort(d)
@@ -204,8 +204,9 @@ def extract_trace(
     )
 
 
-def _traces(mesh, u, s, dom):
-    return [extract_trace(mesh, u, s, bp) for bp in boundary_points(dom)]
+def _traces(ctx: SolveContext, u):
+    mesh = ctx.mesh
+    return [extract_trace(mesh, u, ctx.s, bp) for bp in boundary_points(mesh.domain)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +244,12 @@ def _gamma2(s: float) -> float:
 # identity checks
 # ---------------------------------------------------------------------------
 
-def pohozaev_check(
-    domain: Domain1D,
-    s: float,
-    solution,
-    X: VectorField,
-    *,
-    mesh: Mesh1D,
-    history: Sequence[tuple[int, float]] = (),
-) -> PohozaevReport:
-    """Deformation identity: Gamma(1+s)^2 sum psi^2 X.nu = 2 int F div X - u'Bu."""
+def pohozaev_check(ctx: SolveContext, solution, X: VectorField) -> PohozaevReport:
+    """Deformation identity: Gamma(1+s)^2 sum psi^2 X.nu = 2 int F div X - u'Bu,
+    for a solution on the mesh of ``ctx`` at its s."""
+    mesh, s = ctx.mesh, ctx.s
     u, F, _ = _nonlinearity(solution)
-    tr = _traces(mesh, u, s, domain)
+    tr = _traces(ctx, u)
     lhs = _gamma2(s) * sum(
         t.psi**2 * float(X.at1(t.bp.x)) * t.bp.normal for t in tr
     )
@@ -263,17 +258,10 @@ def pohozaev_check(
         u @ (B @ u)
     )
     rel = _rel(lhs, rhs)
-    return _report("generalized", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
+    return _report("generalized", lhs, rhs, rel, mesh.n_per_interval[0], s)
 
 
-def ros_oton_serra_check(
-    domain: Domain1D,
-    s: float,
-    solution,
-    *,
-    mesh: Mesh1D,
-    history: Sequence[tuple[int, float]] = (),
-) -> PohozaevReport:
+def ros_oton_serra_check(ctx: SolveContext, solution) -> PohozaevReport:
     """X = id specialization with the deformation term eliminated analytically:
 
     Gamma(1+s)^2 sum psi^2 (x.nu) = 2N int F(u) - (N-2s) int u f(u),  N = 1.
@@ -281,14 +269,15 @@ def ros_oton_serra_check(
     The right side involves no deformation assembly, so this is a second,
     independent route to the same boundary quantity.
     """
+    mesh, s = ctx.mesh, ctx.s
     u, F, uf = _nonlinearity(solution)
-    tr = _traces(mesh, u, s, domain)
+    tr = _traces(ctx, u)
     lhs = _gamma2(s) * sum(t.psi**2 * t.bp.x * t.bp.normal for t in tr)
     rhs = 2.0 * integrate_density(mesh, u, transform=F) - (
         1.0 - 2.0 * s
     ) * integrate_density(mesh, u, transform=uf)
     rel = _rel(lhs, rhs)
-    return _report("ros-oton-serra", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
+    return _report("ros-oton-serra", lhs, rhs, rel, mesh.n_per_interval[0], s)
 
 
 def _int_grad_dot_X_times(mesh: Mesh1D, u, X: VectorField, v) -> tuple[float, float]:
@@ -297,12 +286,8 @@ def _int_grad_dot_X_times(mesh: Mesh1D, u, X: VectorField, v) -> tuple[float, fl
     Returns (signed value, unsigned magnitude int |u_h' X v_h|); the latter
     is the natural scale of the term when symmetry cancels the signed value.
     """
-    uv = _full_nodal(mesh, u)
-    vv = _full_nodal(mesh, v)
-    ul = np.concatenate([w[:-1] for w in uv])
-    ur = np.concatenate([w[1:] for w in uv])
-    vl = np.concatenate([w[:-1] for w in vv])
-    vr = np.concatenate([w[1:] for w in vv])
+    ul, ur = mesh.element_ends(u).T
+    vl, vr = mesh.element_ends(v).T
     slope = (ur - ul) / mesh.elem_h
     tg, wg = gauss_legendre_01(8)
     xq = mesh.elem_x0[:, None] + mesh.elem_h[:, None] * tg[None, :]
@@ -314,14 +299,7 @@ def _int_grad_dot_X_times(mesh: Mesh1D, u, X: VectorField, v) -> tuple[float, fl
 
 
 def ibp_check(
-    domain: Domain1D,
-    s: float,
-    pair_u: EigenPair,
-    pair_v: EigenPair,
-    X: VectorField,
-    *,
-    mesh: Mesh1D,
-    history: Sequence[tuple[int, float]] = (),
+    ctx: SolveContext, pair_u: EigenPair, pair_v: EigenPair, X: VectorField
 ) -> PohozaevReport:
     """Two-function integration-by-parts identity for eigenpairs (u,lam), (v,mu):
 
@@ -334,9 +312,10 @@ def ibp_check(
     magnitudes serve as the scale instead (otherwise the residual would be
     noise divided by noise).
     """
+    mesh, s = ctx.mesh, ctx.s
     u, v = pair_u.vector, pair_v.vector
-    tr_u = _traces(mesh, u, s, domain)
-    tr_v = _traces(mesh, v, s, domain)
+    tr_u = _traces(ctx, u)
+    tr_v = _traces(ctx, v)
     g1, m1 = _int_grad_dot_X_times(mesh, u, X, v)
     g2, m2 = _int_grad_dot_X_times(mesh, v, X, u)
     t1 = pair_v.value * g1
@@ -364,25 +343,19 @@ def ibp_check(
         _RESID_FLOOR,
     )
     rel = abs(lhs - rhs) / scale
-    return _report("ibp", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
+    return _report("ibp", lhs, rhs, rel, mesh.n_per_interval[0], s)
 
 
-def l2_identity_check(
-    domain: Domain1D,
-    s: float,
-    pair: EigenPair,
-    *,
-    mesh: Mesh1D,
-    history: Sequence[tuple[int, float]] = (),
-) -> PohozaevReport:
+def l2_identity_check(ctx: SolveContext, pair: EigenPair) -> PohozaevReport:
     """L2-mass from boundary data: int u^2 = Gamma(1+s)^2/(2 s lam) sum psi^2 (x.nu).
 
     The boundary sum runs over all endpoints with the 1D counting measure;
     on multi-interval domains the x.nu weights make outer endpoints count
     positively and inner ones negatively.
     """
+    mesh, s = ctx.mesh, ctx.s
     u = pair.vector
-    tr = _traces(mesh, u, s, domain)
+    tr = _traces(ctx, u)
     lhs = integrate_density(mesh, u, transform=lambda t: t**2)
     rhs = (
         _gamma2(s)
@@ -390,7 +363,7 @@ def l2_identity_check(
         * sum(t.psi**2 * t.bp.x * t.bp.normal for t in tr)
     )
     rel = _rel(lhs, rhs)
-    return _report("l2-radial", lhs, rhs, rel, mesh.n_per_interval[0], s, history)
+    return _report("l2-radial", lhs, rhs, rel, mesh.n_per_interval[0], s)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +420,6 @@ def lemma21_check(
     quad_tol: float = 1e-8,
     *,
     domain: Domain1D,
-    history: Sequence[tuple[int, float]] = (),
 ) -> PohozaevReport:
     """Deformation energy vs pointwise operator for a compactly supported U:
 
@@ -494,7 +466,7 @@ def lemma21_check(
     xq = edges[:-1, None] + widths[:, None] * tg[None, :]
     mag_acc = float(widths @ (np.abs(integrand(xq)) @ wg))
     rel = _rel(lhs, rhs, scale=2.0 * mag_acc)
-    return _report("lemma21", lhs, rhs, rel, n_f, s, history)
+    return _report("lemma21", lhs, rhs, rel, n_f, s)
 
 
 def _mode(ctx: SolveContext, k: int) -> EigenPair:
@@ -509,26 +481,20 @@ def _mode(ctx: SolveContext, k: int) -> EigenPair:
 # ---------------------------------------------------------------------------
 
 def hadamard_check(
-    domain: Domain1D,
-    s: float,
-    k: int,
-    bp: BoundaryPoint1D,
-    h: Optional[float] = None,
-    even_only: bool = False,
-    *,
-    n: int,
-    beta: float = 2.0,
+    ctx: SolveContext, k: int, bp: BoundaryPoint1D, h: Optional[float] = None
 ) -> HadamardReport:
     """Eigenvalue derivative under moving one endpoint, two independent ways.
 
-    The finite-difference slope re-meshes and re-solves on the domain with
-    bp shifted by +-h along its outward normal; the closed-form value is
-    -Gamma(1+s)^2 psi_k(bp)^2 for the M-normalized eigenfunction (the
-    denominator int u^2 is 1 by normalization).
+    The finite-difference slope re-meshes and re-solves on the domain of
+    ``ctx`` with bp shifted by +-h along its outward normal, at the same n
+    and beta; the closed-form value is -Gamma(1+s)^2 psi_k(bp)^2 for the
+    M-normalized k-th eigenfunction of ``ctx`` (the denominator int u^2 is
+    1 by normalization), the k-th even one for an ``even_only`` context.
     """
+    domain, s, beta = ctx.mesh.domain, ctx.s, ctx.mesh.beta
+    n = ctx.mesh.n_per_interval[0]
     if h is None:
         h = 1e-3 * domain.diameter
-    ctx = solve_context(domain, s, n, beta, even_only)
     pair = _mode(ctx, k)
     psi = extract_trace(ctx.mesh, pair.vector, s, bp).psi
     formula = -_gamma2(s) * psi**2
@@ -539,7 +505,7 @@ def hadamard_check(
     # context already holds the even values; the odd half of its forms is
     # solved for values only, so that no factor of the full forms is made.
     full, idx = ctx.values, k - 1
-    if even_only:
+    if ctx.even_only:
         odd = _solve_halves(ctx.stiffness, ctx.mass, (-1.0,), eigvals_only=True)
         idx += int(np.count_nonzero(odd < pair.value))
         full = np.sort(np.concatenate([full, odd]), kind="stable")[: 2 * _K_KEEP]
@@ -565,18 +531,10 @@ def hadamard_check(
     )
 
 
-def spectrum_report(
-    domain: Domain1D,
-    s: float,
-    k_max: int,
-    even_only: bool = False,
-    cluster_tol: float = 1e-4,
-    *,
-    n: int,
-    beta: float = 2.0,
-) -> SpectrumReport:
-    """Leading eigenvalues with relative gaps and clusters under cluster_tol."""
-    ctx = solve_context(domain, s, n, beta, even_only)
+def spectrum_report(ctx: SolveContext, k_max: int) -> SpectrumReport:
+    """The first k_max eigenvalues of ``ctx`` (its even ones for an
+    ``even_only`` context), with relative gaps and clusters under
+    ``_CLUSTER_TOL``."""
     if not 1 <= k_max <= ctx.values.size:
         raise ArgumentError(
             f"k_max = {k_max} is outside 1..{ctx.values.size}, the solved "
@@ -587,13 +545,13 @@ def spectrum_report(
     sizes = []
     run = 1
     for g in gaps:
-        if g < cluster_tol:
+        if g < _CLUSTER_TOL:
             run += 1
         else:
             sizes.append(run)
             run = 1
     sizes.append(run)
-    if even_only:
+    if ctx.even_only:
         note = "even-restricted (radial) spectrum; simplicity heuristics apply"
     else:
         note = (
@@ -601,14 +559,14 @@ def spectrum_report(
             "subsequence only"
         )
     return SpectrumReport(
-        s=s,
-        n=n,
-        even_only=even_only,
+        s=ctx.s,
+        n=ctx.mesh.n_per_interval[0],
+        even_only=ctx.even_only,
         values=tuple(map(float, vals)),
         gaps=gaps,
         cluster_sizes=tuple(sizes),
-        cluster_tol=cluster_tol,
-        components=len(domain.intervals),
+        cluster_tol=_CLUSTER_TOL,
+        components=len(ctx.mesh.domain.intervals),
         note=note,
     )
 
@@ -642,11 +600,13 @@ def verify_steps(
     """Yield the report of each refinement step of one identity check.
 
     pohozaev, ros-oton-serra, ibp and l2-radial run once per n of ``ns``,
-    ascending, each report carrying the (n, rel_residual) history so far;
-    lemma21 runs once per tolerance of ``quad_tols``, largest first; hadamard
-    yields one HadamardReport at ``max(ns)`` (the finite-difference step is
-    its own refinement axis).  With ``p`` set, pohozaev and ros-oton-serra
-    check the semilinear solution instead of the k-th eigenpair.
+    ascending, on the context ``solve_context`` gives for it; lemma21 runs
+    once per tolerance of ``quad_tols``, largest first.  Each of their
+    reports carries the (n, rel_residual) history of the steps so far and
+    its flag.  hadamard yields one HadamardReport at ``max(ns)`` (the
+    finite-difference step is its own refinement axis).  With ``p`` set,
+    pohozaev and ros-oton-serra check the semilinear solution instead of the
+    k-th eigenpair.
     ``fraclab verify`` runs every check through this generator.
     """
     if identity not in IDENTITIES:
@@ -662,30 +622,32 @@ def verify_steps(
         lo, hi = domain.hull
         X = identity_field(1, box=[(lo - 1.0, hi + 1.0)])
     if identity == "hadamard":
-        yield hadamard_check(domain, s, k, bps[-1], h, even_only, n=max(ns), beta=beta)
+        ctx = solve_context(domain, s, max(ns), beta, even_only)
+        yield hadamard_check(ctx, k, bps[-1], h)
         return
-    history: tuple = ()
-    if identity == "lemma21":
-        bump = bump if bump is not None else polynomial_bump()
-        for tol in sorted(quad_tols, reverse=True):
-            rep = lemma21_check(bump, X, s, tol, domain=domain, history=history)
-            history = rep.history
-            yield rep
-        return
-    for n in sorted(ns):
+
+    def step(n: int) -> PohozaevReport:
         ctx = solve_context(domain, s, n, beta, even_only)
         sol = _mode(ctx, k)
         if p is not None and identity in ("pohozaev", "ros-oton-serra"):
             sol = solve_semilinear(ctx, p, tol=semilinear_tol)
         if identity == "pohozaev":
-            rep = pohozaev_check(domain, s, sol, X, mesh=ctx.mesh, history=history)
-        elif identity == "ros-oton-serra":
-            rep = ros_oton_serra_check(domain, s, sol, mesh=ctx.mesh, history=history)
-        elif identity == "ibp":
-            rep = ibp_check(
-                domain, s, sol, _mode(ctx, k2), X, mesh=ctx.mesh, history=history
-            )
-        else:
-            rep = l2_identity_check(domain, s, sol, mesh=ctx.mesh, history=history)
-        history = rep.history
-        yield rep
+            return pohozaev_check(ctx, sol, X)
+        if identity == "ros-oton-serra":
+            return ros_oton_serra_check(ctx, sol)
+        if identity == "ibp":
+            return ibp_check(ctx, sol, _mode(ctx, k2), X)
+        return l2_identity_check(ctx, sol)
+
+    if identity == "lemma21":
+        bump = bump if bump is not None else polynomial_bump()
+        reports = (
+            lemma21_check(bump, X, s, tol, domain=domain)
+            for tol in sorted(quad_tols, reverse=True)
+        )
+    else:
+        reports = map(step, sorted(ns))
+    history: tuple = ()
+    for rep in reports:
+        history += rep.history
+        yield replace(rep, history=history, flag=_history_flag(history))

@@ -818,9 +818,8 @@ def frac_laplacian_pointwise(
     phi: Callable,
     s: float,
     x,
-    R=None,
+    R,
     *,
-    domain=None,
     tol: Optional[float] = None,
     tail_sup=None,
 ) -> FracLapValue:
@@ -828,11 +827,11 @@ def frac_laplacian_pointwise(
 
     ``phi`` must evaluate vectorized on numpy arrays.  ``x`` is a point or
     an array of points; ``R`` and ``tail_sup`` broadcast against it.  The
-    integral is cut at radius R (default 10x the domain diameter when
-    ``domain`` is given); beyond R the 2 phi(x) term integrates exactly and
-    the dropped part is estimated by 2 sup_{|y|>R} |phi| c_{1,s} / (2s R^{2s}),
-    included in the error estimate (``tail_sup`` overrides the sampled
-    sup, e.g. 0 for compactly supported phi).
+    integral is cut at radius R; beyond R the 2 phi(x) term integrates
+    exactly and the dropped part is estimated by
+    2 sup_{|y|>R} |phi| c_{1,s} / (2s R^{2s}), included in the error
+    estimate (``tail_sup`` overrides the sampled sup, e.g. 0 for compactly
+    supported phi).
 
     Every point gets its own Jacobi near part, its own far panels and its
     own tolerance; the far panels of all points are refined in one grouped
@@ -843,10 +842,6 @@ def frac_laplacian_pointwise(
     exceeds it (the first such point, in order).
     """
     c = frac_constant(1, s)
-    if R is None:
-        if domain is None:
-            raise ArgumentError("need R or a domain to size the cutoff")
-        R = 10.0 * domain.diameter
     x_arr, R_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(R, dtype=float))
     if np.any(R_arr <= 0):
         raise ArgumentError("R must be positive")
@@ -941,34 +936,6 @@ def _pv_batch(phi, s, c, x, R, n_far, edges, tol, tail_sup):
 # density integrals
 # ---------------------------------------------------------------------------
 
-def _full_nodal(mesh: Mesh1D, nodal) -> tuple[np.ndarray, ...]:
-    """Normalize nodal data to per-interval arrays including endpoints."""
-    if isinstance(nodal, (tuple, list)) and all(
-        isinstance(v, np.ndarray) for v in nodal
-    ):
-        vals = tuple(np.asarray(v, float) for v in nodal)
-        if tuple(v.size for v in vals) != tuple(len(nd) for nd in mesh.nodes):
-            raise ArgumentError("per-interval nodal arrays do not match the mesh")
-        return vals
-    arr = np.asarray(nodal, dtype=float)
-    if arr.ndim != 1:
-        raise ArgumentError("nodal data must be 1D")
-    if arr.size == mesh.n_interior:
-        return mesh.interior_to_full(arr)
-    total = sum(len(nd) for nd in mesh.nodes)
-    if arr.size == total:
-        out = []
-        pos = 0
-        for nd in mesh.nodes:
-            out.append(arr[pos : pos + len(nd)])
-            pos += len(nd)
-        return tuple(out)
-    raise ArgumentError(
-        f"nodal size {arr.size} matches neither interior ({mesh.n_interior}) "
-        f"nor full ({total}) node count"
-    )
-
-
 def integrate_density(
     mesh: Mesh1D,
     nodal,
@@ -977,13 +944,11 @@ def integrate_density(
 ) -> float:
     """int transform(u_h(x)) * weight(x) dx with per-element order-8 GL.
 
-    ``nodal`` may be interior dof values, full per-interval nodal arrays,
-    or a flat full nodal vector.  ``transform`` maps interpolant values
-    pointwise (default identity); ``weight`` is a function of x (default 1).
+    ``nodal`` holds the values at the interior dofs (u_h is zero at the
+    boundary nodes).  ``transform`` maps interpolant values pointwise
+    (default identity); ``weight`` is a function of x (default 1).
     """
-    vals = _full_nodal(mesh, nodal)
-    ul = np.concatenate([v[:-1] for v in vals])
-    ur = np.concatenate([v[1:] for v in vals])
+    ul, ur = mesh.element_ends(nodal).T
     tg, wg = gauss_legendre_01(8)
     uq = ul[:, None] + (ur - ul)[:, None] * tg[None, :]
     if transform is not None:

@@ -57,10 +57,6 @@ class Domain1D:
         lo, hi = self.hull
         return hi - lo
 
-    @property
-    def measure(self) -> float:
-        return sum(b - a for a, b in self.intervals)
-
 
 @dataclass(frozen=True)
 class BoundaryPoint1D:
@@ -128,6 +124,14 @@ def _grading(n: int, beta: float) -> np.ndarray:
     return sig
 
 
+# Element sizes for which the assembled forms stay finite: they take
+# |x - y|^(-1-2s), s < 1, at Gauss points at least h_min / 8 apart, and
+# products of two element sizes (times 4).  For s <= 1/2 the identical and
+# exterior terms form higher powers, which elements above ~1e102 overflow.
+_H_MIN = 8.0 * np.finfo(float).max ** (-1.0 / 3.0)
+_H_MAX = 0.5 * np.finfo(float).max ** 0.5
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh1D:
     """Per-interval node arrays plus flat element/dof tables.
@@ -171,17 +175,23 @@ class Mesh1D:
     def n_per_interval(self) -> tuple[int, ...]:
         return tuple(len(nd) - 1 for nd in self.nodes)
 
-    def interior_to_full(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    def element_ends(self, u) -> np.ndarray:
+        """The values of the P1 function with interior-dof values ``u`` (zero
+        at the boundary nodes) at the left and right end of every element,
+        shape (E, 2).  A vector of the ``n_interior`` values is the one form
+        nodal data takes; any other shape is an ArgumentError."""
+        arr = np.asarray(u, dtype=float)
+        if arr.shape != (self.n_interior,):
+            raise ArgumentError(
+                f"nodal data must be a vector of the {self.n_interior} interior "
+                f"dof values, got shape {arr.shape}"
+            )
+        return np.append(arr, 0.0)[self.elem_dof]
+
+    def interior_to_full(self, u) -> tuple[np.ndarray, ...]:
         """Embed an interior-dof vector as per-interval nodal arrays with zero ends."""
-        out = []
-        pos = 0
-        for nd in self.nodes:
-            n_int = len(nd) - 2
-            full = np.zeros(len(nd))
-            full[1:-1] = u[pos : pos + n_int]
-            pos += n_int
-            out.append(full)
-        return tuple(out)
+        left = self.element_ends(u)[:, 0].reshape(len(self.nodes), -1)
+        return tuple(np.append(row, 0.0) for row in left)
 
 
 def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1D:
@@ -189,7 +199,8 @@ def make_mesh(domain: Domain1D, n_per_interval: int, beta: float = 2.0) -> Mesh1
 
     Requires n_per_interval >= 2 (at least one interior node per interval)
     and beta >= 1; beta = 1 is the uniform mesh.  Raises DegenerateError
-    when the grading rounds an element to zero length.
+    when the grading rounds an element to zero length, and when an element
+    is too small or too large for the assembled forms to stay finite.
 
     Memoized on (domain, n, beta) by value: equal arguments return the
     same read-only mesh, so tables cached per mesh (element-pair classes)
@@ -228,6 +239,12 @@ def _make_mesh(domain: Domain1D, n: int, beta: float) -> Mesh1D:
         raise DegenerateError(
             f"grading beta = {beta} with {n} elements per interval rounds "
             f"{bad} element(s) to zero length or NaN"
+        )
+    h_min, h_max = float(elem_h.min()), float(elem_h.max())
+    if h_min < _H_MIN or h_max > _H_MAX:
+        raise DegenerateError(
+            f"element sizes {h_min:.3g} to {h_max:.3g} leave [{_H_MIN:.3g}, "
+            f"{_H_MAX:.3g}], the range in which the assembled forms stay finite"
         )
     interior_x = np.concatenate([nd[1:-1] for nd in nodes])
     for a in (elem_x0, elem_x1, elem_h, elem_interval, elem_dof, interior_x):

@@ -93,14 +93,17 @@ def _row_dot(rows, w):
     return (rows[..., None, :] @ w[:, None])[..., 0, 0]
 
 
-def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, groups=None):
+_MAX_DEPTH = 48  # bisection levels adaptive_panels allows a panel
+
+
+def adaptive_panels(f, panels, tol, max_panels=2_000_000, *, groups=None):
     """Adaptively integrate ``f`` over the given panels with embedded GL error.
 
     ``f`` must accept an ndarray and evaluate elementwise.  ``panels`` is a
     sequence (or (P, 2) array) of (a, b) with a < b.  Bisects panels whose
     embedded (GL10 vs GL20) error estimate exceeds their share of ``tol``
     until the estimate is met; raises QuadratureError on a non-finite
-    estimate, which no bisection meets, or past ``max_depth`` levels or
+    estimate, which no bisection meets, or past ``_MAX_DEPTH`` levels or
     ``max_panels`` panels.
 
     Returns (value, error_estimate).
@@ -135,7 +138,7 @@ def adaptive_panels(f, panels, tol, max_depth=48, max_panels=2_000_000, *, group
     n_seen = a.size
     depth = 0
     while a.size:
-        if depth > max_depth:
+        if depth > _MAX_DEPTH:
             raise QuadratureError("adaptive quadrature: max depth exceeded")
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)

@@ -348,6 +348,7 @@ def _solve_halves(A: np.ndarray, M, signs: tuple[float, ...], eigvals_only: bool
 class SolveContext:
     mesh: Mesh1D
     s: float
+    even_only: bool  # pairs and values are those of the even half alone
     stiffness: np.ndarray = field(repr=False)
     mass: object = field(repr=False)  # sparse tridiagonal CSR array
     pairs: tuple[EigenPair, ...]
@@ -387,7 +388,8 @@ def solve_context(
     else:
         pairs = solve_geig(A, M, min(_K_KEEP, A.shape[0]))
     return SolveContext(
-        mesh=mesh, s=s, stiffness=A, mass=M, pairs=tuple(pairs), values=pairs.values
+        mesh=mesh, s=s, even_only=even_only, stiffness=A, mass=M, pairs=tuple(pairs),
+        values=pairs.values,
     )
 
 

@@ -102,12 +102,8 @@ def test_criterion_03_pohozaev_eigenfunctions():
         coarse = fl.solve_context(INTERVAL, s, 128, 2.0, False)
         fine = fl.solve_context(INTERVAL, s, 512, 2.0, False)
         for k in (1, 2, 3):
-            r128 = fl.ros_oton_serra_check(
-                INTERVAL, s, coarse.pairs[k - 1], mesh=coarse.mesh
-            ).rel_residual
-            r512 = fl.ros_oton_serra_check(
-                INTERVAL, s, fine.pairs[k - 1], mesh=fine.mesh
-            ).rel_residual
+            r128 = fl.ros_oton_serra_check(coarse, coarse.pairs[k - 1]).rel_residual
+            r512 = fl.ros_oton_serra_check(fine, fine.pairs[k - 1]).rel_residual
             assert r512 <= 0.05, (s, k, r512)
             assert r512 < r128, (s, k, r512, r128)
             worst = max(worst, r512)
@@ -122,12 +118,8 @@ def test_criterion_04_generalized_identity():
     X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
     coarse = fl.solve_context(INTERVAL, 0.5, 128, 2.0, False)
     fine = fl.solve_context(INTERVAL, 0.5, 512, 2.0, False)
-    r128 = fl.pohozaev_check(
-        INTERVAL, 0.5, coarse.pairs[0], X, mesh=coarse.mesh
-    ).rel_residual
-    r512 = fl.pohozaev_check(
-        INTERVAL, 0.5, fine.pairs[0], X, mesh=fine.mesh
-    ).rel_residual
+    r128 = fl.pohozaev_check(coarse, coarse.pairs[0], X).rel_residual
+    r512 = fl.pohozaev_check(fine, fine.pairs[0], X).rel_residual
     assert r512 <= 0.05
     assert r512 < r128
     _report(
@@ -144,9 +136,7 @@ def test_criterion_05_two_function_identity():
         ("e1", fl.constant_field([1.0], BOX1)),
         ("id", fl.identity_field(1, box=BOX1)),
     ):
-        rep = fl.ibp_check(
-            INTERVAL, 0.5, ctx.pairs[0], ctx.pairs[1], X, mesh=ctx.mesh
-        )
+        rep = fl.ibp_check(ctx, ctx.pairs[0], ctx.pairs[1], X)
         rels[name] = rep.rel_residual
         assert rep.rel_residual <= 0.05, (name, rep.rel_residual)
     _report(
@@ -163,12 +153,12 @@ def test_criterion_06_hadamard_derivative():
     worst = 0.0
     worst_dil = 0.0
     for k in (1, 2, 3):
-        rep = fl.hadamard_check(INTERVAL, s, k, right, h=h, n=n)
+        rep = fl.hadamard_check(ctx, k, right, h=h)
         assert rep.rel_error <= 0.05, (k, rep.rel_error)
         worst = max(worst, rep.rel_error)
         # dilation cross-check: outward motion of both endpoints at unit
         # speed scales the domain, so the slopes must sum to -2s*lambda_k
-        lrep = fl.hadamard_check(INTERVAL, s, k, left, h=h, n=n)
+        lrep = fl.hadamard_check(ctx, k, left, h=h)
         total = rep.fd_slope + lrep.fd_slope
         target = -2.0 * s * ctx.values[k - 1]
         dil = abs(total - target) / abs(target)
@@ -185,7 +175,7 @@ def test_criterion_07_l2_identity():
     rels = {}
     for name, dom in (("interval", INTERVAL), ("annulus", ANNULUS)):
         ctx = fl.solve_context(dom, 0.5, 512, 2.0, False)
-        rep = fl.l2_identity_check(dom, 0.5, ctx.pairs[0], mesh=ctx.mesh)
+        rep = fl.l2_identity_check(ctx, ctx.pairs[0])
         assert abs(1.0 - rep.rhs) <= 0.05, (name, rep.rhs)
         assert rep.rel_residual <= 0.05
         rels[name] = rep.rel_residual
@@ -209,10 +199,10 @@ def test_criterion_07_l2_identity():
 
 
 def test_criterion_08_spectral_structure():
-    rep = fl.spectrum_report(INTERVAL, 0.5, 7, even_only=True, n=512)
+    rep = fl.spectrum_report(fl.solve_context(INTERVAL, 0.5, 512, 2.0, True), 7)
     gaps = list(rep.gaps[:6])
     assert all(g > 1e-2 for g in gaps)
-    two = fl.spectrum_report(ANNULUS, 0.5, 8, even_only=True, n=256)
+    two = fl.spectrum_report(fl.solve_context(ANNULUS, 0.5, 256, 2.0, True), 8)
     assert max(two.cluster_sizes) <= 2
     _report(
         "criterion 08",
@@ -282,7 +272,7 @@ def test_criterion_12_semilinear_pohozaev():
     ctx = fl.solve_context(INTERVAL, s, 512, 2.0, False)
     sol = fl.solve_semilinear(ctx, p)
     X = fl.identity_field(1, box=BOX1)
-    rep = fl.pohozaev_check(INTERVAL, s, sol, X, mesh=ctx.mesh)
+    rep = fl.pohozaev_check(ctx, sol, X)
     assert rep.rel_residual <= 0.05
     _report(
         "criterion 12",

@@ -6,6 +6,7 @@ unit-test scale (n <= 512).  The full acceptance sweep lives in
 test_acceptance.py.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -28,6 +29,11 @@ def last_report(*args, **kwargs):
     """The report of the last (finest) step of ``verify_steps``."""
     *_, last = fl.verify_steps(*args, **kwargs)
     return last
+
+
+def context(n, even_only=False, domain=INTERVAL, s=0.5):
+    """The solve context of ``domain`` at ``n`` elements per interval, beta = 2."""
+    return fl.solve_context(domain, s, n, 2.0, even_only)
 
 
 def right_bp(domain=INTERVAL):
@@ -91,6 +97,13 @@ def test_trace_eigenfunction_cauchy_refinement():
     assert d1 / d2 >= 1.5
 
 
+def test_trace_refuses_a_vector_of_every_node():
+    mesh = fl.make_mesh(INTERVAL, 32, beta=2.0)
+    u = np.maximum(1.0 - np.concatenate(mesh.nodes) ** 2, 0.0) ** 0.5
+    with pytest.raises(ArgumentError, match="the 31 interior dof values, got shape"):
+        fl.extract_trace(mesh, u, 0.5, right_bp())
+
+
 def test_trace_window_error():
     mesh = fl.make_mesh(INTERVAL, 32, beta=2.0)
     u = np.maximum(1.0 - mesh.interior_x**2, 0.0) ** 0.5
@@ -106,7 +119,7 @@ def test_pohozaev_constant_field_degenerate_zero():
     # even ground state, X = e1: both endpoint fluxes cancel exactly
     ctx = fl.solve_context(INTERVAL, 0.5, 256, 2.0, False)
     X = fl.constant_field([1.0], BOX1)
-    rep = fl.pohozaev_check(INTERVAL, 0.5, ctx.pairs[0], X, mesh=ctx.mesh)
+    rep = fl.pohozaev_check(ctx, ctx.pairs[0], X)
     assert abs(rep.lhs) <= 1e-10
     assert rep.abs_residual <= 1e-10
 
@@ -114,7 +127,7 @@ def test_pohozaev_constant_field_degenerate_zero():
 def test_pohozaev_identity_field_interval():
     ctx = fl.solve_context(INTERVAL, 0.5, 256, 2.0, False)
     X = fl.identity_field(1, box=BOX1)
-    rep = fl.pohozaev_check(INTERVAL, 0.5, ctx.pairs[0], X, mesh=ctx.mesh)
+    rep = fl.pohozaev_check(ctx, ctx.pairs[0], X)
     assert rep.identity == "generalized"
     assert rep.rel_residual <= 0.05
     # X = id at s = 1/2 reduces to (pi/4)[psi(1)^2 + psi(-1)^2] = lambda
@@ -124,8 +137,8 @@ def test_pohozaev_identity_field_interval():
 def test_ibp_with_equal_pairs_matches_pohozaev():
     ctx = fl.solve_context(INTERVAL, 0.5, 128, 2.0, False)
     X = fl.identity_field(1, box=BOX1)
-    poh = fl.pohozaev_check(INTERVAL, 0.5, ctx.pairs[0], X, mesh=ctx.mesh)
-    ibp = fl.ibp_check(INTERVAL, 0.5, ctx.pairs[0], ctx.pairs[0], X, mesh=ctx.mesh)
+    poh = fl.pohozaev_check(ctx, ctx.pairs[0], X)
+    ibp = fl.ibp_check(ctx, ctx.pairs[0], ctx.pairs[0], X)
     scale = max(abs(poh.lhs), abs(poh.rhs), 1e-30)
     assert abs(ibp.abs_residual - poh.abs_residual) <= 1e-10 * scale
 
@@ -133,16 +146,14 @@ def test_ibp_with_equal_pairs_matches_pohozaev():
 def test_ibp_zero_field_vanishes_identically():
     ctx = fl.solve_context(INTERVAL, 0.5, 64, 2.0, False)
     X = fl.constant_field([0.0], BOX1)
-    rep = fl.ibp_check(INTERVAL, 0.5, ctx.pairs[0], ctx.pairs[1], X, mesh=ctx.mesh)
+    rep = fl.ibp_check(ctx, ctx.pairs[0], ctx.pairs[1], X)
     assert abs(rep.lhs) <= 1e-14 and abs(rep.rhs) <= 1e-14
 
 
 def test_ibp_even_odd_pair():
     ctx = fl.solve_context(INTERVAL, 0.5, 256, 2.0, False)
     for X in (fl.constant_field([1.0], BOX1), fl.identity_field(1, box=BOX1)):
-        rep = fl.ibp_check(
-            INTERVAL, 0.5, ctx.pairs[0], ctx.pairs[1], X, mesh=ctx.mesh
-        )
+        rep = fl.ibp_check(ctx, ctx.pairs[0], ctx.pairs[1], X)
         assert rep.rel_residual <= 0.05
 
 
@@ -152,7 +163,7 @@ def test_ibp_even_odd_pair():
 
 def test_l2_identity_interval():
     ctx = fl.solve_context(INTERVAL, 0.5, 256, 2.0, False)
-    rep = fl.l2_identity_check(INTERVAL, 0.5, ctx.pairs[0], mesh=ctx.mesh)
+    rep = fl.l2_identity_check(ctx, ctx.pairs[0])
     assert rep.lhs == pytest.approx(1.0, abs=1e-12)  # M-normalized
     assert rep.rel_residual <= 0.05
     assert rep.rhs > 0
@@ -161,7 +172,7 @@ def test_l2_identity_interval():
 def test_l2_identity_annulus_sign_pattern():
     s = 0.5
     ctx = fl.solve_context(ANNULUS, s, 256, 2.0, False)
-    rep = fl.l2_identity_check(ANNULUS, s, ctx.pairs[0], mesh=ctx.mesh)
+    rep = fl.l2_identity_check(ctx, ctx.pairs[0])
     assert rep.rel_residual <= 0.05
     # recompute the four boundary terms: outer nu points away from 0 so
     # b * nu > 0 there, inner endpoints give negative terms
@@ -179,7 +190,7 @@ def test_l2_identity_annulus_sign_pattern():
 def test_l2_identity_rhs_positive_for_higher_modes():
     ctx = fl.solve_context(INTERVAL, 0.5, 128, 2.0, False)
     for k in range(3):
-        rep = fl.l2_identity_check(INTERVAL, 0.5, ctx.pairs[k], mesh=ctx.mesh)
+        rep = fl.l2_identity_check(ctx, ctx.pairs[k])
         assert rep.rhs > 0
 
 
@@ -188,19 +199,34 @@ def test_l2_identity_rhs_positive_for_higher_modes():
 # ---------------------------------------------------------------------------
 
 def test_history_flags():
-    ctx = fl.solve_context(INTERVAL, 0.5, 64, 2.0, False)
-    kw = dict(mesh=ctx.mesh)
-    ok = fl.ros_oton_serra_check(
-        INTERVAL, 0.5, ctx.pairs[0], history=((16, 0.9), (32, 0.5)), **kw
-    )
-    warn = fl.ros_oton_serra_check(
-        INTERVAL, 0.5, ctx.pairs[0], history=((16, 0.001), (32, 0.9)), **kw
-    )
-    fail = fl.ros_oton_serra_check(
-        INTERVAL, 0.5, ctx.pairs[0], history=((16, 1e-9), (32, 1e-4), (48, 0.9)), **kw
-    )
-    assert (ok.flag, warn.flag, fail.flag) == ("OK", "WARN", "FAIL")
-    assert ok.history[-1] == (ok.n, ok.rel_residual)
+    flag = fl.analysis._history_flag
+    assert flag(((16, 0.9), (32, 0.5))) == "OK"
+    assert flag(((16, 0.001), (32, 0.9))) == "WARN"
+    assert flag(((16, 1e-9), (32, 1e-4), (48, 0.9))) == "FAIL"
+    assert flag(((16, 0.5),)) == flag(()) == "OK"
+
+
+def test_verify_steps_accumulates_the_history_and_its_flag(monkeypatch):
+    # a check reports its own step alone; verify_steps carries the history
+    # of the steps so far and flags each report from it
+    rels = iter([0.9, 0.5, 0.7, 0.8])
+    real = fl.analysis.ros_oton_serra_check
+
+    def check(ctx, sol):
+        rep = real(ctx, sol)
+        assert rep.history == ((rep.n, rep.rel_residual),)
+        rel = next(rels)
+        return dataclasses.replace(rep, rel_residual=rel, history=((rep.n, rel),))
+
+    monkeypatch.setattr(fl.analysis, "ros_oton_serra_check", check)
+    reps = list(fl.verify_steps("ros-oton-serra", INTERVAL, 0.5, [16, 32, 64, 128]))
+    assert [r.history for r in reps] == [
+        ((16, 0.9),),
+        ((16, 0.9), (32, 0.5)),
+        ((16, 0.9), (32, 0.5), (64, 0.7)),
+        ((16, 0.9), (32, 0.5), (64, 0.7), (128, 0.8)),
+    ]
+    assert [r.flag for r in reps] == ["OK", "OK", "WARN", "FAIL"]
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +326,21 @@ def test_lemma21_support_margin_enforced():
 # ---------------------------------------------------------------------------
 
 def test_hadamard_basic_accuracy():
-    rep = fl.hadamard_check(INTERVAL, 0.5, 1, right_bp(), h=1e-3, n=256)
+    rep = fl.hadamard_check(context(256), 1, right_bp(), h=1e-3)
     assert rep.rel_error <= 0.05
     assert rep.fd_slope < 0 and rep.formula < 0
 
 
 def test_hadamard_h_stable():
-    r1 = fl.hadamard_check(INTERVAL, 0.5, 1, right_bp(), h=1e-3, n=256)
-    r2 = fl.hadamard_check(INTERVAL, 0.5, 1, right_bp(), h=5e-4, n=256)
+    r1 = fl.hadamard_check(context(256), 1, right_bp(), h=1e-3)
+    r2 = fl.hadamard_check(context(256), 1, right_bp(), h=5e-4)
     assert abs(r1.fd_slope - r2.fd_slope) < r1.rel_error * abs(r1.fd_slope)
 
 
 def test_hadamard_endpoint_symmetry():
     left = [b for b in fl.boundary_points(INTERVAL) if b.x == -1.0][0]
-    rl = fl.hadamard_check(INTERVAL, 0.5, 1, left, h=1e-3, n=256)
-    rr = fl.hadamard_check(INTERVAL, 0.5, 1, right_bp(), h=1e-3, n=256)
+    rl = fl.hadamard_check(context(256), 1, left, h=1e-3)
+    rr = fl.hadamard_check(context(256), 1, right_bp(), h=1e-3)
     assert abs(rl.fd_slope - rr.fd_slope) <= 1e-3 * abs(rr.fd_slope)
 
 
@@ -322,8 +348,8 @@ def test_hadamard_even_only_tracks_full_mode():
     # even mode 2 is full mode 3; the two calls must agree since the
     # perturbed solves track the located full-spectrum index
     bp = right_bp()
-    re = fl.hadamard_check(INTERVAL, 0.5, 2, bp, h=1e-3, n=64, even_only=True)
-    rf = fl.hadamard_check(INTERVAL, 0.5, 3, bp, h=1e-3, n=64, even_only=False)
+    re = fl.hadamard_check(context(64, even_only=True), 2, bp, h=1e-3)
+    rf = fl.hadamard_check(context(64), 3, bp, h=1e-3)
     assert re.fd_slope == pytest.approx(rf.fd_slope, rel=1e-12)
     assert re.formula == pytest.approx(rf.formula, rel=1e-10)
 
@@ -333,8 +359,8 @@ def test_hadamard_even_only_on_fewer_dofs_than_solved_values(n):
     # K = 15 and 23: the even and odd halves together hold fewer than the 24
     # values a context solves, and the lookup takes all of them
     bp = right_bp()
-    re = fl.hadamard_check(INTERVAL, 0.5, 2, bp, h=1e-3, n=n, even_only=True)
-    rf = fl.hadamard_check(INTERVAL, 0.5, 3, bp, h=1e-3, n=n, even_only=False)
+    re = fl.hadamard_check(context(n, even_only=True), 2, bp, h=1e-3)
+    rf = fl.hadamard_check(context(n), 3, bp, h=1e-3)
     assert re.fd_slope == pytest.approx(rf.fd_slope, rel=1e-12)
     assert re.formula == pytest.approx(rf.formula, rel=1e-10)
 
@@ -344,7 +370,7 @@ def test_hadamard_even_only_finds_the_last_kept_mode():
     # eigenvalues a context solves; compare with full solves of the
     # perturbed problems
     bp, h = right_bp(), 1e-3
-    rep = fl.hadamard_check(INTERVAL, 0.5, 12, bp, h=h, n=64, even_only=True)
+    rep = fl.hadamard_check(context(64, even_only=True), 12, bp, h=h)
     lam = []
     for dx in (h, -h):
         mesh = fl.make_mesh(fl.perturb_endpoint(INTERVAL, bp, dx), 64, beta=2.0)
@@ -359,7 +385,7 @@ def test_hadamard_even_only_factors_no_full_form(monkeypatch):
     # are those of the two perturbed domains, which are not mirror-symmetric
     fl.solve_context.cache_clear()
     shapes = cho_factor_shapes(monkeypatch)
-    fl.hadamard_check(INTERVAL, 0.5, 2, right_bp(), h=1e-3, n=1024, even_only=True)
+    fl.hadamard_check(context(1024, even_only=True), 2, right_bp(), h=1e-3)
     assert shapes == [(512, 512), (511, 511), (1023, 1023), (1023, 1023)]
 
 
@@ -368,17 +394,19 @@ def test_hadamard_even_only_refuses_a_mode_past_the_solved_values(monkeypatch):
     # below every even one, mode 2 lies past the 24 values of the spectrum
     monkeypatch.setattr(fl.analysis, "_solve_halves", lambda *args, **kwargs: np.zeros(24))
     with pytest.raises(ArgumentError, match="even mode k = 2 not found in the full spectrum"):
-        fl.hadamard_check(INTERVAL, 0.5, 2, right_bp(), h=1e-3, n=32, even_only=True)
+        fl.hadamard_check(context(32, even_only=True), 2, right_bp(), h=1e-3)
 
 
 @pytest.mark.parametrize("even_only, misses", [(False, 1), (True, 1)])
 def test_hadamard_perturbed_solves_are_not_cached(even_only, misses):
     # the perturbed domains are solved without a context, and an even check
-    # reads the full spectrum from its own context's full forms, so a check
-    # builds one context
+    # reads the full spectrum from its own context's full forms, so the
+    # check asks solve_context for nothing beyond the context it is given
     fl.solve_context.cache_clear()
-    fl.hadamard_check(INTERVAL, 0.43, 2, right_bp(), h=1e-3, n=48, even_only=even_only)
-    assert fl.solve_context.cache_info().misses == misses
+    ctx = context(48, even_only=even_only, s=0.43)
+    fl.hadamard_check(ctx, 2, right_bp(), h=1e-3)
+    info = fl.solve_context.cache_info()
+    assert (info.hits, info.misses) == (0, misses)
 
 
 def test_hadamard_refuses_a_near_degenerate_eigenvalue():
@@ -386,11 +414,11 @@ def test_hadamard_refuses_a_near_degenerate_eigenvalue():
     # while moving the endpoint by h moves the mode by 0.15; the difference
     # quotient followed the other branch (fd_slope -18.5, formula -38.0)
     with pytest.raises(ArgumentError, match="37.184036.*37.184087.*simple eigenvalue"):
-        fl.hadamard_check(ANNULUS, 0.5, 12, right_bp(ANNULUS), n=64, even_only=True)
+        fl.hadamard_check(context(64, even_only=True, domain=ANNULUS), 12, right_bp(ANNULUS))
 
 
 def test_hadamard_default_step_is_diameter_scaled():
-    rep = fl.hadamard_check(INTERVAL, 0.5, 1, right_bp(), n=64)
+    rep = fl.hadamard_check(context(64), 1, right_bp())
     assert rep.h == pytest.approx(1e-3 * 2.0)
 
 
@@ -399,35 +427,35 @@ def test_hadamard_default_step_is_diameter_scaled():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_even_gaps_open():
-    rep = fl.spectrum_report(INTERVAL, 0.5, 6, even_only=True, n=128)
+    rep = fl.spectrum_report(context(128, even_only=True), 6)
     assert rep.even_only
     assert len(rep.values) == 6
     assert all(g > 1e-2 for g in rep.gaps)
 
 
 def test_spectrum_two_interval_clusters_bounded():
-    rep = fl.spectrum_report(ANNULUS, 0.5, 8, even_only=True, n=128)
+    rep = fl.spectrum_report(context(128, even_only=True, domain=ANNULUS), 8)
     assert rep.components == 2
     assert max(rep.cluster_sizes) <= 2
 
 
 def test_spectrum_full_single_interval_scope_note():
-    rep = fl.spectrum_report(INTERVAL, 0.5, 4, even_only=False, n=64)
+    rep = fl.spectrum_report(context(64), 4)
     assert "even" in rep.note or "radial" in rep.note
 
 
 def test_spectrum_k_max_out_of_range():
     with pytest.raises(ArgumentError):
-        fl.spectrum_report(INTERVAL, 0.5, 40, even_only=True, n=16)
+        fl.spectrum_report(context(16, even_only=True), 40)
 
 
 @pytest.mark.parametrize("k_max", [25, 0, -3])
 def test_spectrum_k_max_beyond_the_solved_values(k_max):
     # the subspace has 127 dimensions, but a context solves 24 eigenvalues;
     # a negative k_max used to slice from the end
-    assert len(fl.spectrum_report(INTERVAL, 0.5, 24, n=128).values) == 24
+    assert len(fl.spectrum_report(context(128), 24).values) == 24
     with pytest.raises(ArgumentError, match=rf"k_max = {k_max} is outside 1\.\.24,"):
-        fl.spectrum_report(INTERVAL, 0.5, k_max, n=128)
+        fl.spectrum_report(context(128), k_max)
 
 
 # ---------------------------------------------------------------------------

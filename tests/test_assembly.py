@@ -734,11 +734,6 @@ def test_pointwise_huge_cutoff_rejected():
         fl.frac_laplacian_pointwise(one, 0.5, 0.0, R=1e8, tail_sup=1.0)
 
 
-def test_pointwise_needs_radius_or_domain():
-    with pytest.raises(ArgumentError):
-        fl.frac_laplacian_pointwise(np.cos, 0.5, 0.0)
-
-
 def test_pointwise_cosine_fourier_symbol():
     out = fl.frac_laplacian_pointwise(np.cos, 0.5, 0.0, R=4000.0, tail_sup=1.0)
     assert abs(out.value - 1.0) <= 1e-6
@@ -873,12 +868,19 @@ def test_pointwise_tolerance_error_names_the_first_failing_point():
 # ---------------------------------------------------------------------------
 
 def test_integrate_density_parabola_exact():
-    # nodal data 1 - x is linear, so its P1 interpolant is exact; weighting
-    # with 1 + x integrates (1 - x^2) exactly by the order-8 Gauss rule
+    # u = 1 at every interior dof: u_h is 1 between the first and last
+    # interior node and ramps to 0 on the boundary elements, so weighting
+    # with 1 + x gives parabolas, which the order-8 Gauss rule integrates
+    # exactly
     mesh = fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 16, beta=2.0)
-    nodal = 1.0 - np.concatenate(mesh.nodes)
-    out = fl.integrate_density(mesh, nodal, weight=lambda x: 1.0 + x)
-    assert out == pytest.approx(4.0 / 3.0, rel=1e-12)
+    a, b, c, d = mesh.nodes[0][[0, 1, -2, -1]]
+    exact = (
+        (b - a) * ((1.0 + a) / 2.0 + (b - a) / 3.0)  # rising ramp
+        + (c - b) * (1.0 + (b + c) / 2.0)
+        + (d - c) * ((1.0 + c) / 2.0 + (d - c) / 6.0)  # falling ramp
+    )
+    out = fl.integrate_density(mesh, np.ones(mesh.n_interior), weight=lambda x: 1.0 + x)
+    assert out == pytest.approx(exact, rel=1e-12)
 
 
 def test_integrate_density_interior_vector_clamped():
@@ -901,12 +903,29 @@ def test_integrate_density_transform_matches_mass_form():
     assert quad == pytest.approx(float(u @ (M @ u)), rel=1e-12)
 
 
-def test_integrate_density_per_interval_tuple():
+def test_integrate_density_sums_over_intervals():
     d = fl.make_domain([(-2.0, -1.0), (1.0, 2.0)])
     mesh = fl.make_mesh(d, 8, beta=1.0)
-    ones = np.ones(9)  # full per-interval nodal arrays, endpoints included
-    zeros = np.zeros(9)
-    both = fl.integrate_density(mesh, (ones, ones))
-    first = fl.integrate_density(mesh, (ones, zeros))
-    assert both == pytest.approx(2.0 * first, rel=1e-12)
-    assert both == pytest.approx(2.0, rel=1e-12)
+    ones = np.ones(14)  # 7 interior dofs per interval, interval by interval
+    first = np.where(np.arange(14) < 7, 1.0, 0.0)
+    both = fl.integrate_density(mesh, ones)
+    assert both == pytest.approx(2.0 * fl.integrate_density(mesh, first), rel=1e-12)
+    # 1 on 6 elements of 1/8 and a ramp on the two boundary ones
+    assert both == pytest.approx(2.0 * 7.0 / 8.0, rel=1e-12)
+
+
+def test_integrate_density_refuses_every_other_nodal_form():
+    # per-interval arrays with their end values, a flat vector of every
+    # node, a column: nodal data has one form, the interior-dof vector
+    mesh = fl.make_mesh(fl.make_domain([(-2.0, -1.0), (1.0, 2.0)]), 8, beta=1.0)
+    for nodal in ((np.ones(9), np.ones(9)), np.ones(18), np.ones((14, 1))):
+        with pytest.raises(ArgumentError, match="the 14 interior dof values"):
+            fl.integrate_density(mesh, nodal)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1e-90), (1e150, 2e150), (-1e100, 1e100)])
+def test_extreme_but_finite_scales_assemble_a_finite_stiffness(interval):
+    # the smallest element of (0, 1e-90) is 2.4e-97 at n = 2048; the suite
+    # turns the overflow warnings of a form out of range into errors
+    mesh = fl.make_mesh(fl.make_domain([interval]), 2048, beta=2.0)
+    assert np.all(np.isfinite(fl.assemble_gagliardo(mesh, 0.99)))

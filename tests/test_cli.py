@@ -162,18 +162,21 @@ def test_eigen_on_a_mesh_with_a_zero_length_element_exits_2(tmp_path, capsys):
 
 
 # a grading that computes 0/0 gives NaN element sizes; the domains below
-# mesh, but their element sizes underflow or overflow the stiffness form,
-# with the floating-point warnings that go with it
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# have element sizes whose powers overflow the stiffness form, and are
+# refused when meshed, before any assembly could warn
 @pytest.mark.parametrize(
     "data, message",
     [
         ({"n": 8, "beta": 1e300}, "8 element(s) to zero length or NaN"),
-        ({"domain": {"intervals": [[0, 1e-300]]}}, "A has non-finite entries"),
-        ({"domain": {"intervals": [[1e300, 1.5e300]]}}, "A has non-finite entries"),
-        ({"domain": {"intervals": [[-1e300, 1e300]]}}, "A has non-finite entries"),
+        ({"domain": {"intervals": [[0, 1e-300]]}}, "the assembled forms stay finite"),
+        ({"domain": {"intervals": [[1e300, 1.5e300]]}}, "the assembled forms stay finite"),
+        ({"domain": {"intervals": [[-1e300, 1e300]]}}, "the assembled forms stay finite"),
+        (
+            {"domain": {"intervals": [[0, 1e-100]]}, "n": 2048, "s": 0.99},
+            "element sizes 2.39e-107 to",
+        ),
     ],
-    ids=["nan-grading", "tiny-interval", "far-interval", "wide-interval"],
+    ids=["nan-grading", "tiny-interval", "far-interval", "wide-interval", "tiny-elements"],
 )
 def test_eigen_on_a_non_finite_mesh_or_form_exits_2(tmp_path, capsys, data, message):
     cfg = write_config(tmp_path, {"n": 8, "out": str(tmp_path), **data})

@@ -109,6 +109,31 @@ def test_make_mesh_refuses_a_grading_of_nan_element_sizes():
         fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 8, 1e300)
 
 
+def test_make_mesh_refuses_element_sizes_whose_powers_overflow():
+    # the smallest element of (0, 1e-100) at n = 2048 is 2.4e-107, whose
+    # -3rd power overflows; (0, 1e-90) has 2.4e-97 and meshes
+    with pytest.raises(DegenerateError, match="element sizes 2.39e-107 to"):
+        fl.make_mesh(fl.make_domain([(0.0, 1e-100)]), 2048, 2.0)
+    with pytest.raises(DegenerateError, match="the assembled forms stay finite"):
+        fl.make_mesh(fl.make_domain([(1e300, 1.5e300)]), 8, 2.0)
+    assert fl.make_mesh(fl.make_domain([(0.0, 1e-90)]), 2048, 2.0).elem_h.min() > 0
+
+
+def test_interior_to_full_and_element_ends_gather_the_dof_vector():
+    # reference: the per-interval embedding, zero at both ends of each interval
+    mesh = fl.make_mesh(fl.make_domain([(-2.0, -1.0), (0.5, 2.0)]), 8, 2.0)
+    u = np.random.default_rng(3).standard_normal(mesh.n_interior)
+    full = [np.concatenate([[0.0], part, [0.0]]) for part in np.split(u, [7])]
+    got = mesh.interior_to_full(u)
+    assert len(got) == 2 and all(np.array_equal(g, f) for g, f in zip(got, full))
+    ends = mesh.element_ends(u)
+    assert np.array_equal(ends[:, 0], np.concatenate([f[:-1] for f in full]))
+    assert np.array_equal(ends[:, 1], np.concatenate([f[1:] for f in full]))
+    for bad in (np.concatenate(full), u[:-1], u[:, None]):
+        with pytest.raises(ArgumentError, match="the 14 interior dof values"):
+            mesh.interior_to_full(bad)
+
+
 def test_make_mesh_is_memoized_by_value():
     # beta by position, by keyword or by default, and n or beta of another
     # numeric type, give one mesh, so the pair tables are built once
