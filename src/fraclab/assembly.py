@@ -36,9 +36,22 @@ points and hats, where each run of elements' dofs starts, and the Chebyshev
 data of the clusters (``_clusters``).  One driver (``_assemble``) builds
 both forms from R: E is R = 1, E_X passes its field's R.  Every part of a
 form adds into the one K x K matrix the far pass creates, which is
-symmetrized in place at the end.  The forms differ only in R and in their exterior tails:
-a closed form for E, Gauss rules for E_X.  The assemblers return that
-matrix.
+symmetrized in place, tile by tile, at the end.  The forms differ only in R
+and in their exterior tails: a closed form for E, Gauss rules for E_X.  The
+assemblers return that matrix.
+
+Mirror halves: on a mesh symmetric under x -> -x with an even number E of
+elements, element E - 1 - k is the image of element k, and the Gagliardo
+kernel gives an element pair and its image the same block up to rounding.
+There E integrates one mirror half of the pairs (``_mirror_tables``): the
+pair (k, l), k <= l, weighs 1 for k + l < E - 1 and 1/2 for k + l = E - 1,
+and is skipped beyond; an admissible cluster pair weighs 1, or 1/2 when it
+is its own image, in a cluster tree and partition closed under the mirror
+(``_partition``).  Their sum S becomes S + J S J, J the reversal of the dof
+order, before the exterior tail, which covers every element.  So the
+interaction part of A is mirror-symmetric bit for bit, and A's mirror
+asymmetry is the closed-form tail's alone.  E_X integrates every pair: its
+R is mirror-invariant only for odd X.
 
 Also provides the pointwise principal-value fractional Laplacian used as
 an independent cross-check, and weighted density integrals.
@@ -94,6 +107,7 @@ _GL_EXTERIOR = 16  # smooth exterior terms
 _JACOBI_ORDER = 12  # singular directions
 _SUBDIV_CAP = 16  # per-element halvings for separated pairs
 _CHUNK = 1 << 20  # near kernel values per chunk
+_PANEL = 128  # rows of a panel, and the side of a tile, of the in-place K x K passes
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +147,28 @@ def _chebyshev_series(t):
 
 
 class _PairTables(NamedTuple):
-    """Per-mesh geometry shared by every kernel and every s."""
+    """Per-mesh geometry shared by every kernel and every s: the element
+    pairs one assembly integrates, each with its weight.  ``_pair_tables``
+    holds every pair with weight 1, ``_mirror_tables`` one mirror half."""
 
     touching: np.ndarray  # left element k of each touching pair (k, k+1)
-    near: dict  # tensor order -> its near sub-pairs: kx0, kx1, ly0, ly1, k, l
+    near: dict  # tensor order -> its near sub-pairs: kx0, kx1, ly0, ly1, k, l, w
     far_x: np.ndarray  # (E, _GL_FAR) far-rule points of each element
     wh: np.ndarray  # (_GL_FAR, 2) far-rule weights times the reference hats (1 - t, t)
     before: np.ndarray  # (E, 2) first slot-a dof of the elements from k on
-    counts: dict  # unordered element pairs by class
-    leaves: list  # dense leaf blocks (k0, k1, l0, l1, far mask), k0 <= l0
+    counts: dict  # unordered element pairs integrated, by class
+    leaves: list  # dense leaf blocks (k0, k1, l0, l1, far mask, pair weights), k0 <= l0
     blocks: np.ndarray  # (B, 2) admissible pairs (I, J) of clusters, I left of J
     spans: np.ndarray  # (C, 2) element range [e0, e1) of each cluster
     clusters: Optional[_Clusters]  # None without admissible pairs
+    identical: np.ndarray  # elements k of the identical pairs (k, k)
+    identical_w: np.ndarray  # their weights
+    touching_w: np.ndarray  # the touching pairs' weights
+    block_w: np.ndarray  # (B,) the admissible pairs' weights
+    mirrored: bool  # one mirror half: the form is S + J S J for the sum S of the pairs
 
 
-def _partition(mesh):
+def _partition(mesh, mirror=False):
     """Cluster tree of contiguous element ranges and its block partition.
 
     Clusters halve element ranges down to at most _LEAF elements.  A pair
@@ -156,9 +177,24 @@ def _partition(mesh):
     are small against their distance, max(diam I, diam J) <= _ETA dist;
     otherwise the larger cluster is split.  Pairs of leaves that are not
     admissible, and each leaf with itself, are dense blocks.  Returns the
-    cluster spans (C, 2), the dense leaf pairs and the admissible pairs.
+    cluster spans (C, 2), the dense leaf pairs, the admissible pairs and
+    their weights.
+
+    ``mirror`` (a mirror-symmetric mesh of an even number E of elements)
+    makes both closed under the image k -> E - 1 - k of elements.  Splits
+    right of the centre round up, so the image [E - e1, E - e0) of every
+    cluster is a cluster.  Each split is decided on the pair of an image
+    pair that lies left of the centre, and the other pair is left out: it
+    is that pair's mirror image, and so is all it would split into.  A
+    pair that is its own image splits both clusters, into an image pair
+    and two pairs that are their own images.  So the pairs returned are one
+    mirror half: all their element pairs (k, l) have k + l < E - 1, except
+    in the pairs that are their own images.  Admissible pairs weigh 1, or
+    1/2 when they are their own images; without ``mirror`` every pair is
+    returned with weight 1.
     """
     x0, x1, h = mesh.elem_x0, mesh.elem_x1, mesh.elem_h
+    E = h.size
     spans, kids = [], []
 
     def build(e0, e1):
@@ -166,15 +202,20 @@ def _partition(mesh):
         spans.append((e0, e1))
         kids.append(None)
         if e1 - e0 > _LEAF:
-            mid = (e0 + e1) // 2
+            mid = (e0 + e1 + (mirror and e0 + e1 > E)) // 2
             kids[c] = (build(e0, mid), build(mid, e1))
         return c
 
-    build(0, h.size)
+    build(0, E)
     lo = [x0[e0] for e0, _ in spans]
     hi = [x1[e1 - 1] for _, e1 in spans]
     hmax = [float(np.max(h[e0:e1])) for e0, e1 in spans]
-    dense, admissible = [], []
+    dense, admissible, weight = [], [], []
+
+    def far_apart(i, j):
+        dist = lo[j] - hi[i]
+        diam = max(hi[i] - lo[i], hi[j] - lo[j])
+        return dist >= _FAR_RATIO * max(hmax[i], hmax[j]) and diam <= _ETA * dist
 
     def split(i, j):
         if i == j:
@@ -186,10 +227,9 @@ def _partition(mesh):
                 split(a, b)
                 split(b, b)
             return
-        dist = lo[j] - hi[i]
-        diam = max(hi[i] - lo[i], hi[j] - lo[j])
-        if dist >= _FAR_RATIO * max(hmax[i], hmax[j]) and diam <= _ETA * dist:
+        if far_apart(i, j):
             admissible.append((i, j))
+            weight.append(1.0)
         elif kids[i] is None and kids[j] is None:
             dense.append((i, j))
         elif kids[j] is None or (kids[i] is not None and hi[i] - lo[i] >= hi[j] - lo[j]):
@@ -199,8 +239,29 @@ def _partition(mesh):
             for b in kids[j]:
                 split(i, b)
 
-    split(0, 0)
-    return np.array(spans), dense, np.array(admissible, dtype=int).reshape(-1, 2)
+    def split_own_image(i, j):
+        # (i, j) is its own image: i left of the centre, j its image
+        if far_apart(i, j):
+            admissible.append((i, j))
+            weight.append(0.5)
+        elif kids[i] is None:
+            dense.append((i, j))
+        else:
+            (a, b), (mb, ma) = kids[i], kids[j]
+            split(a, mb)  # (b, ma) is its image
+            split_own_image(a, ma)
+            split_own_image(b, mb)
+
+    if not mirror:
+        split(0, 0)
+    elif kids[0] is None:
+        dense.append((0, 0))
+    else:
+        a, b = kids[0]
+        split(a, a)  # (b, b) is its image
+        split_own_image(a, b)
+    blocks = np.array(admissible, dtype=int).reshape(-1, 2)
+    return np.array(spans), dense, blocks, np.array(weight)
 
 
 def _clusters(mesh, spans, blocks, far_x, wh, before) -> _Clusters:
@@ -237,23 +298,27 @@ def _clusters(mesh, spans, blocks, far_x, wh, before) -> _Clusters:
     return _Clusters(nodes, Tn, probes, Sp, moments, D, elems, owner, t)
 
 
-def _near_subpairs(mesh, ku, lu) -> dict:
-    """The near pairs (ku, lu), ku < lu, as sub-pairs grouped by tensor order.
+def _near_subpairs(mesh, ku, lu, w) -> dict:
+    """The near pairs (ku, lu), ku < lu, of weights w as sub-pairs grouped
+    by tensor order.
 
     Both elements are halved until the gap is at least their size, and each
     sub-pair takes its order from ``_NEAR_ORDER``.  Returns order -> kx0, kx1,
-    ly0, ly1 (the sub-elements) and k, l (their elements).
+    ly0, ly1 (the sub-elements), k, l (their elements) and w (their weight).
     """
     x0, x1, h = mesh.elem_x0, mesh.elem_x1, mesh.elem_h
     gap = x0[lu] - x1[ku]
     if np.any(gap <= 0):
         raise QuadratureError("element ordering broke; separated pair with gap <= 0")
-    m1 = np.ceil(h[ku] / gap).astype(int)
-    m2 = np.ceil(h[lu] / gap).astype(int)
-    if np.any(m1 > _SUBDIV_CAP) or np.any(m2 > _SUBDIV_CAP):
+    r1, r2 = h[ku] / gap, h[lu] / gap
+    # ceil(r) > _SUBDIV_CAP just when r > _SUBDIV_CAP; compared before the
+    # cast, so a huge ratio never reaches the integers
+    if np.any(r1 > _SUBDIV_CAP) or np.any(r2 > _SUBDIV_CAP):
         raise QuadratureError(
             f"separated-pair subdivision exceeds cap {_SUBDIV_CAP}; mesh too distorted"
         )
+    m1 = np.ceil(r1).astype(int)
+    m2 = np.ceil(r2).astype(int)
     counts = m1 * m2
     total = int(np.sum(counts))
     parent = np.repeat(np.arange(ku.size), counts)
@@ -272,6 +337,7 @@ def _near_subpairs(mesh, ku, lu) -> dict:
         "ly1": sy0 + h2s,
         "k": ku[parent],
         "l": lu[parent],
+        "w": w[parent],
     }
     # each sub-pair's tensor order, from its gap in sub-element sizes
     ratio = (sub["ly0"] - sub["kx1"]) / np.maximum(h1s, h2s)
@@ -286,38 +352,73 @@ def _near_subpairs(mesh, ku, lu) -> dict:
 
 @lru_cache(maxsize=32)
 def _pair_tables(mesh: Mesh1D) -> _PairTables:
-    """Classify all unordered element pairs through the cluster tree.
+    """Every unordered element pair of the mesh, each with weight 1."""
+    return _tables(mesh, False)
+
+
+@lru_cache(maxsize=32)
+def _mirror_tables(mesh: Mesh1D) -> Optional[_PairTables]:
+    """One mirror half of the element pairs, or None unless the mesh is
+    mirror-symmetric with an even number of elements.
+
+    An odd number has a middle element that is its own image, and no tree
+    of halved element ranges is closed under the mirror there; such a mesh
+    takes every pair with weight 1.
+    """
+    if mesh.elem_h.size % 2 or not mesh.mirror_symmetric:
+        return None
+    return _tables(mesh, True)
+
+
+def _tables(mesh: Mesh1D, mirror: bool) -> _PairTables:
+    """Classify the unordered element pairs through the cluster tree.
 
     Admissible cluster pairs hold only far pairs, so the near pairs are the
     separated pairs of the dense leaf blocks that are not far; they are
-    expanded into sub-pairs by ``_near_subpairs``.
+    expanded into sub-pairs by ``_near_subpairs``.  With ``mirror`` the
+    element pair (k, l), k <= l, weighs 1 for k + l < E - 1, 1/2 for
+    k + l = E - 1 (its own image) and 0 beyond, where it is left out: the
+    mirror image (E - 1 - l, E - 1 - k) of such a pair gives its block.
+    Admissible pairs take their weights from ``_partition``.
     """
     E = mesh.elem_h.size
     x0, x1, h, iv = mesh.elem_x0, mesh.elem_x1, mesh.elem_h, mesh.elem_interval
 
+    def weight(ksum):
+        if not mirror:
+            return np.ones(np.shape(ksum))
+        return np.where(ksum < E - 1, 1.0, np.where(ksum == E - 1, 0.5, 0.0))
+
     # touching: consecutive elements of the same interval
     k = np.arange(E - 1)
     touching = k[iv[k] == iv[k + 1]]
+    identical = np.arange(E)
+    identical_w, touching_w = weight(2 * identical), weight(2 * touching + 1)
+    identical, identical_w = identical[identical_w > 0], identical_w[identical_w > 0]
+    touching, touching_w = touching[touching_w > 0], touching_w[touching_w > 0]
 
-    spans, dense, blocks = _partition(mesh)
-    leaves, near_k, near_l = [], [], []
+    spans, dense, blocks, block_w = _partition(mesh, mirror)
+    leaves, near_k, near_l, near_w = [], [], [], []
     sizes = spans[:, 1] - spans[:, 0]
     n_far = int(np.sum(sizes[blocks[:, 0]] * sizes[blocks[:, 1]]))
     for i, j in dense:
         (k0, k1), (l0, l1) = spans[i], spans[j]
         kk = np.arange(k0, k1)[:, None]
         ll = np.arange(l0, l1)[None, :]
+        w = weight(kk + ll)
         gap = x0[None, l0:l1] - x1[k0:k1, None]
-        far = gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, l0:l1])
-        separated = (ll > kk) & ~((ll == kk + 1) & (iv[kk] == iv[ll]))
+        far = (gap >= _FAR_RATIO * np.maximum(h[k0:k1, None], h[None, l0:l1])) & (w > 0)
+        separated = (ll > kk) & ~((ll == kk + 1) & (iv[kk] == iv[ll])) & (w > 0)
         ki, li = np.nonzero(separated & ~far)
         near_k.append(ki + k0)
         near_l.append(li + l0)
+        near_w.append(w[ki, li])
         n_far += int(np.count_nonzero(far))
-        leaves.append((k0, k1, l0, l1, far))
+        # only the leaves that are their own images mix weights
+        leaves.append((k0, k1, l0, l1, far, 1.0 if np.all(w == 1.0) else w))
     ku = np.concatenate(near_k)
     lu = np.concatenate(near_l)
-    near = _near_subpairs(mesh, ku, lu)
+    near = _near_subpairs(mesh, ku, lu, np.concatenate(near_w))
     tf, wf = gauss_legendre_01(_GL_FAR)
     far_x = x0[:, None] + h[:, None] * tf[None, :]
     wh = wf[:, None] * np.stack([1.0 - tf, tf], axis=1)
@@ -327,7 +428,7 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
     before = np.cumsum(live, axis=0) - live
     clusters = _clusters(mesh, spans, blocks, far_x, wh, before) if blocks.size else None
     pair_counts = {
-        "identical": E,
+        "identical": int(identical.size),
         "touching": int(touching.size),
         "near": int(ku.size),
         "near_subpairs": sum(g["k"].size for g in near.values()),
@@ -335,7 +436,8 @@ def _pair_tables(mesh: Mesh1D) -> _PairTables:
         "far": n_far,
     }
     return _PairTables(
-        touching, near, far_x, wh, before, pair_counts, leaves, blocks, spans, clusters
+        touching, near, far_x, wh, before, pair_counts, leaves, blocks, spans, clusters,
+        identical, identical_w, touching_w, block_w, mirror,
     )
 
 
@@ -406,23 +508,26 @@ def _touch_geometry(mesh, touching):
     return h1, h2, q, dofs, ca, cb
 
 
-def _identical(out, mesh, s, rfun) -> None:
-    """Add 2 int_0^h u^{1-2s} [ g_a g_b int R(y+u, y) dy ] du per element."""
-    h = mesh.elem_h
+def _identical(out, mesh, s, rfun, elems=slice(None), weight=1.0) -> None:
+    """Add 2 int_0^h u^{1-2s} [ g_a g_b int R(y+u, y) dy ] du for the
+    elements ``elems`` (all by default), times their ``weight``."""
+    h = mesh.elem_h[elems]
     tj, wj = gauss_jacobi_01(_JACOBI_ORDER, 1.0 - 2.0 * s)
     tg, wg = gauss_legendre_01(_GL_INNER)
     u = h[:, None] * tj[None, :]  # (E, J)
     span = h[:, None] - u  # length of the y-range
-    y = mesh.elem_x0[:, None, None] + span[:, :, None] * tg[None, None, :]
+    y = mesh.elem_x0[elems][:, None, None] + span[:, :, None] * tg[None, None, :]
     rv = rfun(y + u[:, :, None], y)  # (E, J, G)
     inner = span * (rv @ wg)  # (E, J)
-    vals = 2.0 * h ** (2.0 - 2.0 * s) * (inner @ wj)  # (E,)
-    base = vals / h**2
-    _scatter_add(out, _sym_blocks(base, -base), mesh.elem_dof)
+    # g_a g_b = -+1/h^2, taken as h^(-2s) in place of h^(2-2s) / h^2,
+    # which overflows for huge h
+    base = (2.0 * weight) * h ** (-2.0 * s) * (inner @ wj)  # (E,)
+    _scatter_add(out, _sym_blocks(base, -base), mesh.elem_dof[elems])
 
 
-def _touching(out, mesh, s, rfun, touching) -> None:
-    """Add the Duffy triangles: Jacobi(2-2s) radially, GL in an exponential map of tau."""
+def _touching(out, mesh, s, rfun, touching, weight=1.0) -> None:
+    """Add the Duffy triangles: Jacobi(2-2s) radially, GL in an exponential
+    map of tau, for the pairs ``touching``, times their ``weight``."""
     if touching.size == 0:
         return
     h1, h2, q, dofs, ca, cb = _touch_geometry(mesh, touching)
@@ -451,7 +556,7 @@ def _touching(out, mesh, s, rfun, touching) -> None:
         p = ca[:, :, None] * ha[:, None, :] + cb[:, :, None] * hb[:, None, :]
         w = (h1 * h2)[:, None] * (ha + hb) ** (-1.0 - 2.0 * s) * rs * wt
         total = total + np.einsum("tj,taj,tbj->tab", w, p, p)
-    _scatter_add(out, 2.0 * total, dofs)
+    _scatter_add(out, (2.0 * np.broadcast_to(weight, h1.shape))[:, None, None] * total, dofs)
 
 
 def _near(out, mesh, near, points, kernel) -> None:
@@ -472,7 +577,7 @@ def _near(out, mesh, near, points, kernel) -> None:
         step = max(1, _CHUNK // (G * G))
         for lo in range(0, n, step):
             sl = slice(lo, min(lo + step, n))
-            kx0, ly0, ke, le = sub["kx0"][sl], sub["ly0"][sl], sub["k"][sl], sub["l"][sl]
+            kx0, ly0, ke, le, w = (sub[key][sl] for key in ("kx0", "ly0", "k", "l", "w"))
             hx = sub["kx1"][sl] - kx0
             hy = sub["ly1"][sl] - ly0
             P = ke.size
@@ -481,7 +586,7 @@ def _near(out, mesh, near, points, kernel) -> None:
             kv = kernel(points(xs[:, :, None]), points(ys[:, None, :]))  # (P, G, G)
             m = (kv.reshape(P * G, G) @ W).reshape(P, G, 3)  # [p, i, b]: t_j^b
             m = (m.transpose(0, 2, 1).reshape(P * 3, G) @ W).reshape(P, 9)  # [p, 3b + a]: t_i^a
-            m *= (2.0 * hx * hy)[:, None]  # unordered pair counted once: (e,f)+(f,e)
+            m *= (2.0 * hx * hy * w)[:, None]  # unordered pair counted once: (e,f)+(f,e)
             Z = m[:, _NEAR_MOMENT] * _NEAR_SIGN
             Q = np.zeros((P, 4, 4))
             for i, (e, a, ha) in zip((0, 2), ((ke, kx0, hx), (le, ly0, hy))):
@@ -520,9 +625,10 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
     pair, C the kernel between the Chebyshev nodes of I and J.  A pair
     whose interpolant misses the kernel at the probes (``_interpolate``; a
     field that varies on a scale shorter than the clusters) is dense blocks
-    of at most _LEAF elements a side instead.  Every far pair k < l has its
-    dofs above the diagonal, so the second term goes in there only, twice
-    over, and the caller's symmetrization halves it.
+    of at most _LEAF elements a side instead.  Each pair or block enters
+    times its weight in ``tables``.  Every far pair k < l has its dofs
+    above the diagonal, so the second term goes in there only, twice over,
+    and the caller's symmetrization halves it.
     """
     K = mesh.n_interior
     E = mesh.elem_h.size
@@ -537,7 +643,7 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
 
     pts = points(tables.far_x)  # once per quadrature point, each (E, G)
 
-    def dense(k0, k1, l0, l1, far):
+    def dense(k0, k1, l0, l1, far, w):
         # rows hold the points of elements k0:k1 (element-major), columns
         # those of l0:l1 (point-major); both terms are contracted per
         # element with the reference hats (1 - t, t)
@@ -551,8 +657,8 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
             # a point against itself: not finite, and never in a far pair
             own = np.arange(c)[:, None]
             kv[own * G + np.arange(G), np.arange(G) * m + own] = 0.0
-        wl = np.where(far, h[None, l0:l1], 0.0)
-        wk = np.where(far, h[k0:k1, None], 0.0)
+        wl = np.where(far, w * h[None, l0:l1], 0.0)
+        wk = np.where(far, w * h[k0:k1, None], 0.0)
         col = (wh.T @ kv.reshape(c * G, G, m)).reshape(c, G * 2, m)
         row = (wf @ kv.reshape(c, G, G * m)).reshape(c, G, m)
         rsum[k0:k1] += (col @ wl[:, :, None]).reshape(c, G, 2).sum(axis=2)
@@ -568,21 +674,22 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
                 zab = za[:, b] if vq.all() else za[:, b][:, vq]
                 out[rows, before[l0, b] : before[l0, b] + zab.shape[1]] += zab
 
-    for k0, k1, l0, l1, far in tables.leaves:
+    for k0, k1, l0, l1, far, w in tables.leaves:
         if far.any():
-            dense(k0, k1, l0, l1, far)
+            dense(k0, k1, l0, l1, far, w)
 
     # admissible blocks: k(x, y) ~ S_I(x) C S_J(y)'
-    blocks, cl = tables.blocks, tables.clusters
+    blocks, cl, block_w = tables.blocks, tables.clusters, tables.block_w
     if blocks.size:
         C, ok = _interpolate(cl, blocks, points, kernel, scale)
-        for i, j in blocks[~ok]:
+        for (i, j), w in zip(blocks[~ok], block_w[~ok]):
             (k0, k1), (l0, l1) = tables.spans[i], tables.spans[j]
             for a in range(k0, k1, _LEAF):
                 for b in range(l0, l1, _LEAF):
                     a1, b1 = min(a + _LEAF, k1), min(b + _LEAF, l1)
-                    dense(a, a1, b, b1, np.ones((a1 - a, b1 - b), dtype=bool))
+                    dense(a, a1, b, b1, np.ones((a1 - a, b1 - b), dtype=bool), w)
         blocks, C = blocks[ok], C[ok]
+        C *= block_w[ok, None, None]
         I, J = blocks[:, 0], blocks[:, 1]
         u = np.zeros_like(cl.moments)  # rsum at each cluster's nodes
         np.add.at(u, I, np.einsum("bmn,bn->bm", C, cl.moments[J]))
@@ -600,6 +707,38 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
 
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
     return _scatter_add(out, 2.0 * diag, mesh.elem_dof)
+
+
+def _mirror_complete(out: np.ndarray) -> None:
+    """out += J out J in place, J the reversal of the dof order, in row
+    panels with no K x K temporary.  Entry (i, j) and its image
+    (K-1-i, K-1-j) take the same two terms, so the sum is J-symmetric bit
+    for bit."""
+    K = out.shape[0]
+    half = K // 2
+    for a in range(0, half, _PANEL):
+        b = min(a + _PANEL, half)
+        top = out[a:b]
+        top += out[K - b : K - a][::-1, ::-1]
+        out[K - b : K - a] = top[::-1, ::-1]
+    if K % 2:  # the middle row is its own image
+        mid = out[half]
+        mid += mid[::-1].copy()
+
+
+def _symmetrize(out: np.ndarray) -> None:
+    """out = (out + out.T) / 2 in place, tile by tile with no K x K
+    temporary; bit-identical to ``out += out.T; out *= 0.5``."""
+    K = out.shape[0]
+    for a in range(0, K, _PANEL):
+        b = min(a + _PANEL, K)
+        for c in range(a, K, _PANEL):
+            d = min(c + _PANEL, K)
+            upper, lower = out[a:b, c:d], out[c:d, a:b]
+            upper += lower.T.copy() if c == a else lower.T
+            upper *= 0.5
+            if c > a:
+                lower[...] = upper.T
 
 
 def _distance_power(x, y, expo) -> np.ndarray:
@@ -713,20 +852,22 @@ def _exterior(out, mesh, s, c, a, b) -> None:
 # public assembly entry points
 # ---------------------------------------------------------------------------
 
-def _assemble(mesh, s, points, smooth, scale, tail) -> np.ndarray:
+def _assemble(mesh, s, points, smooth, scale, tail, tables) -> np.ndarray:
     """The matrix of the form with kernel (c/2) R(x, y) |x - y|^{-1-2s}.
 
     ``points(x)`` returns the data R reads at points x (x first), and
     ``smooth(p, q)`` evaluates R on two broadcastable point sets.
     ``scale(p, q)`` is the size of R's terms, which sets the rounding
     scale of the far pass's interpolation check (None: |R|).
-    ``tail(out, c)`` adds the form's exterior tail.  Every part adds into
-    the K x K matrix of the far pass, symmetrized once at the end.
+    ``tail(out, c)`` adds the form's exterior tail.  The element pairs and
+    their weights come from ``tables``.  Every part adds into the K x K
+    matrix of the far pass.  When the pairs are one mirror half, their sum
+    S is completed to S + J S J before the tail, which always covers every
+    element; the matrix is symmetrized once at the end.
     """
     c = frac_constant(1, s)
     coeff = 0.5 * c
     expo = -1.0 - 2.0 * s
-    tables = _pair_tables(mesh)
 
     def kernel(p, q):
         d = _distance_power(p[0], q[0], expo)
@@ -745,21 +886,29 @@ def _assemble(mesh, s, points, smooth, scale, tail) -> np.ndarray:
 
     out = _far(mesh, tables, points, kernel, None if scale is None else size)
     _near(out, mesh, tables.near, points, kernel)
-    _identical(out, mesh, s, rfun)
-    _touching(out, mesh, s, rfun, tables.touching)
+    _identical(out, mesh, s, rfun, tables.identical, tables.identical_w)
+    _touching(out, mesh, s, rfun, tables.touching, tables.touching_w)
+    if tables.mirrored:
+        _mirror_complete(out)
     tail(out, c)
-    out += out.T
-    out *= 0.5
+    _symmetrize(out)
     return out
 
 
 def assemble_gagliardo(mesh: Mesh1D, s: float) -> np.ndarray:
-    """Stiffness A_ij = E(phi_i, phi_j) over the full plane."""
+    """Stiffness A_ij = E(phi_i, phi_j) over the full plane.
+
+    Its kernel is mirror-invariant, so on a mirror-symmetric mesh it
+    integrates one mirror half of the element pairs (``_mirror_tables``).
+    """
 
     def tail(out, c):
         _gagliardo_exterior(out, mesh, s, 0.5 * c)
 
-    return _assemble(mesh, s, lambda x: (x,), lambda p, q: 1.0, None, tail)
+    tables = _mirror_tables(mesh)
+    if tables is None:
+        tables = _pair_tables(mesh)
+    return _assemble(mesh, s, lambda x: (x,), lambda p, q: 1.0, None, tail, tables)
 
 
 def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> np.ndarray:
@@ -795,7 +944,7 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> np.ndarray:
     def tail(out, c):
         _exterior(out, mesh, s, c, X.div1, X.at1)
 
-    return _assemble(mesh, s, points, smooth, scale, tail)
+    return _assemble(mesh, s, points, smooth, scale, tail, _pair_tables(mesh))
 
 
 # ---------------------------------------------------------------------------

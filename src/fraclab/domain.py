@@ -175,6 +175,15 @@ class Mesh1D:
     def n_per_interval(self) -> tuple[int, ...]:
         return tuple(len(nd) - 1 for nd in self.nodes)
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """Whether the nodes, boundary nodes included, are symmetric under
+        x -> -x to 1e-12 of the largest |x|.  Element k is then the image of
+        element E - 1 - k, and interior dof i that of dof K - 1 - i."""
+        x = np.concatenate(self.nodes)
+        scale = max(1.0, float(np.max(np.abs(x))))
+        return bool(np.max(np.abs(x + x[::-1])) <= 1e-12 * scale)
+
     def element_ends(self, u) -> np.ndarray:
         """The values of the P1 function with interior-dof values ``u`` (zero
         at the boundary nodes) at the left and right end of every element,

@@ -12,7 +12,10 @@ Each half is the pencil (P' A P, P' M P), and P @ v lifts its vectors.
 more as an even and an odd half, both by shift-invert Lanczos: the path
 follows the full dimension, not the half's.  The halves' vectors are exactly
 even or odd, so their residuals against the assembled A stop at A's own
-mirror asymmetry (about 1e-10 of its largest entry at n = 2048).
+mirror asymmetry (about 1e-10 of its largest entry at n = 2048).  That comes
+from the closed-form exterior tail: on an even number of elements assembly
+makes the interaction part of A mirror-symmetric bit for bit
+(``assembly._mirror_tables``), on an odd number to rounding.
 """
 
 from __future__ import annotations
@@ -264,13 +267,6 @@ def _pairs(A: np.ndarray, M, vals, vecs, k_max: int) -> _Pairs:
 # mirror halves
 # ---------------------------------------------------------------------------
 
-def _mirror_symmetric(mesh: Mesh1D) -> bool:
-    """Whether the interior nodes are symmetric under x -> -x."""
-    x = mesh.interior_x
-    scale = max(1.0, float(np.max(np.abs(x))))
-    return bool(np.max(np.abs(x + x[::-1])) <= 1e-12 * scale)
-
-
 def _mirror_basis(K: int, sign: float):
     """The sparse K x n basis P of the even (sign = 1) or odd (sign = -1)
     half of K interior dofs on a mesh symmetric in x -> -x.
@@ -373,11 +369,13 @@ def solve_context(
     pencil is solved whole by ``solve_geig``.  The halves fold and lift
     through one sparse mirror basis, and their vectors are exactly even or
     odd, so their residuals against A stop at A's own mirror asymmetry (about
-    1e-10 of its largest entry at n = 2048, from the exterior tail on the
-    boundary elements) rather than at rounding.
+    1e-10 of its largest entry at n = 2048) rather than at rounding.  That
+    asymmetry is the closed-form exterior tail's, on the boundary elements;
+    the rest of A is mirror-symmetric.  One predicate,
+    ``Mesh1D.mirror_symmetric``, decides here and in assembly.
     """
     mesh = make_mesh(domain, n, beta)
-    symmetric = _mirror_symmetric(mesh)
+    symmetric = mesh.mirror_symmetric
     if even_only and not symmetric:
         raise AsymmetricMeshError("mesh is not symmetric under x -> -x")
     A, M = assemble_gagliardo(mesh, s), assemble_mass(mesh)

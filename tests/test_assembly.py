@@ -929,3 +929,168 @@ def test_extreme_but_finite_scales_assemble_a_finite_stiffness(interval):
     # turns the overflow warnings of a form out of range into errors
     mesh = fl.make_mesh(fl.make_domain([interval]), 2048, beta=2.0)
     assert np.all(np.isfinite(fl.assemble_gagliardo(mesh, 0.99)))
+
+
+@pytest.mark.parametrize("s", [0.5, 0.99])
+def test_near_subdivision_cap_refuses_before_the_integer_cast(s):
+    # h / gap = 1.25e89 does not fit an integer; the suite turns numpy's
+    # cast warning into an error, so the cap must refuse it first
+    mesh = fl.make_mesh(fl.make_domain([(-1.0, 0.0), (1e-90, 1.0)]), 8, beta=2.0)
+    with pytest.raises(QuadratureError, match="subdivision exceeds cap"):
+        fl.assemble_gagliardo(mesh, s)
+
+
+def test_identical_pairs_stay_finite_on_huge_elements():
+    # h^(2-2s) (inner @ wj) alone is about h^(3-2s), past the float range
+    # for h = 1.25e149 at s = 0.3; the entries themselves are about h^(1-2s)
+    mesh = fl.make_mesh(fl.make_domain([(1e150, 2e150)]), 8, beta=2.0)
+    coeff = 0.5 * fl.frac_constant(1, 0.3)
+    out = np.zeros((mesh.n_interior,) * 2)
+    assembly._identical(out, mesh, 0.3, lambda x, y: np.full(np.broadcast(x, y).shape, coeff))
+    assert np.all(np.isfinite(out)) and np.max(np.abs(out)) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one mirror half of the element pairs
+# ---------------------------------------------------------------------------
+
+def _whole_gagliardo(mesh, s, monkeypatch):
+    """The Gagliardo matrix from every element pair, each with weight 1."""
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "_mirror_tables", lambda mesh: None)
+        return fl.assemble_gagliardo(mesh, s)
+
+
+@pytest.mark.parametrize("n", [64, 70, 100, 256, 300, 2048])
+@pytest.mark.parametrize("intervals", [1, 2])
+def test_mirror_partition_is_closed_under_the_mirror(intervals, n):
+    # every cluster's image is a cluster; the pairs returned are their own
+    # images (admissible ones weigh 1/2) or have images that are not
+    # returned (weight 1), and with those images they cover every element
+    # pair k <= l once
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, 2.0)
+    E = mesh.elem_h.size
+    spans, dense, blocks, weights = assembly._partition(mesh, mirror=True)
+    index = {(e0, e1): c for c, (e0, e1) in enumerate(spans.tolist())}
+    image = np.array([index[(E - e1, E - e0)] for e0, e1 in spans.tolist()])
+    own = image[blocks[:, 1]] == blocks[:, 0]
+    assert np.array_equal(weights, np.where(own, 0.5, 1.0))
+    pairs = [tuple(p) for p in blocks.tolist()] + [tuple(p) for p in dense]
+    images = {(int(image[j]), int(image[i])) for i, j in pairs}
+    assert not images & (set(pairs) - {(i, j) for i, j in pairs if image[j] == i})
+    pairs += sorted(images - set(pairs))
+    r = np.array([(*spans[i], *spans[j]) for i, j in pairs])  # k0, k1, l0, l1
+    m = r[:, 1] - r[:, 0]
+    diagonal = (r[:, 0] == r[:, 2]) & (r[:, 1] == r[:, 3])
+    assert np.all(diagonal | (r[:, 1] <= r[:, 2]))
+    cover = np.where(diagonal, m * (m + 1) // 2, m * (r[:, 3] - r[:, 2]))
+    assert cover.sum() == E * (E + 1) // 2
+    overlap = (
+        (r[:, None, 0] < r[None, :, 1]) & (r[None, :, 0] < r[:, None, 1])
+        & (r[:, None, 2] < r[None, :, 3]) & (r[None, :, 2] < r[:, None, 3])
+    )
+    assert np.count_nonzero(overlap) == len(pairs)
+
+
+def _pair_weights(tables, E):
+    """(E, E) weight of each element pair (k, l), k <= l, summed over every
+    class and block of ``tables``."""
+    W = np.zeros((E, E))
+    W[tables.identical, tables.identical] += tables.identical_w
+    W[tables.touching, tables.touching + 1] += tables.touching_w
+    sub = {key: np.concatenate([g[key] for g in tables.near.values()]) for key in ("k", "l", "w")}
+    flat, first, inverse = np.unique(sub["k"] * E + sub["l"], return_index=True, return_inverse=True)
+    assert np.array_equal(sub["w"], sub["w"][first][inverse.ravel()])  # one weight a pair
+    W.flat[flat] += sub["w"][first]
+    for k0, k1, l0, l1, far, w in tables.leaves:
+        W[k0:k1, l0:l1] += far * w
+    for (i, j), w in zip(tables.blocks, tables.block_w):
+        (k0, k1), (l0, l1) = tables.spans[i], tables.spans[j]
+        W[k0:k1, l0:l1] += w
+    return W
+
+
+@pytest.mark.parametrize("n", [8, 64, 70, 256, 300])
+@pytest.mark.parametrize("intervals", [1, 2])
+def test_mirror_tables_weigh_each_pair_and_its_image_to_one(intervals, n):
+    # the whole tables weigh every pair k <= l 1; the mirror tables weigh a
+    # pair and its image (E - 1 - l, E - 1 - k) 1 together, so a pair that
+    # is its own image 1/2
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, 2.0)
+    E = mesh.elem_h.size
+    upper = np.triu(np.ones((E, E), dtype=bool))
+    whole = _pair_weights(_pair_tables(mesh), E)
+    assert np.all(whole[upper] == 1.0) and np.all(whole[~upper] == 0.0)
+    tables = assembly._mirror_tables(mesh)
+    assert tables.mirrored and not _pair_tables(mesh).mirrored
+    W = _pair_weights(tables, E)
+    assert np.all(W[~upper] == 0.0)
+    assert np.all((W + W[::-1, ::-1].T)[upper] == 1.0)
+
+
+@pytest.mark.parametrize("n", [64, 70, 129, 256, 300])
+@pytest.mark.parametrize("intervals", [1, 2])
+def test_mirror_assembly_matches_the_whole_assembly(intervals, n, monkeypatch):
+    # graded nodes mirror to rounding, uniform nodes of a power-of-two mesh
+    # exactly; an odd number of elements (one interval, n = 129) has no
+    # mirror tables and takes the whole assembly
+    for beta in (2.0, 1.0):
+        if beta == 1.0 and n & (n - 1):
+            continue
+        mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, beta)
+        assert (assembly._mirror_tables(mesh) is None) == (mesh.elem_h.size % 2 == 1)
+        for s in (0.1, 0.5, 0.9):
+            A = fl.assemble_gagliardo(mesh, s)
+            ref = _whole_gagliardo(mesh, s, monkeypatch)
+            gate = 5e-11 if beta == 2.0 else 1e-14
+            assert np.max(np.abs(A - ref)) <= gate * np.max(np.abs(ref)), (beta, s)
+            assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("intervals", [1, 2])
+def test_mirror_interaction_part_is_bitwise_mirror_symmetric(intervals, n):
+    # S + J S J gives an entry and its image the same two terms, and the
+    # symmetrization the same two entries; only the exterior tail, which
+    # covers every element, may break the mirror
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, 2.0)
+    tables = assembly._mirror_tables(mesh)
+    for s in (0.3, 0.5):
+        S = assembly._assemble(
+            mesh, s, lambda x: (x,), lambda p, q: 1.0, None, lambda out, c: None, tables
+        )
+        assert np.array_equal(S, S[::-1, ::-1]) and np.array_equal(S, S.T)
+
+
+def test_mirror_tables_are_built_once_per_mesh_for_the_gagliardo_form():
+    mesh = fl.make_mesh(fl.make_domain([(-1.125, 1.125)]), 64, 2.0)  # no other test's mesh
+    X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
+    mirror, whole = assembly._mirror_tables.cache_info().misses, _pair_tables.cache_info().misses
+    for s in (0.3, 0.7):
+        fl.assemble_gagliardo(mesh, s)
+        fl.assemble_deformation(mesh, X, s)
+    # the deformation form takes the whole tables: its R is mirror-invariant
+    # only for odd X
+    assert assembly._mirror_tables.cache_info().misses == mirror + 1
+    assert _pair_tables.cache_info().misses == whole + 1
+    for intervals, n in (([(-1.0, 0.75)], 64), ([(-1.0, 1.0)], 65)):
+        assert assembly._mirror_tables(fl.make_mesh(fl.make_domain(intervals), n, 2.0)) is None
+
+
+@pytest.mark.parametrize("K", [1, 2, 255, 256, 257, 2047])
+def test_tiled_symmetrization_is_bit_identical_to_the_plain_form(K):
+    x = np.random.default_rng(K).standard_normal((K, K))
+    ref = x.copy()
+    ref += ref.T
+    ref *= 0.5
+    assembly._symmetrize(x)
+    assert np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("K", [1, 2, 255, 256, 257, 2047])
+def test_mirror_completion_adds_the_reversed_matrix(K):
+    # at odd K the middle row is its own image and adds its own reversal
+    x = np.random.default_rng(K).standard_normal((K, K))
+    ref = x + x[::-1, ::-1]
+    assembly._mirror_complete(x)
+    assert np.array_equal(x, ref) and np.array_equal(x, x[::-1, ::-1])

@@ -153,6 +153,15 @@ def test_make_mesh_is_memoized_by_value():
     assert _pair_tables.cache_info().misses == misses + 1
 
 
+def test_mirror_symmetry_reads_every_node():
+    # the boundary nodes count: the interior nodes -2 and 2 of the last mesh
+    # mirror, its intervals do not
+    assert fl.make_mesh(fl.make_domain([(-1.0, 1.0)]), 64).mirror_symmetric
+    assert fl.make_mesh(fl.make_domain([(-2.0, -1.0), (1.0, 2.0)]), 7, 3.0).mirror_symmetric
+    assert not fl.make_mesh(fl.make_domain([(-1.0, 0.75)]), 64).mirror_symmetric
+    assert not fl.make_mesh(fl.make_domain([(-3.0, -1.0), (1.5, 2.5)]), 2).mirror_symmetric
+
+
 def test_make_mesh_argument_errors():
     d = fl.make_domain([(-1.0, 1.0)])
     with pytest.raises(ArgumentError):
