@@ -976,9 +976,9 @@ def test_mirror_partition_is_closed_under_the_mirror(intervals, n):
     own = image[blocks[:, 1]] == blocks[:, 0]
     assert np.array_equal(weights, np.where(own, 0.5, 1.0))
     pairs = [tuple(p) for p in blocks.tolist()] + [tuple(p) for p in dense]
-    images = {(int(image[j]), int(image[i])) for i, j in pairs}
-    assert not images & (set(pairs) - {(i, j) for i, j in pairs if image[j] == i})
-    pairs += sorted(images - set(pairs))
+    images = {(int(image[j]), int(image[i])) for i, j in pairs} - set(pairs)
+    assert len(images) == len(pairs) - np.count_nonzero([image[j] == i for i, j in pairs])
+    pairs += sorted(images)
     r = np.array([(*spans[i], *spans[j]) for i, j in pairs])  # k0, k1, l0, l1
     m = r[:, 1] - r[:, 0]
     diagonal = (r[:, 0] == r[:, 2]) & (r[:, 1] == r[:, 3])
