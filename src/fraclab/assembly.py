@@ -107,9 +107,6 @@ _GL_EXTERIOR = 16  # smooth exterior terms
 _JACOBI_ORDER = 12  # singular directions
 _SUBDIV_CAP = 16  # per-element halvings for separated pairs
 _CHUNK = 1 << 20  # near kernel values per chunk
-# touching pairs per chunk: each holds a few dozen (pairs, _JACOBI_ORDER,
-# _GL_TOUCH) arrays, whose peak set the deformation form's peak memory
-_TOUCH_CHUNK = 256
 _PANEL = 128  # rows of a panel, and the side of a tile, of the in-place K x K passes
 
 
@@ -511,9 +508,9 @@ def _touch_geometry(mesh, touching):
     return h1, h2, q, dofs, ca, cb
 
 
-def _identical(out, mesh, s, rfun, elems=slice(None), weight=1.0) -> None:
+def _identical(out, mesh, s, rfun, elems, weight) -> None:
     """Add 2 int_0^h u^{1-2s} [ g_a g_b int R(y+u, y) dy ] du for the
-    elements ``elems`` (all by default), times their ``weight``."""
+    elements ``elems``, times their ``weight``."""
     h = mesh.elem_h[elems]
     tj, wj = gauss_jacobi_01(_JACOBI_ORDER, 1.0 - 2.0 * s)
     tg, wg = gauss_legendre_01(_GL_INNER)
@@ -528,13 +525,14 @@ def _identical(out, mesh, s, rfun, elems=slice(None), weight=1.0) -> None:
     _scatter_add(out, _sym_blocks(base, -base), mesh.elem_dof[elems])
 
 
-def _touching(out, mesh, s, rfun, touching, weight=1.0) -> None:
+def _touching(out, mesh, s, rfun, touching, weight) -> None:
     """Add the Duffy triangles: Jacobi(2-2s) radially, GL in an exponential
-    map of tau, for the pairs ``touching``, times their ``weight``, at most
-    _TOUCH_CHUNK pairs at a time."""
+    map of tau, for the pairs ``touching``, times their ``weight``."""
+    if touching.size == 0:
+        return
+    h1, h2, q, dofs, ca, cb = _touch_geometry(mesh, touching)
     xj, wjac = gauss_jacobi_01(_JACOBI_ORDER, 2.0 - 2.0 * s)
     tg, wg = gauss_legendre_01(_GL_TOUCH)
-    weight = np.broadcast_to(weight, touching.shape)
 
     # Duffy split of the corner square along x + y distance from the corner;
     # each triangle gives int xi^{2-2s} P_a(tau) P_b(tau) (.)^{-1-2s} h1 h2 R,
@@ -542,26 +540,23 @@ def _touching(out, mesh, s, rfun, touching, weight=1.0) -> None:
     # (h1 xi tau, h2 xi).  There (.) = h (1 + r tau), singular at
     # tau = -1/r, which nears [0, 1] as the size ratio r grows on graded
     # meshes; tau = ((1 + r)^t - 1) / r makes it (1 + r)^t, smooth in t.
-    for lo in range(0, touching.size, _TOUCH_CHUNK):
-        chunk = slice(lo, lo + _TOUCH_CHUNK)
-        h1, h2, q, dofs, ca, cb = _touch_geometry(mesh, touching[chunk])
-        total = 0.0
-        for ratio, first in ((h2 / h1, True), (h1 / h2, False)):
-            lr = np.log1p(ratio)[:, None]
-            tau = np.expm1(lr * tg[None, :]) / ratio[:, None]  # (T, G)
-            wt = lr * np.exp(lr * tg[None, :]) / ratio[:, None] * wg[None, :]
-            one = np.ones_like(tau)
-            ta, tb = (one, tau) if first else (tau, one)
-            a = h1[:, None, None] * xj[None, :, None] * ta[:, None, :]
-            b = h2[:, None, None] * xj[None, :, None] * tb[:, None, :]
-            r = rfun(q[:, None, None] - a, q[:, None, None] + b)
-            rs = np.einsum("i,tij->tj", wjac, r)  # (T, G)
-            ha = h1[:, None] * ta
-            hb = h2[:, None] * tb
-            p = ca[:, :, None] * ha[:, None, :] + cb[:, :, None] * hb[:, None, :]
-            w = (h1 * h2)[:, None] * (ha + hb) ** (-1.0 - 2.0 * s) * rs * wt
-            total = total + np.einsum("tj,taj,tbj->tab", w, p, p)
-        _scatter_add(out, (2.0 * weight[chunk])[:, None, None] * total, dofs)
+    total = 0.0
+    for ratio, first in ((h2 / h1, True), (h1 / h2, False)):
+        lr = np.log1p(ratio)[:, None]
+        tau = np.expm1(lr * tg[None, :]) / ratio[:, None]  # (T, G)
+        wt = lr * np.exp(lr * tg[None, :]) / ratio[:, None] * wg[None, :]
+        one = np.ones_like(tau)
+        ta, tb = (one, tau) if first else (tau, one)
+        a = h1[:, None, None] * xj[None, :, None] * ta[:, None, :]
+        b = h2[:, None, None] * xj[None, :, None] * tb[:, None, :]
+        r = rfun(q[:, None, None] - a, q[:, None, None] + b)
+        rs = np.einsum("i,tij->tj", wjac, r)  # (T, G)
+        ha = h1[:, None] * ta
+        hb = h2[:, None] * tb
+        p = ca[:, :, None] * ha[:, None, :] + cb[:, :, None] * hb[:, None, :]
+        w = (h1 * h2)[:, None] * (ha + hb) ** (-1.0 - 2.0 * s) * rs * wt
+        total = total + np.einsum("tj,taj,tbj->tab", w, p, p)
+    _scatter_add(out, (2.0 * weight)[:, None, None] * total, dofs)
 
 
 def _near(out, mesh, near, points, kernel) -> None:

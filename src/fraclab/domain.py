@@ -179,10 +179,11 @@ class Mesh1D:
     def mirror_symmetric(self) -> bool:
         """Whether the nodes, boundary nodes included, are symmetric under
         x -> -x to 1e-12 of the largest |x|.  Element k is then the image of
-        element E - 1 - k, and interior dof i that of dof K - 1 - i."""
+        element E - 1 - k, and interior dof i that of dof K - 1 - i.  The
+        tolerance scales with the mesh alone, so a mesh of tiny intervals
+        is held to its own size."""
         x = np.concatenate(self.nodes)
-        scale = max(1.0, float(np.max(np.abs(x))))
-        return bool(np.max(np.abs(x + x[::-1])) <= 1e-12 * scale)
+        return bool(np.max(np.abs(x + x[::-1])) <= 1e-12 * np.max(np.abs(x)))
 
     def element_ends(self, u) -> np.ndarray:
         """The values of the P1 function with interior-dof values ``u`` (zero

@@ -584,10 +584,11 @@ def test_singular_pair_rules_match_closed_forms(intervals, beta, s):
 
     for n in (8, 64):
         mesh = fl.make_mesh(fl.make_domain(intervals), n, beta)
-        touching = _pair_tables(mesh).touching
+        tables = _pair_tables(mesh)
+        touching = tables.touching
         identical, touch = np.zeros((2, mesh.n_interior, mesh.n_interior))
-        assembly._identical(identical, mesh, s, rfun)
-        assembly._touching(touch, mesh, s, rfun, touching)
+        assembly._identical(identical, mesh, s, rfun, tables.identical, tables.identical_w)
+        assembly._touching(touch, mesh, s, rfun, touching, tables.touching_w)
         pairs = [
             (identical, _identical_gagliardo(mesh, s, coeff)),
             (touch, _touching_gagliardo(mesh, s, coeff, touching)),
@@ -945,8 +946,13 @@ def test_identical_pairs_stay_finite_on_huge_elements():
     # for h = 1.25e149 at s = 0.3; the entries themselves are about h^(1-2s)
     mesh = fl.make_mesh(fl.make_domain([(1e150, 2e150)]), 8, beta=2.0)
     coeff = 0.5 * fl.frac_constant(1, 0.3)
+
+    def rfun(x, y):
+        return np.full(np.broadcast(x, y).shape, coeff)
+
     out = np.zeros((mesh.n_interior,) * 2)
-    assembly._identical(out, mesh, 0.3, lambda x, y: np.full(np.broadcast(x, y).shape, coeff))
+    tables = _pair_tables(mesh)
+    assembly._identical(out, mesh, 0.3, rfun, tables.identical, tables.identical_w)
     assert np.all(np.isfinite(out)) and np.max(np.abs(out)) > 0.0
 
 
@@ -1073,7 +1079,10 @@ def test_mirror_tables_are_built_once_per_mesh_for_the_gagliardo_form():
     # only for odd X
     assert assembly._mirror_tables.cache_info().misses == mirror + 1
     assert _pair_tables.cache_info().misses == whole + 1
-    for intervals, n in (([(-1.0, 0.75)], 64), ([(-1.0, 1.0)], 65)):
+    # asymmetric meshes, tiny ones too, and odd numbers of elements
+    for intervals, n in (
+        ([(-1.0, 0.75)], 64), ([(0.0, 1e-13), (2e-13, 5e-13)], 64), ([(-1.0, 1.0)], 65)
+    ):
         assert assembly._mirror_tables(fl.make_mesh(fl.make_domain(intervals), n, 2.0)) is None
 
 

@@ -160,6 +160,12 @@ def test_mirror_symmetry_reads_every_node():
     assert fl.make_mesh(fl.make_domain([(-2.0, -1.0), (1.0, 2.0)]), 7, 3.0).mirror_symmetric
     assert not fl.make_mesh(fl.make_domain([(-1.0, 0.75)]), 64).mirror_symmetric
     assert not fl.make_mesh(fl.make_domain([(-3.0, -1.0), (1.5, 2.5)]), 2).mirror_symmetric
+    # the tolerance is relative to the mesh: intervals of 1e-13 and 3e-13
+    # are no mirror images, however close to 0 they lie, and a mesh of
+    # 1e-90 is held to its own size
+    tiny = fl.make_mesh(fl.make_domain([(0.0, 1e-13), (2e-13, 5e-13)]), 64)
+    assert not tiny.mirror_symmetric
+    assert fl.make_mesh(fl.make_domain([(-1e-90, 1e-90)]), 64).mirror_symmetric
 
 
 def test_make_mesh_argument_errors():
