@@ -383,7 +383,12 @@ class Bump:
 
 
 def polynomial_bump(center: float = 0.0, halfwidth: float = 0.5, power: int = 3) -> Bump:
-    """(1 - z^2)_+^power with z = (x-center)/halfwidth; C^{power-1} at the edge."""
+    """(1 - z^2)_+^power with z = (x-center)/halfwidth; C^{power-1} at the edge.
+
+    ``f`` and ``deriv`` take the power only where |z| < 1 and write zeros
+    elsewhere: numpy's ``pow`` is slow on the zero bases outside the support.
+    The values are those of ``np.where(|z| < 1, max(1 - z^2, 0)^power, 0)``.
+    """
     if power < 2:
         raise ArgumentError("power >= 2 needed for a C^1 bump")
     if not float(power).is_integer():
@@ -394,12 +399,18 @@ def polynomial_bump(center: float = 0.0, halfwidth: float = 0.5, power: int = 3)
 
     def f(x):
         z = (np.asarray(x, dtype=float) - c) / w
-        return np.where(np.abs(z) < 1.0, np.maximum(1.0 - z**2, 0.0) ** q, 0.0)
+        inside = np.abs(z) < 1.0
+        out = np.zeros_like(z)
+        out[inside] = np.maximum(1.0 - z[inside] ** 2, 0.0) ** q
+        return out
 
     def deriv(x):
         z = (np.asarray(x, dtype=float) - c) / w
-        base = np.maximum(1.0 - z**2, 0.0)
-        return np.where(np.abs(z) < 1.0, -2.0 * q * z / w * base ** (q - 1), 0.0)
+        inside = np.abs(z) < 1.0
+        out = np.zeros_like(z)
+        zi = z[inside]
+        out[inside] = -2.0 * q * zi / w * np.maximum(1.0 - zi**2, 0.0) ** (q - 1)
+        return out
 
     return Bump(f=f, deriv=deriv, support=(c - w, c + w))
 

@@ -4,7 +4,7 @@ Grammar: ``+ - * / ^`` with integer exponents, variables ``x`` and ``y``,
 parentheses, decimal and scientific literals.  Expressions evaluate
 vectorized over numpy arrays, and every expression differentiates
 symbolically (quotient rule for ``/``, power rule for any integer
-exponent).
+exponent).  Integer powers of 3 and more are products, not ``np.power``.
 
 Python parses: ``^`` is mapped to ``**`` and the ``ast.parse`` tree is
 walked against the grammar.  Characters outside ASCII letters and digits,
@@ -189,6 +189,25 @@ class DivNode(Expr):
         return f"({self.a} / {self.b})"
 
 
+def _products(v, k: int):
+    """v^k for an integer k >= 3 by square-and-multiply: O(log k) products.
+
+    numpy's ``pow`` is slow on negative and zero bases, at tens of times the
+    cost of a product.  Each product rounds, so the result may differ from
+    ``np.power`` by a relative (k - 1) 2^-53 at most; overflow gives inf.
+    """
+    out = None
+    while k > 1:
+        if k & 1:
+            out = v if out is None else out * v
+        k >>= 1
+        v = v * v
+    # v is a square made here, so the last product may overwrite it
+    if out is not None:
+        v *= out
+    return v
+
+
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
@@ -198,7 +217,9 @@ class Pow(Expr):
         v = self.base.evaluate(env)
         if self.k < 0:
             return np.asarray(v, dtype=float) ** self.k
-        return v**self.k
+        if self.k <= 2:
+            return v**self.k
+        return _products(v, self.k)
 
     def diff(self, var):
         if self.k == 0:

@@ -144,15 +144,32 @@ def _eval_shaped(expr: Expr, env: dict, shape) -> np.ndarray:
     return val
 
 
-def _estimate_lip(components, dim, box) -> float:
+def _estimate_lip(components, sources, div, div_src, box) -> float:
+    """Sampled Lipschitz bound; ArgumentError unless the field, its
+    divergence and the bound are finite at the samples."""
+    dim = len(components)
     rng = np.random.default_rng(DEFAULT_SEED)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
+    where = f"on its box {[list(b) for b in box]}"
+
+    def finite(expr, src, env, shape, what):
+        try:  # Python floats raise where arrays give inf or nan
+            val = _eval_shaped(expr, env, shape)
+        except (OverflowError, ZeroDivisionError):
+            val = np.nan
+        if not np.all(np.isfinite(val)):
+            raise ArgumentError(f"field {what} {src!r} is not finite {where}")
+        return val
+
+    def env(pts):
+        return {v: pts[..., k] for k, v in enumerate(_VARS[:dim])}
 
     def values(pts):
-        env = {v: pts[..., k] for k, v in enumerate(_VARS[:dim])}
+        shape = pts[..., 0].shape
         return np.stack(
-            [_eval_shaped(c, env, pts[..., 0].shape) for c in components], axis=-1
+            [finite(c, sc, env(pts), shape, "component") for c, sc in zip(components, sources)],
+            axis=-1,
         )
 
     p = lo + (hi - lo) * rng.random((10_000, dim))
@@ -163,12 +180,18 @@ def _estimate_lip(components, dim, box) -> float:
         shifted[:, i] = np.minimum(shifted[:, i] + 1e-4 * (hi[i] - lo[i]), hi[i])
         pts_sets.append((p, shifted))
     sup = 0.0
-    for a, b in pts_sets:
-        d = np.linalg.norm(a - b, axis=-1)
-        keep = d > 1e-12
-        if np.any(keep):
-            quot = np.linalg.norm(values(a) - values(b), axis=-1)[keep] / d[keep]
-            sup = max(sup, float(np.max(quot)))
+    # a sample that is not finite is refused by name, not warned about
+    with np.errstate(all="ignore"):
+        for a, b in pts_sets:
+            d = np.linalg.norm(a - b, axis=-1)
+            keep = d > 1e-12
+            if np.any(keep):
+                quot = np.linalg.norm(values(a) - values(b), axis=-1)[keep] / d[keep]
+                sup = max(sup, float(np.max(quot)))
+        finite(div, div_src, env(p), (len(p),), "divergence")
+    if not math.isfinite(sup):
+        named = ", ".join(map(repr, sources))
+        raise ArgumentError(f"field {named} has no finite Lipschitz bound {where}")
     return 1.25 * sup
 
 
@@ -180,7 +203,9 @@ def make_field(
     """Build a field from component expressions.
 
     1D fields use variable x; 2D fields use x, y.  ``div`` overrides the
-    derived divergence (method recorded as "given").
+    derived divergence (method recorded as "given").  ArgumentError unless
+    the components, the divergence and the Lipschitz bound are finite at the
+    sampled points of the box.
     """
     sources = tuple(str(c) for c in components)
     try:
@@ -216,7 +241,7 @@ def _make_field(sources: tuple[str, ...], box, div: Optional[str]) -> VectorFiel
             div_expr = Add(div_expr, exprs[i].diff(_VARS[i]))
         div_src = str(div_expr)
         method = "symbolic"
-    lip = _estimate_lip(exprs, dim, nbox)
+    lip = _estimate_lip(exprs, sources, div_expr, div_src, nbox)
     return VectorField(
         dim=dim,
         components=exprs,

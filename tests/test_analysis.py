@@ -558,3 +558,34 @@ def test_contexts_differing_only_in_s_share_pair_tables():
     b = fl.solve_context(dom, 0.7, 32, 2.0, False)
     assert a.mesh is b.mesh
     assert _pair_tables.cache_info().misses == before + 1
+
+
+def _bump_where(x, c, w, q):
+    """The bump as np.where forms it: the power on every point, zero outside."""
+    z = (np.asarray(x, dtype=float) - c) / w
+    base = np.maximum(1.0 - z**2, 0.0)
+    f = np.where(np.abs(z) < 1.0, base**q, 0.0)
+    with np.errstate(invalid="ignore"):  # inf * 0 at infinite x, discarded
+        d = np.where(np.abs(z) < 1.0, -2.0 * q * z / w * base ** (q - 1), 0.0)
+    return f, d
+
+
+@pytest.mark.parametrize("power", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("center, halfwidth", [(0.0, 0.5), (0.2, 0.5), (-0.3, 0.07)])
+def test_polynomial_bump_takes_the_power_on_the_support_only(power, center, halfwidth):
+    # bit for bit the np.where form, which takes the power on every point
+    bump = fl.polynomial_bump(center, halfwidth, power)
+    lo, hi = center - halfwidth, center + halfwidth
+    edges = [np.nextafter(e, t) for e in (lo, hi) for t in (-np.inf, np.inf)]
+    rng = np.random.default_rng(power)
+    x = np.concatenate([
+        [lo, hi, center, -0.0, 0.0, -5.0, 7.0, np.inf, -np.inf, np.nan], edges,
+        rng.uniform(lo - 0.1, hi + 0.1, 5000), rng.uniform(-50.0, 50.0, 500),
+    ])
+    for pts in (x, x.reshape(6, -1), x[:0], x[7], np.array(x[2]), float(x[3])):
+        f_want, d_want = _bump_where(pts, center, halfwidth, power)
+        for got, want in ((bump.f(pts), f_want), (bump.deriv(pts), d_want)):
+            assert type(got) is type(want) is np.ndarray
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

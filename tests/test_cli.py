@@ -378,6 +378,20 @@ CONFIG_ERRORS = [
         {"domain": {"intervals": [[-1, 1], [2, math.inf]]}},
         "interval (2.0, inf) has an infinite endpoint",
     ),
+    # a field not finite on its box: an OverflowError traceback, lip = 0.0
+    # from nan quotients, and lip = inf from an overflowing norm
+    (
+        {"field": {"components": ["x + 2^2000"], "box": [-3, 3]}},
+        "field component 'x + 2^2000' is not finite on its box [[-3.0, 3.0]]",
+    ),
+    (
+        {"field": {"components": ["x^700"], "box": [-3, 3]}},
+        "field component 'x^700' is not finite on its box [[-3.0, 3.0]]",
+    ),
+    (
+        {"field": {"components": ["x^400"], "box": [-3, 3]}},
+        "field 'x^400' has no finite Lipschitz bound on its box [[-3.0, 3.0]]",
+    ),
     # the even half needs a mesh symmetric under x -> -x; this exited 1
     (
         {"domain": {"intervals": [[-1, 2]]}, "even_only": True},
@@ -393,6 +407,21 @@ def test_config_errors_exit_2(tmp_path, capsys, data, message):
     cfg = write_config(tmp_path, {"out": str(tmp_path), **data})
     assert main(["eigen", "--config", cfg]) == 2
     assert capsys.readouterr().err == f"fraclab: config error: {message}\n"
+
+
+@pytest.mark.parametrize("component", ["x + 2^2000", "x^700", "x^400"])
+def test_a_field_not_finite_on_its_box_exits_2_with_one_line(tmp_path, component):
+    # a fresh interpreter shows any RuntimeWarning or traceback on stderr
+    cfg = write_config(
+        tmp_path, {"out": str(tmp_path), "field": {"components": [component], "box": [-3, 3]}}
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "fraclab.cli", "verify", "--config", cfg],
+        capture_output=True, text=True, timeout=120, env=src_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("fraclab: config error: field ")
+    assert repr(component) in proc.stderr and proc.stderr.count("\n") == 1
 
 
 # (command, file entries, flags, RunConfig field, the value the flag sets)

@@ -110,3 +110,79 @@ def _extend(children):
 @given(e=st.recursive(_LEAVES, _extend, max_leaves=12))
 def test_str_parses_back_to_the_same_tree(e):
     assert parse_expression(str(e)) == e
+
+
+# ---------------------------------------------------------------------------
+# integer powers k >= 3 are square-and-multiply products, not np.power
+# ---------------------------------------------------------------------------
+
+_SPECIAL = [-2.0, -1.5, -1.0, -0.5, 0.0, -0.0, 0.5, 1.0, 3.0, np.inf, -np.inf, np.nan]
+
+
+def _pow(base, k):
+    return Pow(Var("x"), k).evaluate({"x": base})
+
+
+def _agree(got, want, k):
+    """Equal where np.power is exact or not finite; otherwise within the
+    (k - 1) half-ulps of the products plus two of numpy's own rounding."""
+    got, want = np.asarray(got), np.asarray(want)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    with np.errstate(invalid="ignore"):  # inf - inf where both are inf
+        close = np.abs(got - want) <= (k + 3) * 2.0**-53 * np.abs(want)
+    return bool(np.all(same | (np.isfinite(want) & close)))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7, 2000])
+def test_power_products_match_np_power(k):
+    rng = np.random.default_rng(k)
+    # results stay normal: 0.8^2000 is about 1e-194, 1.4^2000 about 1e292
+    mag = rng.uniform(0.8, 1.4, 4096) if k == 2000 else rng.uniform(0.0, 5.0, 4096)
+    x = np.concatenate([mag * rng.choice([-1.0, 1.0], mag.size), _SPECIAL])
+    before = x.copy()
+    with np.errstate(over="ignore"):  # 3^2000 overflows on both sides
+        want, got = np.power(x, k), _pow(x, k)
+    assert np.array_equal(x, before, equal_nan=True)  # the last product is in place
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert _agree(got, want, k)
+    # zeros keep the sign np.power gives them: (-0)^3 = -0, (-0)^4 = +0
+    zeros = want == 0.0
+    assert np.array_equal(np.signbit(got[zeros]), np.signbit(want[zeros]))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7, 2000])
+@pytest.mark.parametrize("base", _SPECIAL + [-0.9999, 1.0001])
+def test_power_products_on_python_floats_and_0d_arrays(k, base):
+    for x in (base, np.array(base)):
+        with np.errstate(over="ignore"):  # 3^2000 overflows on both sides
+            want, got = np.power(base, k), _pow(x, k)
+        assert np.ndim(got) == 0
+        assert _agree(got, want, k)
+
+
+def test_power_products_are_exact_where_the_power_is():
+    assert _pow(-2.0, 3) == -8.0
+    assert _pow(np.array([-2.0, 3.0, -1.0]), 5).tolist() == [-32.0, 243.0, -1.0]
+    assert _pow(-1.0, 2000) == 1.0
+    assert ev("2^10") == 1024.0
+    assert ev("x^7", x=-0.5) == -0.0078125
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 2000])
+def test_power_products_overflow_to_the_inf_of_np_power(k):
+    big = np.array([1e120, -1e120, 1e300, -1e300])
+    with np.errstate(over="ignore"):
+        want = np.power(big, k)
+        got = _pow(big, k)
+    assert np.array_equal(got, want)
+    # a Python float overflows to inf as numpy does; Python's own ** raised
+    with np.errstate(over="ignore"):
+        assert _pow(-1e300, k) == np.power(-1e300, k)
+    assert ev("2^2000") == np.inf
+
+
+def test_small_and_negative_powers_stay_np_power():
+    x = np.linspace(-3.0, 3.0, 101)
+    x = x[x != 0.0]
+    for k in (0, 1, 2, -1, -3):
+        assert np.array_equal(_pow(x, k), x**k)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fraclab as fl
 from fraclab.errors import (
+    ArgumentError,
     CoincidentPointsError,
     DimensionMismatchError,
     RangeError,
@@ -149,6 +150,34 @@ def test_nonpolynomial_divergence_flagged():
 def test_make_field_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         fl.make_field(["x + y"], box=BOX1)
+
+
+NOT_FINITE = [
+    # Python's float ** raised OverflowError; as a product 2^2000 is inf
+    (["x + 2^2000"], None, "field component 'x + 2^2000' is not finite"),
+    # inf - inf made every quotient nan, and max(0.0, nan) kept lip = 0.0
+    (["x^700"], None, "field component 'x^700' is not finite"),
+    # finite values, but their differences overflowed the norm: lip = inf
+    (["x^400"], None, "field 'x^400' has no finite Lipschitz bound"),
+    (["x^400", "y"], None, "field 'x^400', 'y' has no finite Lipschitz bound"),
+    (["x", "1/0"], None, "field component '1/0' is not finite"),
+    (["x"], "2^2000", "field divergence '2^2000' is not finite"),
+]
+
+
+@pytest.mark.parametrize("components, div, message", NOT_FINITE)
+def test_make_field_refuses_a_field_not_finite_on_its_box(components, div, message):
+    # RuntimeWarnings are errors in this suite: the sampling raises none
+    box = [(-3.0, 3.0), (-1.0, 1.0)][: len(components)]
+    with pytest.raises(ArgumentError) as err:
+        fl.make_field(components, box=box, div=div)
+    assert str(err.value) == f"{message} on its box {[list(b) for b in box]}"
+
+
+def test_make_field_keeps_a_large_finite_field():
+    # 3^300 is about 1e143: every sample, quotient and norm stays finite
+    X = fl.make_field(["x^300"], box=[(-3.0, 3.0)])
+    assert math.isfinite(X.lip) and X.lip > 1e140
 
 
 # ---------------------------------------------------------------------------
