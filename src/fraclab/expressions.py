@@ -192,8 +192,8 @@ class DivNode(Expr):
 def _products(v, k: int):
     """v^k for an integer k >= 3 by square-and-multiply: O(log k) products.
 
-    numpy's ``pow`` is slow on negative and zero bases, at tens of times the
-    cost of a product.  Each product rounds, so the result may differ from
+    numpy's ``pow`` can be many times slower than the products on negative
+    and zero bases.  Each product rounds, so the result may differ from
     ``np.power`` by a relative (k - 1) 2^-53 at most; overflow gives inf.
     """
     out = None

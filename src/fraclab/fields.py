@@ -166,9 +166,9 @@ def _estimate_lip(components, sources, div, div_src, box) -> float:
         return {v: pts[..., k] for k, v in enumerate(_VARS[:dim])}
 
     def values(pts):
-        shape = pts[..., 0].shape
+        at, shape = env(pts), pts[..., 0].shape
         return np.stack(
-            [finite(c, sc, env(pts), shape, "component") for c, sc in zip(components, sources)],
+            [finite(c, sc, at, shape, "component") for c, sc in zip(components, sources)],
             axis=-1,
         )
 
