@@ -34,24 +34,24 @@ the mesh determines, for both forms at every s: the cluster tree and its
 blocks, the pair classes, the near sub-pairs grouped by order, the far-rule
 points and hats, where each run of elements' dofs starts, and the Chebyshev
 data of the clusters (``_clusters``).  One driver (``_assemble``) builds
-both forms from R: E is R = 1, E_X passes its field's R.  Every part of a
-form adds into the one K x K matrix the far pass creates, which is
-symmetrized in place, tile by tile, at the end.  The forms differ only in R
-and in their exterior tails: a closed form for E, Gauss rules for E_X.  The
-assemblers return that matrix.
+both forms from R on those tables: E is R = 1, E_X passes its field's R.
+Every part of a form adds into one K x K matrix, which is symmetrized in
+place, tile by tile, at the end.  The forms differ only in R and in their
+exterior tails: a closed form for E, Gauss rules for E_X.  The assemblers
+return that matrix.
 
 Mirror halves: on a mesh symmetric under x -> -x with an even number E of
-elements, element E - 1 - k is the image of element k, and the Gagliardo
-kernel gives an element pair and its image the same block up to rounding.
-There E integrates one mirror half of the pairs (``_mirror_tables``): the
-pair (k, l), k <= l, weighs 1 for k + l < E - 1 and 1/2 for k + l = E - 1,
-and is skipped beyond; an admissible cluster pair weighs 1, or 1/2 when it
-is its own image, in a cluster tree and partition closed under the mirror
-(``_partition``).  Their sum S becomes S + J S J, J the reversal of the dof
-order, before the exterior tail, which covers every element.  So the
-interaction part of A is mirror-symmetric bit for bit, and A's mirror
-asymmetry is the closed-form tail's alone.  E_X integrates every pair: its
-R is mirror-invariant only for odd X.
+elements, element E - 1 - k is the image of element k, and the tables hold
+one mirror half of the pairs: the pair (k, l), k <= l, weighs 1 for
+k + l < E - 1 and 1/2 for k + l = E - 1, and is skipped beyond; an
+admissible cluster pair weighs 1, or 1/2 when it is its own image, in a
+cluster tree and partition closed under the mirror (``_partition``).  For
+X~(x) = -X(-x), R_X(-x, -y) = R_X~(x, y), so the images of the pairs add
+J S_X~ J to their sum S_X, J the reversal of the dof order: E_X runs the
+pairs again with X~ into the reversed view of its matrix, so a pair that
+is its own image weighs 1/2 in each pass.  For E, X~ = X, so S becomes
+S + J S J, which is mirror-symmetric bit for bit.  The exterior tail then
+covers every element.
 
 Also provides the pointwise principal-value fractional Laplacian used as
 an independent cross-check, and weighted density integrals.
@@ -147,9 +147,9 @@ def _chebyshev_series(t):
 
 
 class _PairTables(NamedTuple):
-    """Per-mesh geometry shared by every kernel and every s: the element
-    pairs one assembly integrates, each with its weight.  ``_pair_tables``
-    holds every pair with weight 1, ``_mirror_tables`` one mirror half."""
+    """Per-mesh geometry shared by both forms and every s: the element pairs
+    an assembly integrates, each with its weight; every pair with weight 1,
+    or one mirror half (``mirrored``)."""
 
     touching: np.ndarray  # left element k of each touching pair (k, k+1)
     near: dict  # tensor order -> its near sub-pairs: kx0, kx1, ly0, ly1, k, l, w
@@ -165,7 +165,7 @@ class _PairTables(NamedTuple):
     identical_w: np.ndarray  # their weights
     touching_w: np.ndarray  # the touching pairs' weights
     block_w: np.ndarray  # (B,) the admissible pairs' weights
-    mirrored: bool  # one mirror half: the form is S + J S J for the sum S of the pairs
+    mirrored: bool  # one mirror half: the pairs' images enter through J, the dof reversal
 
 
 def _partition(mesh, mirror=False):
@@ -352,22 +352,14 @@ def _near_subpairs(mesh, ku, lu, w) -> dict:
 
 @lru_cache(maxsize=32)
 def _pair_tables(mesh: Mesh1D) -> _PairTables:
-    """Every unordered element pair of the mesh, each with weight 1."""
-    return _tables(mesh, False)
-
-
-@lru_cache(maxsize=32)
-def _mirror_tables(mesh: Mesh1D) -> Optional[_PairTables]:
-    """One mirror half of the element pairs, or None unless the mesh is
-    mirror-symmetric with an even number of elements.
+    """The element pairs both forms integrate: one mirror half when the
+    mesh is mirror-symmetric with an even number of elements, every pair
+    with weight 1 otherwise.
 
     An odd number has a middle element that is its own image, and no tree
-    of halved element ranges is closed under the mirror there; such a mesh
-    takes every pair with weight 1.
+    of halved element ranges is closed under the mirror there.
     """
-    if mesh.elem_h.size % 2 or not mesh.mirror_symmetric:
-        return None
-    return _tables(mesh, True)
+    return _tables(mesh, not mesh.elem_h.size % 2 and mesh.mirror_symmetric)
 
 
 def _tables(mesh: Mesh1D, mirror: bool) -> _PairTables:
@@ -615,8 +607,8 @@ def _interpolate(cl, blocks, points, kernel, scale):
     return C, np.max(np.abs(miss), axis=(1, 2)) <= _CHEB_TOL * np.max(size, axis=(1, 2))
 
 
-def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
-    """Far pairs by the cluster-tree partition of ``_pair_tables``.
+def _far(out, mesh, tables, points, kernel, scale=None) -> None:
+    """Add the far pairs of ``tables`` into ``out``, by their cluster tree.
 
     With W the kernel times the order-_GL_FAR weights between the points of
     far element pairs, the far part is 2 (Phi' diag(W 1) Phi - Phi' W Phi)
@@ -627,10 +619,11 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
     field that varies on a scale shorter than the clusters) is dense blocks
     of at most _LEAF elements a side instead.  Each pair or block enters
     times its weight in ``tables``.  Every far pair k < l has its dofs
-    above the diagonal, so the second term goes in there only, twice over,
-    and the caller's symmetrization halves it.
+    above the diagonal of ``out``, so the second term goes in there only,
+    twice over, and the caller's symmetrization, which averages either
+    triangle, halves it (below the diagonal of the matrix when ``out`` is
+    its reversed view).
     """
-    K = mesh.n_interior
     E = mesh.elem_h.size
     G = _GL_FAR
     h = mesh.elem_h
@@ -638,7 +631,6 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
     hat = np.stack([1.0 - tf, tf], axis=1)  # (G, 2)
     wh, before = tables.wh, tables.before
     live = mesh.elem_dof >= 0
-    out = np.zeros((K, K))
     rsum = np.zeros((E, G))  # sum over far partners of h_l w_j k(x_i, y_j)
 
     pts = points(tables.far_x)  # once per quadrature point, each (E, G)
@@ -706,7 +698,7 @@ def _far(mesh, tables, points, kernel, scale=None) -> np.ndarray:
             out[rows, cols] += (Di @ Cb) @ Dj.T
 
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
-    return _scatter_add(out, 2.0 * diag, mesh.elem_dof)
+    _scatter_add(out, 2.0 * diag, mesh.elem_dof)
 
 
 def _mirror_complete(out: np.ndarray) -> None:
@@ -852,22 +844,23 @@ def _exterior(out, mesh, s, c, a, b) -> None:
 # public assembly entry points
 # ---------------------------------------------------------------------------
 
-def _assemble(mesh, s, points, smooth, scale, tail, tables) -> np.ndarray:
+def _assemble(mesh, s, points, smooth, scale, tail, image=None) -> np.ndarray:
     """The matrix of the form with kernel (c/2) R(x, y) |x - y|^{-1-2s}.
 
     ``points(x)`` returns the data R reads at points x (x first), and
     ``smooth(p, q)`` evaluates R on two broadcastable point sets.
     ``scale(p, q)`` is the size of R's terms, which sets the rounding
     scale of the far pass's interpolation check (None: |R|).
-    ``tail(out, c)`` adds the form's exterior tail.  The element pairs and
-    their weights come from ``tables``.  Every part adds into the K x K
-    matrix of the far pass.  When the pairs are one mirror half, their sum
-    S is completed to S + J S J before the tail, which always covers every
-    element; the matrix is symmetrized once at the end.
+    ``tail(out, c)`` adds the form's exterior tail.  ``image(x)`` returns
+    the data of X~(x) = -X(-x), or is None for a mirror-invariant R.  The
+    pairs come from ``_pair_tables``; on a mirror half their images are
+    added as the module docstring says, before the tail.  The matrix is
+    symmetrized once at the end.
     """
     c = frac_constant(1, s)
     coeff = 0.5 * c
     expo = -1.0 - 2.0 * s
+    tables = _pair_tables(mesh)
 
     def kernel(p, q):
         d = _distance_power(p[0], q[0], expo)
@@ -878,37 +871,36 @@ def _assemble(mesh, s, points, smooth, scale, tail, tables) -> np.ndarray:
     def size(p, q):
         return coeff * scale(p, q) * _distance_power(p[0], q[0], expo)
 
-    def rfun(x, y):
-        # a full array even for a constant R: einsum sums a stride-0
-        # operand in another order
-        r = coeff * smooth(points(x), points(y))
-        return np.ascontiguousarray(np.broadcast_to(r, np.broadcast(x, y).shape))
+    def pairs(out, points):
+        def rfun(x, y):
+            # a full array even for a constant R: einsum sums a stride-0
+            # operand in another order
+            r = coeff * smooth(points(x), points(y))
+            return np.ascontiguousarray(np.broadcast_to(r, np.broadcast(x, y).shape))
 
-    out = _far(mesh, tables, points, kernel, None if scale is None else size)
-    _near(out, mesh, tables.near, points, kernel)
-    _identical(out, mesh, s, rfun, tables.identical, tables.identical_w)
-    _touching(out, mesh, s, rfun, tables.touching, tables.touching_w)
-    if tables.mirrored:
+        _far(out, mesh, tables, points, kernel, None if scale is None else size)
+        _near(out, mesh, tables.near, points, kernel)
+        _identical(out, mesh, s, rfun, tables.identical, tables.identical_w)
+        _touching(out, mesh, s, rfun, tables.touching, tables.touching_w)
+
+    out = np.zeros((mesh.n_interior,) * 2)
+    pairs(out, points)
+    if tables.mirrored and image is None:
         _mirror_complete(out)
+    elif tables.mirrored:
+        pairs(out[::-1, ::-1], image)
     tail(out, c)
     _symmetrize(out)
     return out
 
 
 def assemble_gagliardo(mesh: Mesh1D, s: float) -> np.ndarray:
-    """Stiffness A_ij = E(phi_i, phi_j) over the full plane.
-
-    Its kernel is mirror-invariant, so on a mirror-symmetric mesh it
-    integrates one mirror half of the element pairs (``_mirror_tables``).
-    """
+    """Stiffness A_ij = E(phi_i, phi_j) over the full plane."""
 
     def tail(out, c):
         _gagliardo_exterior(out, mesh, s, 0.5 * c)
 
-    tables = _mirror_tables(mesh)
-    if tables is None:
-        tables = _pair_tables(mesh)
-    return _assemble(mesh, s, lambda x: (x,), lambda p, q: 1.0, None, tail, tables)
+    return _assemble(mesh, s, lambda x: (x,), lambda p, q: 1.0, None, tail)
 
 
 def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> np.ndarray:
@@ -924,6 +916,10 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> np.ndarray:
 
     def points(x):
         return x, X.at1(x), X.div1(x)
+
+    def image(x):
+        # X~(x) = -X(-x), X~'(x) = X'(-x)
+        return x, -X.at1(-x), X.div1(-x)
 
     def smooth(p, q):
         # R(x, y) = X'(x) + X'(y) - (1 + 2s) (X(x) - X(y)) / (x - y)
@@ -944,7 +940,7 @@ def assemble_deformation(mesh: Mesh1D, X: VectorField, s: float) -> np.ndarray:
     def tail(out, c):
         _exterior(out, mesh, s, c, X.div1, X.at1)
 
-    return _assemble(mesh, s, points, smooth, scale, tail, _pair_tables(mesh))
+    return _assemble(mesh, s, points, smooth, scale, tail, image)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     OverlapError,
     SingularGradientError,
 )
-from .expressions import Expr, parse_expression
+from .expressions import Expr, finite_values, parse_expression
 
 __all__ = [
     "Domain1D",
@@ -106,8 +106,9 @@ def boundary_points(domain: Domain1D) -> tuple[BoundaryPoint1D, ...]:
 def _grading(n: int, beta: float) -> np.ndarray:
     """sigma(j/n) for j = 0..n with sigma(t) = t^b / (t^b + (1-t)^b).
 
-    The second half mirrors the first exactly so symmetric domains receive
-    bitwise-symmetric meshes.
+    The second half is 1 minus the first, but the nodes a + (b - a) sigma
+    of a symmetric interval mirror only to rounding (1.1e-16 at n = 1024,
+    beta = 2, on (-1, 1)).
     """
     t = np.arange(n + 1) / n
     with np.errstate(invalid="ignore"):
@@ -302,7 +303,11 @@ class ImplicitDomain2D:
         return self.g.evaluate({"x": np.asarray(x, float), "y": np.asarray(y, float)})
 
 
+_G_GRID = 33  # points per axis of the bbox at which g must be finite
+
+
 def make_implicit_domain(g: str, bbox: Sequence[float]) -> ImplicitDomain2D:
+    """The domain {g < 0} in ``bbox``; ArgumentError unless g is finite on a grid of it."""
     try:
         xmin, xmax, ymin, ymax = map(float, bbox)
     except (TypeError, ValueError):
@@ -310,6 +315,9 @@ def make_implicit_domain(g: str, bbox: Sequence[float]) -> ImplicitDomain2D:
     if not (xmax > xmin and ymax > ymin):
         raise ArgumentError("bbox must have positive extent")
     expr = parse_expression(g)
+    X, Y = np.meshgrid(np.linspace(xmin, xmax, _G_GRID), np.linspace(ymin, ymax, _G_GRID))
+    where = f"on its bbox {[xmin, xmax, ymin, ymax]}"
+    finite_values(expr, {"x": X, "y": Y}, X.shape, f"level set g {g!r}", where)
     return ImplicitDomain2D(source=g, g=expr, bbox=(xmin, xmax, ymin, ymax))
 
 

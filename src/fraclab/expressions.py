@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import ArgumentError, ExpressionError
 
 __all__ = ["Expr", "parse_expression"]
 
@@ -251,6 +251,19 @@ class Neg(Expr):
 
     def __str__(self):
         return f"(-{self.a})"
+
+
+def finite_values(expr: Expr, env: dict, shape, name: str, where: str) -> np.ndarray:
+    """``expr`` at the points of ``env``, broadcast to ``shape``; ArgumentError
+    "<name> is not finite <where>" where it is inf or nan, or raises."""
+    try:  # Python floats raise where arrays give inf or nan: 1/0
+        with np.errstate(all="ignore"):
+            val = np.broadcast_to(np.asarray(expr.evaluate(env), dtype=float), shape)
+    except (OverflowError, ZeroDivisionError):
+        val = np.nan
+    if not np.all(np.isfinite(val)):
+        raise ArgumentError(f"{name} is not finite {where}")
+    return val
 
 
 _BINOPS = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: DivNode}

@@ -22,7 +22,7 @@ from .errors import (
     ExpressionError,
     RangeError,
 )
-from .expressions import Add, Expr, parse_expression
+from .expressions import Add, DivNode, Expr, Pow, finite_values, parse_expression
 
 __all__ = [
     "DEFAULT_SEED",
@@ -45,6 +45,7 @@ __all__ = [
 DEFAULT_SEED = 20250801
 _VARS = ("x", "y")
 _CERT_TOL = 1e-9
+_POLE_GRID = 257  # points per axis of the box on which denominators keep one sign
 
 
 @lru_cache(maxsize=128)
@@ -144,33 +145,36 @@ def _eval_shaped(expr: Expr, env: dict, shape) -> np.ndarray:
     return val
 
 
+def _denominators(expr: Expr):
+    """The denominators in ``expr``: of each quotient, and the base of each
+    negative integer power."""
+    if isinstance(expr, DivNode):
+        yield expr.b
+    elif isinstance(expr, Pow) and expr.k < 0:
+        yield expr.base
+    for child in vars(expr).values():
+        if isinstance(child, Expr):
+            yield from _denominators(child)
+
+
 def _estimate_lip(components, sources, div, div_src, box) -> float:
     """Sampled Lipschitz bound; ArgumentError unless the field, its
-    divergence and the bound are finite at the samples."""
+    divergence and the bound are finite at the samples, and no denominator
+    of the components or the divergence is 0 or changes sign on a grid of
+    the box: a pole, which the samples can miss."""
     dim = len(components)
     rng = np.random.default_rng(DEFAULT_SEED)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     where = f"on its box {[list(b) for b in box]}"
-
-    def finite(expr, src, env, shape, what):
-        try:  # Python floats raise where arrays give inf or nan
-            val = _eval_shaped(expr, env, shape)
-        except (OverflowError, ZeroDivisionError):
-            val = np.nan
-        if not np.all(np.isfinite(val)):
-            raise ArgumentError(f"field {what} {src!r} is not finite {where}")
-        return val
+    parts = [(f"field component {sc!r}", c) for c, sc in zip(components, sources)]
 
     def env(pts):
         return {v: pts[..., k] for k, v in enumerate(_VARS[:dim])}
 
     def values(pts):
         at, shape = env(pts), pts[..., 0].shape
-        return np.stack(
-            [finite(c, sc, at, shape, "component") for c, sc in zip(components, sources)],
-            axis=-1,
-        )
+        return np.stack([finite_values(c, at, shape, name, where) for name, c in parts], axis=-1)
 
     p = lo + (hi - lo) * rng.random((10_000, dim))
     pts_sets = [(p, lo + (hi - lo) * rng.random((10_000, dim)))]
@@ -188,7 +192,16 @@ def _estimate_lip(components, sources, div, div_src, box) -> float:
             if np.any(keep):
                 quot = np.linalg.norm(values(a) - values(b), axis=-1)[keep] / d[keep]
                 sup = max(sup, float(np.max(quot)))
-        finite(div, div_src, env(p), (len(p),), "divergence")
+        divergence = f"field divergence {div_src!r}"
+        finite_values(div, env(p), (len(p),), divergence, where)
+        axes = np.meshgrid(*(np.linspace(a, b, _POLE_GRID) for a, b in box), indexing="ij")
+        grid = env(np.stack(axes, axis=-1))
+        for name, expr in parts + [(divergence, div)]:
+            for den in _denominators(expr):
+                d = den.evaluate(grid)
+                if not (np.all(d > 0) or np.all(d < 0)):
+                    zero = f"its denominator {den} is 0 or changes sign"
+                    raise ArgumentError(f"{name} has a pole {where}: {zero}")
     if not math.isfinite(sup):
         named = ", ".join(map(repr, sources))
         raise ArgumentError(f"field {named} has no finite Lipschitz bound {where}")

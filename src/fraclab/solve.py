@@ -14,8 +14,9 @@ follows the full dimension, not the half's.  The halves' vectors are exactly
 even or odd, so their residuals against the assembled A stop at A's own
 mirror asymmetry (about 1e-10 of its largest entry at n = 2048).  That comes
 from the closed-form exterior tail: on an even number of elements assembly
-makes the interaction part of A mirror-symmetric bit for bit
-(``assembly._mirror_tables``), on an odd number to rounding.
+integrates one mirror half of the element pairs (``assembly._pair_tables``,
+which both forms share) and makes the interaction part of A
+mirror-symmetric bit for bit, on an odd number to rounding.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ entries frozen in helpers.DBLQUAD_STIFFNESS, and the analytic scaling law.
 The identical- and touching-pair rules shared by both forms are checked
 against closed-form integrals of the Gagliardo kernel, and the
 cluster-tree far pass against the dense all-pairs far pass it replaced.
+``assembly._tables(mesh, False)``, every element pair with weight 1, is the
+all-pairs reference of the mirror halves that ``_pair_tables`` gives
+mirror-symmetric meshes.
 """
 
 import math
@@ -15,7 +18,7 @@ import pytest
 
 import fraclab as fl
 from fraclab import assembly
-from fraclab.assembly import _pair_tables, _scatter_add, _sym_blocks, _touch_geometry
+from fraclab.assembly import _pair_tables, _scatter_add, _sym_blocks, _tables, _touch_geometry
 from fraclab.errors import (
     ArgumentError,
     QuadratureError,
@@ -127,7 +130,7 @@ def test_near_pair_table_stays_linear_in_elements():
 
 def test_pair_tables_count_every_pair_once():
     mesh = fl.make_mesh(fl.make_domain([(-2.0, -1.0), (1.0, 2.0)]), 64, 2.0)
-    pairs = _pair_tables(mesh).counts
+    pairs = _tables(mesh, False).counts
     E = mesh.elem_h.size
     assert pairs["identical"] == E
     assert pairs["touching"] == E - 2  # one fewer per interval
@@ -252,7 +255,7 @@ def test_separated_pairs_match_all_pairs_reference(intervals, beta, s, monkeypat
 
     got = assembled()
     # the identical, touching and exterior parts, with no separated pairs
-    monkeypatch.setattr(assembly, "_far", lambda mesh, *args: np.zeros((mesh.n_interior,) * 2))
+    monkeypatch.setattr(assembly, "_far", lambda *args: None)
     monkeypatch.setattr(assembly, "_near", lambda *args: None)
     rest = assembled()
     A_ref = rest[0] + refs[0]
@@ -405,13 +408,14 @@ def test_far_pass_matches_dense_far_pass(domain, beta):
     # tanh(20 x) it does so through its dense fallback
     intervals = FAR_DOMAINS[domain]
     mesh = fl.make_mesh(fl.make_domain(intervals), 160 // len(intervals), beta)
-    tables = _pair_tables(mesh)
+    tables = _tables(mesh, False)
     assert tables.blocks.size > 0 and len(tables.leaves) > 1
     for s in (0.01, 0.25, 0.5, 0.75, 0.99):
         scale = None
         for points, kernel, size in _far_kernels(s):
             ref = _far(mesh, tables, points, kernel)
-            got = assembly._far(mesh, tables, points, kernel, size)
+            got = np.zeros_like(ref)
+            assembly._far(got, mesh, tables, points, kernel, size)
             got += got.T
             got *= 0.5
             if scale is None:
@@ -427,7 +431,7 @@ def test_interpolation_check_keeps_smooth_kernels_and_refuses_steep_ones(domain)
     # at 0, which only domain 2 leaves out
     intervals = FAR_DOMAINS[domain]
     mesh = fl.make_mesh(fl.make_domain(intervals), 512 // len(intervals), 2.0)
-    tables = _pair_tables(mesh)
+    tables = _tables(mesh, False)
     cl = tables.clusters
     for s in (0.25, 0.5, 0.75):
         *smooth, steep = _far_kernels(s)
@@ -458,13 +462,13 @@ def test_pair_counts_match_the_dense_classification(intervals, beta):
     compared = 0
     for n in (2, 8, 64, 300):
         mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, beta)
-        if beta == 6.0 and n < 300:
+        try:
+            counts = _tables(mesh, False).counts
+        except QuadratureError:
             # the coarse strongly graded meshes exceed the subdivision cap
-            try:
-                _pair_tables(mesh)
-            except QuadratureError:
+            if beta == 6.0 and n < 300:
                 continue
-        counts = _pair_tables(mesh).counts
+            raise
         assert (counts["near"], counts["far"]) == _dense_pair_counts(mesh), n
         compared += 1
     assert compared >= (2 if beta == 6.0 else 4)
@@ -584,7 +588,7 @@ def test_singular_pair_rules_match_closed_forms(intervals, beta, s):
 
     for n in (8, 64):
         mesh = fl.make_mesh(fl.make_domain(intervals), n, beta)
-        tables = _pair_tables(mesh)
+        tables = _tables(mesh, False)
         touching = tables.touching
         identical, touch = np.zeros((2, mesh.n_interior, mesh.n_interior))
         assembly._identical(identical, mesh, s, rfun, tables.identical, tables.identical_w)
@@ -960,11 +964,11 @@ def test_identical_pairs_stay_finite_on_huge_elements():
 # one mirror half of the element pairs
 # ---------------------------------------------------------------------------
 
-def _whole_gagliardo(mesh, s, monkeypatch):
-    """The Gagliardo matrix from every element pair, each with weight 1."""
+def _all_pairs(assemble, monkeypatch):
+    """``assemble`` run on every element pair, each with weight 1."""
     with monkeypatch.context() as m:
-        m.setattr(assembly, "_mirror_tables", lambda mesh: None)
-        return fl.assemble_gagliardo(mesh, s)
+        m.setattr(assembly, "_pair_tables", lambda mesh: _tables(mesh, False))
+        return assemble()
 
 
 @pytest.mark.parametrize("n", [64, 70, 100, 256, 300, 2048])
@@ -1025,10 +1029,10 @@ def test_mirror_tables_weigh_each_pair_and_its_image_to_one(intervals, n):
     mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, 2.0)
     E = mesh.elem_h.size
     upper = np.triu(np.ones((E, E), dtype=bool))
-    whole = _pair_weights(_pair_tables(mesh), E)
+    whole = _pair_weights(_tables(mesh, False), E)
     assert np.all(whole[upper] == 1.0) and np.all(whole[~upper] == 0.0)
-    tables = assembly._mirror_tables(mesh)
-    assert tables.mirrored and not _pair_tables(mesh).mirrored
+    tables = _pair_tables(mesh)
+    assert tables.mirrored and not _tables(mesh, False).mirrored
     W = _pair_weights(tables, E)
     assert np.all(W[~upper] == 0.0)
     assert np.all((W + W[::-1, ::-1].T)[upper] == 1.0)
@@ -1044,10 +1048,10 @@ def test_mirror_assembly_matches_the_whole_assembly(intervals, n, monkeypatch):
         if beta == 1.0 and n & (n - 1):
             continue
         mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, beta)
-        assert (assembly._mirror_tables(mesh) is None) == (mesh.elem_h.size % 2 == 1)
+        assert _pair_tables(mesh).mirrored == (mesh.elem_h.size % 2 == 0)
         for s in (0.1, 0.5, 0.9):
             A = fl.assemble_gagliardo(mesh, s)
-            ref = _whole_gagliardo(mesh, s, monkeypatch)
+            ref = _all_pairs(lambda: fl.assemble_gagliardo(mesh, s), monkeypatch)
             gate = 5e-11 if beta == 2.0 else 1e-14
             assert np.max(np.abs(A - ref)) <= gate * np.max(np.abs(ref)), (beta, s)
             assert np.array_equal(A, A.T)
@@ -1060,30 +1064,72 @@ def test_mirror_interaction_part_is_bitwise_mirror_symmetric(intervals, n):
     # symmetrization the same two entries; only the exterior tail, which
     # covers every element, may break the mirror
     mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, 2.0)
-    tables = assembly._mirror_tables(mesh)
+    assert _pair_tables(mesh).mirrored
     for s in (0.3, 0.5):
-        S = assembly._assemble(
-            mesh, s, lambda x: (x,), lambda p, q: 1.0, None, lambda out, c: None, tables
-        )
+        S = assembly._assemble(mesh, s, lambda x: (x,), lambda p, q: 1.0, None, lambda out, c: None)
         assert np.array_equal(S, S[::-1, ::-1]) and np.array_equal(S, S.T)
 
 
-def test_mirror_tables_are_built_once_per_mesh_for_the_gagliardo_form():
+def test_both_forms_share_one_set_of_mirror_tables(monkeypatch):
     mesh = fl.make_mesh(fl.make_domain([(-1.125, 1.125)]), 64, 2.0)  # no other test's mesh
     X = fl.make_field(["x + 0.25*x^2"], box=BOX1)
-    mirror, whole = assembly._mirror_tables.cache_info().misses, _pair_tables.cache_info().misses
+    calls = []
+
+    def counted(mesh, mirror, _original=assembly._tables):
+        calls.append(mirror)
+        return _original(mesh, mirror)
+
+    monkeypatch.setattr(assembly, "_tables", counted)
     for s in (0.3, 0.7):
         fl.assemble_gagliardo(mesh, s)
         fl.assemble_deformation(mesh, X, s)
-    # the deformation form takes the whole tables: its R is mirror-invariant
-    # only for odd X
-    assert assembly._mirror_tables.cache_info().misses == mirror + 1
-    assert _pair_tables.cache_info().misses == whole + 1
+    assert calls == [True]
     # asymmetric meshes, tiny ones too, and odd numbers of elements
     for intervals, n in (
         ([(-1.0, 0.75)], 64), ([(0.0, 1e-13), (2e-13, 5e-13)], 64), ([(-1.0, 1.0)], 65)
     ):
-        assert assembly._mirror_tables(fl.make_mesh(fl.make_domain(intervals), n, 2.0)) is None
+        assert not _pair_tables(fl.make_mesh(fl.make_domain(intervals), n, 2.0)).mirrored
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("intervals", [1, 2])
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_mirror_half_deformation_is_as_close_to_a_stable_reference(a, intervals, beta, n, s, monkeypatch):
+    # for X = x + a x^2 + x^3/4, R = X'(x) + X'(y) - (1 + 2s) (X(x) - X(y)) / (x - y)
+    # is the polynomial below, free of the difference quotient, whose
+    # rounding on the smallest elements of a graded mesh dominates both
+    # errors; the half, with X~ on the reflected pairs (X~ = X for a = 0),
+    # may miss that reference by little more than every pair with X does
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), n, beta)
+    assert _pair_tables(mesh).mirrored
+    X = fl.make_field([f"x + {a}*x^2 + 0.25*x^3"], box=BOX1)
+
+    def stable(p, q):
+        x, y = p[0], q[0]
+        dX = 2.0 + 2.0 * a * (x + y) + 0.75 * (x * x + y * y)
+        return dX - (1.0 + 2.0 * s) * (1.0 + a * (x + y) + 0.25 * (x * x + x * y + y * y))
+
+    def tail(out, c):
+        assembly._exterior(out, mesh, s, c, X.div1, X.at1)
+
+    ref = _all_pairs(lambda: assembly._assemble(mesh, s, lambda x: (x,), stable, None, tail), monkeypatch)
+    whole = _all_pairs(lambda: fl.assemble_deformation(mesh, X, s), monkeypatch)
+    half = fl.assemble_deformation(mesh, X, s)
+    gap = np.max(np.abs(whole - ref))
+    assert np.max(np.abs(half - ref)) <= max(4.0 * gap, 1e-11 * np.max(np.abs(ref)))
+
+
+def test_scatter_through_the_reversed_view_lands_in_the_matrix():
+    # the reflected pass of E_X adds into out[::-1, ::-1], and _scatter_add
+    # flattens it by reshape(-1); a copy there would drop every entry
+    out = np.zeros((5, 5))
+    local = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    _scatter_add(out[::-1, ::-1], local, np.array([[0, 1], [3, -1]]))
+    ref = np.zeros((5, 5))
+    ref[4, 4], ref[4, 3], ref[3, 4], ref[3, 3], ref[1, 1] = 1.0, 2.0, 3.0, 4.0, 5.0
+    assert np.array_equal(out, ref)
 
 
 @pytest.mark.parametrize("K", [1, 2, 255, 256, 257, 2047])

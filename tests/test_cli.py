@@ -654,6 +654,21 @@ def test_certify_bad_check_exits_before_any_check_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_certify_level_set_not_finite_exits_2(tmp_path, capsys):
+    # a constant 1/0 in g ended in a ZeroDivisionError traceback
+    g = "x^2 + y^2 - 1 + 1/0"
+    cfg = write_config(
+        tmp_path,
+        {"field": ROTATION_FIELD, "domain": {"implicit2d": {**CIRCLE["implicit2d"], "g": g}},
+         "checks": ["min-flux"], "out": str(tmp_path)},
+    )
+    assert main(["certify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"fraclab: config error: level set g {g!r} is not finite on its bbox "
+        "[-1.5, 1.5, -1.5, 1.5]\n"
+    )
+
+
 def test_certify_seed_precedence(tmp_path, monkeypatch):
     base = {"field": ANISOTROPIC_FIELD, "checks": ["c1c2-condition"],
             "seed": 1, "samples": 200, "out": str(tmp_path)}

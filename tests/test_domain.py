@@ -253,6 +253,15 @@ def test_sample_boundary_normals_are_the_exact_gradient():
     assert len(line) >= 8 and all(n == (0.0, 1.0) for _, n in line)
 
 
+@pytest.mark.parametrize("g", ["x^2 + y^2 - 1 + 1/0", "1/(x^2 + y^2) - 1", "x^2 + 2^2000*y"])
+def test_implicit_domain_refuses_a_level_set_not_finite_on_its_bbox(g):
+    # 1/0 of Python floats raised ZeroDivisionError; 1/r^2 is inf at the
+    # grid point 0, and 2^2000 overflows
+    with pytest.raises(ArgumentError) as err:
+        fl.make_implicit_domain(g, [-1.5, 1.5, -1.5, 1.5])
+    assert str(err.value) == f"level set g {g!r} is not finite on its bbox [-1.5, 1.5, -1.5, 1.5]"
+
+
 def test_sample_boundary_empty_domain():
     dom = fl.make_implicit_domain("x^2 + y^2 + 1", [-1.0, 1.0, -1.0, 1.0])
     with pytest.raises(NoBoundaryError):

@@ -174,6 +174,37 @@ def test_make_field_refuses_a_field_not_finite_on_its_box(components, div, messa
     assert str(err.value) == f"{message} on its box {[list(b) for b in box]}"
 
 
+POLES = [
+    # finite at every sample, lip about 2.0e8: the pole at 1 fell between them
+    (["x/(x-1)"], None, "field component 'x/(x-1)' has a pole", "(x - 1.0)"),
+    (["x^-1"], None, "field component 'x^-1' has a pole", "x"),
+    (["x", "y/(x - 0.5)"], None, "field component 'y/(x - 0.5)' has a pole", "(x - 0.5)"),
+    # a pole of the divergence alone
+    (["x", "y"], "2 + 1/(y - 0.25)", "field divergence '2 + 1/(y - 0.25)' has a pole", "(y - 0.25)"),
+    # a denominator that is 0 at a grid point, without changing sign
+    (["x/(x^2)"], None, "field component 'x/(x^2)' has a pole", "(x^2)"),
+]
+
+
+@pytest.mark.parametrize("components, div, message, denominator", POLES)
+def test_make_field_refuses_a_pole_on_its_box(components, div, message, denominator):
+    box = [(-3.0, 3.0), (-1.0, 1.0)][: len(components)]
+    with pytest.raises(ArgumentError) as err:
+        fl.make_field(components, box=box, div=div)
+    assert str(err.value) == (
+        f"{message} on its box {[list(b) for b in box]}: "
+        f"its denominator {denominator} is 0 or changes sign"
+    )
+
+
+@pytest.mark.parametrize(
+    "component, box",
+    [("x/(1 + x^2)", [(-3.0, 3.0)]), ("x/(0.01 + x^2)", [(-3.0, 3.0)]), ("x^-2", [(1.0, 4.0)])],
+)
+def test_make_field_keeps_denominators_of_one_sign(component, box):
+    assert math.isfinite(fl.make_field([component], box=box).lip)
+
+
 def test_make_field_keeps_a_large_finite_field():
     # 3^300 is about 1e143: every sample, quotient and norm stays finite
     X = fl.make_field(["x^300"], box=[(-3.0, 3.0)])
