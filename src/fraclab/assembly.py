@@ -35,10 +35,11 @@ blocks, the pair classes, the near sub-pairs grouped by order, the far-rule
 points and hats, where each run of elements' dofs starts, and the Chebyshev
 data of the clusters (``_clusters``).  One driver (``_assemble``) builds
 both forms from R on those tables: E is R = 1, E_X passes its field's R.
-Every part of a form adds into one K x K matrix, which is symmetrized in
-place, tile by tile, at the end.  The forms differ only in R and in their
-exterior tails: a closed form for E, Gauss rules for E_X.  The assemblers
-return that matrix.
+Every part of a form adds into one K x K matrix, each write symmetric (a
+local block adds its symmetric part, a far block itself and its transpose),
+so the matrix is symmetric bit for bit as it is built.  The forms differ
+only in R and in their exterior tails: a closed form for E, Gauss rules for
+E_X.  The assemblers return that matrix.
 
 Mirror halves: on a mesh symmetric under x -> -x with an even number E of
 elements, element E - 1 - k is the image of element k, and the tables hold
@@ -107,7 +108,7 @@ _GL_EXTERIOR = 16  # smooth exterior terms
 _JACOBI_ORDER = 12  # singular directions
 _SUBDIV_CAP = 16  # per-element halvings for separated pairs
 _CHUNK = 1 << 20  # near kernel values per chunk
-_PANEL = 128  # rows of a panel, and the side of a tile, of the in-place K x K passes
+_PANEL = 128  # rows of a panel of the in-place mirror completion
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +162,7 @@ class _PairTables(NamedTuple):
     blocks: np.ndarray  # (B, 2) admissible pairs (I, J) of clusters, I left of J
     spans: np.ndarray  # (C, 2) element range [e0, e1) of each cluster
     clusters: Optional[_Clusters]  # None without admissible pairs
-    identical: np.ndarray  # elements k of the identical pairs (k, k)
-    identical_w: np.ndarray  # their weights
+    identical: np.ndarray  # elements k of the identical pairs (k, k), each of weight 1
     touching_w: np.ndarray  # the touching pairs' weights
     block_w: np.ndarray  # (B,) the admissible pairs' weights
     mirrored: bool  # one mirror half: the pairs' images enter through J, the dof reversal
@@ -384,9 +384,10 @@ def _tables(mesh: Mesh1D, mirror: bool) -> _PairTables:
     # touching: consecutive elements of the same interval
     k = np.arange(E - 1)
     touching = k[iv[k] == iv[k + 1]]
-    identical = np.arange(E)
-    identical_w, touching_w = weight(2 * identical), weight(2 * touching + 1)
-    identical, identical_w = identical[identical_w > 0], identical_w[identical_w > 0]
+    # a mirror half keeps the pairs (k, k) with 2k < E - 1, each of weight 1:
+    # 2k = E - 1 never holds for an even E
+    identical = np.arange(E // 2 if mirror else E)
+    touching_w = weight(2 * touching + 1)
     touching, touching_w = touching[touching_w > 0], touching_w[touching_w > 0]
 
     spans, dense, blocks, block_w = _partition(mesh, mirror)
@@ -429,7 +430,7 @@ def _tables(mesh: Mesh1D, mirror: bool) -> _PairTables:
     }
     return _PairTables(
         touching, near, far_x, wh, before, pair_counts, leaves, blocks, spans, clusters,
-        identical, identical_w, touching_w, block_w, mirror,
+        identical, touching_w, block_w, mirror,
     )
 
 
@@ -469,11 +470,20 @@ def _block_index(dofs: np.ndarray):
 
 
 def _scatter_add(out: np.ndarray, local: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-    """Add (P, D, D) local blocks into the C-contiguous K x K ``out`` (dof -1
-    dropped), in block order; returns ``out``."""
+    """Add the symmetric parts (L + L') / 2 of the (P, D, D) local blocks L
+    into the C-contiguous K x K ``out`` (dof -1 dropped), in block order;
+    returns ``out``.  A symmetric block adds its own bits."""
     rows, cols, valid = _block_index(dofs)
-    np.add.at(out.reshape(-1), rows[valid] * out.shape[1] + cols[valid], local[valid])
+    sym = local + local.transpose(0, 2, 1)
+    sym *= 0.5
+    np.add.at(out.reshape(-1), rows[valid] * out.shape[1] + cols[valid], sym[valid])
     return out
+
+
+def _add_both(out: np.ndarray, rows: slice, cols: slice, block: np.ndarray) -> None:
+    """Add ``block`` at out[rows, cols] and its transpose at out[cols, rows]."""
+    out[rows, cols] += block
+    out[cols, rows] += block.T
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +510,9 @@ def _touch_geometry(mesh, touching):
     return h1, h2, q, dofs, ca, cb
 
 
-def _identical(out, mesh, s, rfun, elems, weight) -> None:
+def _identical(out, mesh, s, rfun, elems) -> None:
     """Add 2 int_0^h u^{1-2s} [ g_a g_b int R(y+u, y) dy ] du for the
-    elements ``elems``, times their ``weight``."""
+    elements ``elems``."""
     h = mesh.elem_h[elems]
     tj, wj = gauss_jacobi_01(_JACOBI_ORDER, 1.0 - 2.0 * s)
     tg, wg = gauss_legendre_01(_GL_INNER)
@@ -513,7 +523,7 @@ def _identical(out, mesh, s, rfun, elems, weight) -> None:
     inner = span * (rv @ wg)  # (E, J)
     # g_a g_b = -+1/h^2, taken as h^(-2s) in place of h^(2-2s) / h^2,
     # which overflows for huge h
-    base = (2.0 * weight) * h ** (-2.0 * s) * (inner @ wj)  # (E,)
+    base = 2.0 * h ** (-2.0 * s) * (inner @ wj)  # (E,)
     _scatter_add(out, _sym_blocks(base, -base), mesh.elem_dof[elems])
 
 
@@ -618,11 +628,9 @@ def _far(out, mesh, tables, points, kernel, scale=None) -> None:
     whose interpolant misses the kernel at the probes (``_interpolate``; a
     field that varies on a scale shorter than the clusters) is dense blocks
     of at most _LEAF elements a side instead.  Each pair or block enters
-    times its weight in ``tables``.  Every far pair k < l has its dofs
-    above the diagonal of ``out``, so the second term goes in there only,
-    twice over, and the caller's symmetrization, which averages either
-    triangle, halves it (below the diagonal of the matrix when ``out`` is
-    its reversed view).
+    times its weight in ``tables``.  The second term of a far pair k < l
+    adds its block and the block's transpose (``_add_both``), so every
+    write leaves ``out`` as symmetric as it was.
     """
     E = mesh.elem_h.size
     G = _GL_FAR
@@ -656,7 +664,7 @@ def _far(out, mesh, tables, points, kernel, scale=None) -> None:
         rsum[k0:k1] += (col @ wl[:, :, None]).reshape(c, G, 2).sum(axis=2)
         rsum[l0:l1] += np.einsum("kjl,kl->lj", row, wk)
         z = (wh.T @ col.reshape(c, G, 2 * m)).reshape(c, 2, 2, m)
-        z *= (-4.0 * wk * h[None, l0:l1])[:, None, None, :]
+        z *= (-2.0 * wk * h[None, l0:l1])[:, None, None, :]
         for a in (0, 1):
             vr = live[k0:k1, a]
             za = z[:, a] if vr.all() else z[vr, a]
@@ -664,7 +672,7 @@ def _far(out, mesh, tables, points, kernel, scale=None) -> None:
             for b in (0, 1):
                 vq = live[l0:l1, b]
                 zab = za[:, b] if vq.all() else za[:, b][:, vq]
-                out[rows, before[l0, b] : before[l0, b] + zab.shape[1]] += zab
+                _add_both(out, rows, slice(before[l0, b], before[l0, b] + zab.shape[1]), zab)
 
     for k0, k1, l0, l1, far, w in tables.leaves:
         if far.any():
@@ -692,10 +700,10 @@ def _far(out, mesh, tables, points, kernel, scale=None) -> None:
         for k, Tk in enumerate(_chebyshev_series(cl.t)):
             pot += a[:, k, None] * Tk
         np.add.at(rsum, cl.elems, pot)
-        C *= -4.0
+        C *= -2.0
         for (i, j), Cb in zip(blocks, C):
             (rows, Di), (cols, Dj) = cl.D[i], cl.D[j]
-            out[rows, cols] += (Di @ Cb) @ Dj.T
+            _add_both(out, rows, cols, (Di @ Cb) @ Dj.T)
 
     diag = h[:, None, None] * np.einsum("ei,ia,ib->eab", rsum * wf, hat, hat)
     _scatter_add(out, 2.0 * diag, mesh.elem_dof)
@@ -716,21 +724,6 @@ def _mirror_complete(out: np.ndarray) -> None:
     if K % 2:  # the middle row is its own image
         mid = out[half]
         mid += mid[::-1].copy()
-
-
-def _symmetrize(out: np.ndarray) -> None:
-    """out = (out + out.T) / 2 in place, tile by tile with no K x K
-    temporary; bit-identical to ``out += out.T; out *= 0.5``."""
-    K = out.shape[0]
-    for a in range(0, K, _PANEL):
-        b = min(a + _PANEL, K)
-        for c in range(a, K, _PANEL):
-            d = min(c + _PANEL, K)
-            upper, lower = out[a:b, c:d], out[c:d, a:b]
-            upper += lower.T.copy() if c == a else lower.T
-            upper *= 0.5
-            if c > a:
-                lower[...] = upper.T
 
 
 def _distance_power(x, y, expo) -> np.ndarray:
@@ -854,8 +847,8 @@ def _assemble(mesh, s, points, smooth, scale, tail, image=None) -> np.ndarray:
     ``tail(out, c)`` adds the form's exterior tail.  ``image(x)`` returns
     the data of X~(x) = -X(-x), or is None for a mirror-invariant R.  The
     pairs come from ``_pair_tables``; on a mirror half their images are
-    added as the module docstring says, before the tail.  The matrix is
-    symmetrized once at the end.
+    added as the module docstring says, before the tail.  Every part adds
+    symmetric blocks, so the matrix is symmetric bit for bit as it is built.
     """
     c = frac_constant(1, s)
     coeff = 0.5 * c
@@ -880,7 +873,7 @@ def _assemble(mesh, s, points, smooth, scale, tail, image=None) -> np.ndarray:
 
         _far(out, mesh, tables, points, kernel, None if scale is None else size)
         _near(out, mesh, tables.near, points, kernel)
-        _identical(out, mesh, s, rfun, tables.identical, tables.identical_w)
+        _identical(out, mesh, s, rfun, tables.identical)
         _touching(out, mesh, s, rfun, tables.touching, tables.touching_w)
 
     out = np.zeros((mesh.n_interior,) * 2)
@@ -890,7 +883,6 @@ def _assemble(mesh, s, points, smooth, scale, tail, image=None) -> np.ndarray:
     elif tables.mirrored:
         pairs(out[::-1, ::-1], image)
     tail(out, c)
-    _symmetrize(out)
     return out
 
 

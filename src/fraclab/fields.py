@@ -22,7 +22,7 @@ from .errors import (
     ExpressionError,
     RangeError,
 )
-from .expressions import Add, DivNode, Expr, Pow, finite_values, parse_expression
+from .expressions import Add, DivNode, Expr, Mul, Neg, Pow, finite_values, parse_expression
 
 __all__ = [
     "DEFAULT_SEED",
@@ -145,16 +145,23 @@ def _eval_shaped(expr: Expr, env: dict, shape) -> np.ndarray:
     return val
 
 
-def _denominators(expr: Expr):
-    """The denominators in ``expr``: of each quotient, and the base of each
-    negative integer power."""
+def _denominators(expr: Expr, factor: bool = False):
+    """The denominators in ``expr`` (of each quotient, and the base of each
+    negative integer power), each followed by its factors: the bases of
+    positive powers, factors of products and operands of negations in it
+    (``factor``: ``expr`` is one).  A 0 of any is a pole, as in x/(x - a)^2."""
+    if factor:
+        yield expr
     if isinstance(expr, DivNode):
-        yield expr.b
-    elif isinstance(expr, Pow) and expr.k < 0:
-        yield expr.base
-    for child in vars(expr).values():
-        if isinstance(child, Expr):
-            yield from _denominators(child)
+        yield from _denominators(expr.a)
+        yield from _denominators(expr.b, True)
+    elif isinstance(expr, Pow):
+        yield from _denominators(expr.base, expr.k < 0 or factor and expr.k > 0)
+    else:
+        keep = factor and isinstance(expr, (Mul, Neg))
+        for child in vars(expr).values():
+            if isinstance(child, Expr):
+                yield from _denominators(child, keep)
 
 
 def _estimate_lip(components, sources, div, div_src, box) -> float:

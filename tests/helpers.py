@@ -62,12 +62,10 @@ def torsion_frac_value(s: float) -> float:
     )
 
 
-# Frozen once from an n = 2048 run of the package's own solver
-# (domain (-1,1), s = 0.5, beta = 2, lowest eigenvalue), recorded as the
-# regression oracle for the Richardson extrapolation check.  The three
-# production resolutions {256, 512, 1024} extrapolate to within 5.7e-8
-# of this value, far inside the 0.5% acceptance budget.
-LAMBDA1_ORACLE = 1.157773952177
+# Kwasnicki, "Eigenvalues of the fractional Laplace operator in the interval",
+# J. Funct. Anal. 262 (2012) 2379-2402, gives lambda_1 of (-Delta)^{1/2} on
+# (-1, 1) and the asymptotics lambda_k = (k pi/2 - (2 - 2s) pi/8)^{2s} + O(1/k).
+KWASNICKI_LAMBDA1_HALF = 1.1577738836977
 
 # Frozen from scipy.integrate.dblquad run offline (see the recipe below):
 # stiffness entries A[i, j] for the uniform n = 8 P1 mesh on (-1, 1),

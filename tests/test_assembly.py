@@ -416,8 +416,6 @@ def test_far_pass_matches_dense_far_pass(domain, beta):
             ref = _far(mesh, tables, points, kernel)
             got = np.zeros_like(ref)
             assembly._far(got, mesh, tables, points, kernel, size)
-            got += got.T
-            got *= 0.5
             if scale is None:
                 scale = np.abs(ref)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale), (s, kernel)
@@ -591,7 +589,7 @@ def test_singular_pair_rules_match_closed_forms(intervals, beta, s):
         tables = _tables(mesh, False)
         touching = tables.touching
         identical, touch = np.zeros((2, mesh.n_interior, mesh.n_interior))
-        assembly._identical(identical, mesh, s, rfun, tables.identical, tables.identical_w)
+        assembly._identical(identical, mesh, s, rfun, tables.identical)
         assembly._touching(touch, mesh, s, rfun, touching, tables.touching_w)
         pairs = [
             (identical, _identical_gagliardo(mesh, s, coeff)),
@@ -956,7 +954,7 @@ def test_identical_pairs_stay_finite_on_huge_elements():
 
     out = np.zeros((mesh.n_interior,) * 2)
     tables = _pair_tables(mesh)
-    assembly._identical(out, mesh, 0.3, rfun, tables.identical, tables.identical_w)
+    assembly._identical(out, mesh, 0.3, rfun, tables.identical)
     assert np.all(np.isfinite(out)) and np.max(np.abs(out)) > 0.0
 
 
@@ -1006,7 +1004,7 @@ def _pair_weights(tables, E):
     """(E, E) weight of each element pair (k, l), k <= l, summed over every
     class and block of ``tables``."""
     W = np.zeros((E, E))
-    W[tables.identical, tables.identical] += tables.identical_w
+    W[tables.identical, tables.identical] += 1.0
     W[tables.touching, tables.touching + 1] += tables.touching_w
     sub = {key: np.concatenate([g[key] for g in tables.near.values()]) for key in ("k", "l", "w")}
     flat, first, inverse = np.unique(sub["k"] * E + sub["l"], return_index=True, return_inverse=True)
@@ -1123,23 +1121,31 @@ def test_mirror_half_deformation_is_as_close_to_a_stable_reference(a, intervals,
 
 def test_scatter_through_the_reversed_view_lands_in_the_matrix():
     # the reflected pass of E_X adds into out[::-1, ::-1], and _scatter_add
-    # flattens it by reshape(-1); a copy there would drop every entry
+    # flattens it by reshape(-1); a copy there would drop every entry.  Each
+    # block adds its symmetric part
     out = np.zeros((5, 5))
     local = np.arange(1.0, 9.0).reshape(2, 2, 2)
     _scatter_add(out[::-1, ::-1], local, np.array([[0, 1], [3, -1]]))
     ref = np.zeros((5, 5))
-    ref[4, 4], ref[4, 3], ref[3, 4], ref[3, 3], ref[1, 1] = 1.0, 2.0, 3.0, 4.0, 5.0
+    ref[4, 4], ref[4, 3], ref[3, 4], ref[3, 3], ref[1, 1] = 1.0, 2.5, 2.5, 4.0, 5.0
     assert np.array_equal(out, ref)
 
 
-@pytest.mark.parametrize("K", [1, 2, 255, 256, 257, 2047])
-def test_tiled_symmetrization_is_bit_identical_to_the_plain_form(K):
-    x = np.random.default_rng(K).standard_normal((K, K))
-    ref = x.copy()
-    ref += ref.T
-    ref *= 0.5
-    assembly._symmetrize(x)
-    assert np.array_equal(x, ref)
+@pytest.mark.parametrize("intervals", [1, 2])
+def test_far_pass_through_the_reversed_view_lands_in_the_matrix(intervals):
+    # the reflected pass of E_X runs _far on out[::-1, ::-1]: its block
+    # writes and their transposes go through the view, and each lands where
+    # the same pass on a matrix of its own puts it, reversed
+    mesh = fl.make_mesh(fl.make_domain(FAR_DOMAINS[intervals]), 256, 2.0)
+    tables = _pair_tables(mesh)
+    assert tables.blocks.size > 0
+    for points, kernel, scale in _far_kernels(0.3)[:3]:
+        ref = np.zeros((mesh.n_interior,) * 2)
+        assembly._far(ref, mesh, tables, points, kernel, scale)
+        out = np.zeros_like(ref)
+        assembly._far(out[::-1, ::-1], mesh, tables, points, kernel, scale)
+        assert np.any(ref) and np.array_equal(out, ref[::-1, ::-1])
+        assert np.array_equal(ref, ref.T)
 
 
 @pytest.mark.parametrize("K", [1, 2, 255, 256, 257, 2047])

@@ -183,6 +183,12 @@ POLES = [
     (["x", "y"], "2 + 1/(y - 0.25)", "field divergence '2 + 1/(y - 0.25)' has a pole", "(y - 0.25)"),
     # a denominator that is 0 at a grid point, without changing sign
     (["x/(x^2)"], None, "field component 'x/(x^2)' has a pole", "(x^2)"),
+    # poles of even order: the denominator keeps its sign and misses 0 on
+    # the grid, but the base of its power, or a factor of its product,
+    # changes sign
+    (["x/(x - 0.01)^2"], None, "field component 'x/(x - 0.01)^2' has a pole", "(x - 0.01)"),
+    (["x/((x - 0.01)*(x - 0.01))"], None, "field component 'x/((x - 0.01)*(x - 0.01))' has a pole", "(x - 0.01)"),
+    (["1/(x - 0.01)^4"], None, "field component '1/(x - 0.01)^4' has a pole", "(x - 0.01)"),
 ]
 
 
@@ -199,7 +205,12 @@ def test_make_field_refuses_a_pole_on_its_box(components, div, message, denomina
 
 @pytest.mark.parametrize(
     "component, box",
-    [("x/(1 + x^2)", [(-3.0, 3.0)]), ("x/(0.01 + x^2)", [(-3.0, 3.0)]), ("x^-2", [(1.0, 4.0)])],
+    [
+        ("x/(1 + x^2)", [(-3.0, 3.0)]),
+        ("x/(0.01 + x^2)", [(-3.0, 3.0)]),
+        ("x/(1 + x^2)^2", [(-3.0, 3.0)]),
+        ("x^-2", [(1.0, 4.0)]),
+    ],
 )
 def test_make_field_keeps_denominators_of_one_sign(component, box):
     assert math.isfinite(fl.make_field([component], box=box).lip)

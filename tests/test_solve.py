@@ -14,7 +14,7 @@ from fraclab.errors import (
     NotPositiveDefiniteError,
     SupercriticalError,
 )
-from helpers import cho_factor_shapes
+from helpers import KWASNICKI_LAMBDA1_HALF, cho_factor_shapes
 
 
 def interval_forms(n, s, beta=2.0, lo=-1.0, hi=1.0):
@@ -309,12 +309,6 @@ def test_dilation_law_exact_on_affine_meshes():
     lR = [p.value for p in fl.solve_geig(AR, MR, 3)]
     for a, b in zip(l1, lR):
         assert b * 2.0 ** (2 * s) == pytest.approx(a, rel=1e-10)
-
-
-# Kwasnicki, "Eigenvalues of the fractional Laplace operator in the interval",
-# J. Funct. Anal. 262 (2012) 2379-2402, gives lambda_1 of (-Delta)^{1/2} on
-# (-1, 1) and the asymptotics lambda_k = (k pi/2 - (2 - 2s) pi/8)^{2s} + O(1/k).
-KWASNICKI_LAMBDA1_HALF = 1.1577738836977
 
 
 def test_lambda1_converges_to_kwasnicki():
