@@ -481,9 +481,11 @@ def lemma21_check(
 
 
 def _mode(ctx: SolveContext, k: int) -> EigenPair:
-    """The k-th solved eigenpair (1-based) of a context."""
-    if not 1 <= k <= len(ctx.pairs):
-        raise ArgumentError(f"mode k = {k} is outside the {len(ctx.pairs)} solved modes")
+    """The k-th eigenpair (1-based) of a context; readers ask for _K_KEEP at
+    most, as the context's last pair is there as mode _K_KEEP's neighbour."""
+    top = min(_K_KEEP, len(ctx.pairs))
+    if not 1 <= k <= top:
+        raise ArgumentError(f"mode k = {k} is outside the {top} solved modes")
     return ctx.pairs[k - 1]
 
 
@@ -501,11 +503,15 @@ def hadamard_check(
     and beta; the closed-form value is -Gamma(1+s)^2 psi_k(bp)^2 for the
     M-normalized k-th eigenfunction of ``ctx`` (the denominator int u^2 is
     1 by normalization), the k-th even one for an ``even_only`` context.
+    h must be positive and finite, and a mode with a neighbour within the
+    finite-difference move is refused (the formula needs a simple eigenvalue).
     """
     domain, s, beta = ctx.mesh.domain, ctx.s, ctx.mesh.beta
     n = ctx.mesh.n_per_interval[0]
     if h is None:
         h = 1e-3 * domain.diameter
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ArgumentError(f"the finite-difference step h must be positive and finite, got {h}")
     pair = _mode(ctx, k)
     psi = extract_trace(ctx.mesh, pair.vector, s, bp).psi
     formula = -_gamma2(s) * psi**2
@@ -515,13 +521,16 @@ def hadamard_check(
     # sits in the full spectrum after the odd values below it.  The even
     # context already holds the even values; the odd half of its forms is
     # solved for values only, so that no factor of the full forms is made.
+    # Its first _K_KEEP + 1 values hold every odd value below the mode and
+    # the next above it, unless all of them lie below and the half has more.
     full, idx = ctx.values, k - 1
     if ctx.even_only:
         odd = _solve_halves(ctx.stiffness, ctx.mass, (-1.0,), eigvals_only=True)
-        idx += int(np.count_nonzero(odd < pair.value))
-        full = np.sort(np.concatenate([full, odd]), kind="stable")[: 2 * _K_KEEP]
-        if idx >= full.size:
+        below = int(np.count_nonzero(odd < pair.value))
+        if below == odd.size < ctx.stiffness.shape[0] // 2:
             raise ArgumentError(f"even mode k = {k} not found in the full spectrum")
+        idx += below
+        full = np.sort(np.concatenate([full, odd]), kind="stable")
     lam_plus, lam_minus = (
         float(_leading_values(perturb_endpoint(domain, bp, dx), s, n, beta, idx + 1)[idx])
         for dx in (+h, -h)
@@ -543,13 +552,14 @@ def hadamard_check(
 
 
 def spectrum_report(ctx: SolveContext, k_max: int) -> SpectrumReport:
-    """The first k_max eigenvalues of ``ctx`` (its even ones for an
-    ``even_only`` context), with relative gaps and clusters under
+    """The first k_max <= _K_KEEP eigenvalues of ``ctx`` (its even ones for
+    an ``even_only`` context), with relative gaps and clusters under
     ``_CLUSTER_TOL``."""
-    if not 1 <= k_max <= ctx.values.size:
+    top = min(_K_KEEP, len(ctx.pairs))
+    if not 1 <= k_max <= top:
         raise ArgumentError(
-            f"k_max = {k_max} is outside 1..{ctx.values.size}, the solved "
-            f"eigenvalues (the subspace dimension, at most {2 * _K_KEEP})"
+            f"k_max = {k_max} is outside 1..{top}, the solved modes "
+            f"(the subspace dimension, at most {_K_KEEP})"
         )
     vals = np.asarray(ctx.values[:k_max], dtype=float)
     gaps = tuple((vals[1:] - vals[:-1]) / vals[:-1])

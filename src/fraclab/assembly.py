@@ -67,7 +67,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .domain import Mesh1D
-from .errors import ArgumentError, DimensionMismatchError, QuadratureError, ToleranceError
+from .errors import (
+    ArgumentError, DegenerateError, DimensionMismatchError, QuadratureError, ToleranceError
+)
 from .fields import VectorField, frac_constant
 from .quadrature import (
     _row_dot,
@@ -753,7 +755,12 @@ def _anchors(mesh):
 
 
 def _gagliardo_exterior(out, mesh, s, coeff) -> None:
-    """Add the exact 2 * int psi_a psi_b(x) rho(x) dx, rho(x) = int_{S^c} |x-y|^{-1-2s} dy."""
+    """Add the exact 2 * int psi_a psi_b(x) rho(x) dx, rho(x) = int_{S^c} |x-y|^{-1-2s} dy.
+
+    Its moment of order 2 - 2s overflows first on the hulls (-1e104, 1e104)
+    at s = 0.01, (-1e110, 1e110) at s = 0.1 and (-1e124, 1e124) at s = 1/4
+    (n = 8, beta = 1); such a hull raises DegenerateError.
+    """
     x0 = mesh.elem_x0
     x1 = mesh.elem_x1
     h = mesh.elem_h
@@ -771,20 +778,26 @@ def _gagliardo_exterior(out, mesh, s, coeff) -> None:
         # kappa: anchor term of rho = sigma * G(r, x),
         # G = -sign(r - x) |r - x|^{-2s} / (2s)
         kappa = sigma * np.where(right, -1.0, 1.0) / (2.0 * s)
-        i0 = power_integral(np.where(own, thi, tlo), thi, -2.0 * s)
-        i0 = np.where(own, 0.0, i0)  # P vanishes there; avoid 0 * inf
-        i1 = power_integral(np.where(own, 1.0, tlo), thi, 1.0 - 2.0 * s)
-        i1 = np.where(own, 0.0, i1)
-        i2 = power_integral(tlo, thi, 2.0 - 2.0 * s)
-        pp = P[:, :, None] * P[:, None, :]
-        pb = P[:, :, None] * Bcoef[:, None, :] + Bcoef[:, :, None] * P[:, None, :]
-        bb = Bcoef[:, :, None] * Bcoef[:, None, :]
-        integral = (
-            pp * i0[:, None, None]
-            + sgn[:, None, None] * pb * i1[:, None, None]
-            + bb * i2[:, None, None]
-        )
-        local = 2.0 * coeff * kappa[:, None, None] * integral
+        with np.errstate(over="ignore", invalid="ignore"):
+            i0 = power_integral(np.where(own, thi, tlo), thi, -2.0 * s)
+            i0 = np.where(own, 0.0, i0)  # P vanishes there; avoid 0 * inf
+            i1 = power_integral(np.where(own, 1.0, tlo), thi, 1.0 - 2.0 * s)
+            i1 = np.where(own, 0.0, i1)
+            i2 = power_integral(tlo, thi, 2.0 - 2.0 * s)
+            pp = P[:, :, None] * P[:, None, :]
+            pb = P[:, :, None] * Bcoef[:, None, :] + Bcoef[:, :, None] * P[:, None, :]
+            bb = Bcoef[:, :, None] * Bcoef[:, None, :]
+            integral = (
+                pp * i0[:, None, None]
+                + sgn[:, None, None] * pb * i1[:, None, None]
+                + bb * i2[:, None, None]
+            )
+            local = 2.0 * coeff * kappa[:, None, None] * integral
+        if not np.all(np.isfinite(local)):
+            raise DegenerateError(
+                f"domain hull {mesh.domain.hull} is too wide for the Gagliardo form "
+                f"at s = {s:g}: its exterior tail overflows"
+            )
         _scatter_add(out, local, mesh.elem_dof)
 
 

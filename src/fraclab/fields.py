@@ -279,11 +279,14 @@ def identity_field(dim: int, box) -> VectorField:
 
 
 def constant_field(values: Sequence[float], box) -> VectorField:
+    """The translation X = values; K_X vanishes identically.  Reference API,
+    as the acceptance tests check the kernel and the form against it."""
     return make_field([repr(float(v)) for v in values], box)
 
 
 def rotation_field(box) -> VectorField:
-    """The 2D rotation generator Y(x) = (-x2, x1); K_Y vanishes identically."""
+    """The 2D rotation generator Y(x) = (-x2, x1); K_Y vanishes identically.
+    Reference API, as ``constant_field`` is."""
     return make_field(["-y", "x"], box)
 
 
@@ -300,6 +303,7 @@ def eval_kernel_KX(X: VectorField, s: float, N: int, x, y):
     Accepts single points or batches of shape (m, N); 1D points may be
     plain scalars/arrays.  Raises CoincidentPointsError when
     |x-y| < 1e-14 * max(1, |x|, |y|).
+    Reference API: the acceptance tests hold the assembly's 1D kernel to it.
     """
     if N != X.dim:
         raise DimensionMismatchError(f"N = {N} but field dim = {X.dim}")

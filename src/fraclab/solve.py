@@ -58,8 +58,8 @@ _SYM_PANEL = 256
 # small, and the switch would move those eigenvalues by up to the dense
 # path's absolute error (7.4e-10 relative at s = 0.7)
 _SHIFT_INVERT_DIM = 768
-# eigenvectors kept per cached context; twice as many eigenvalues are solved,
-# enough to find the k-th even mode (k <= _K_KEEP) in the full spectrum
+# modes a reader may ask of a context; it solves one pair more, the upper
+# neighbour of mode _K_KEEP, which the Hadamard check compares it with
 _K_KEEP = 12
 # entries within this relative distance of an eigenvector's largest magnitude
 # tie for it (the mirror entries of a mode antisymmetric on a symmetric mesh
@@ -86,13 +86,6 @@ class SemilinearSolution:
     residual: float = 0.0  # ||Au - Mf(u)|| / ||Au||
     iterations: int = 0
     nehari_gap: float = 0.0  # |u'Au - int u_+^p| / u'Au
-
-
-class _Pairs(list):
-    """solve_geig's eigenpairs; ``values`` holds the leading eigenvalues of
-    the same solve (see ``solve_geig``)."""
-
-    values: np.ndarray
 
 
 def _check_sym(name: str, T) -> None:
@@ -228,10 +221,7 @@ def solve_geig(A: np.ndarray, M, k_max: int) -> list[EigenPair]:
 
     Only the leading eigenpairs are solved for (see ``_eigh``): by the dense
     LAPACK reduction below dimension ``_SHIFT_INVERT_DIM``, by shift-invert
-    Lanczos from it on.  Vectors are sign-fixed by ``_orientation``.  The
-    returned list also carries ``values``, the first max(k_max, 2*_K_KEEP)
-    eigenvalues of the same solve (all of them if the dimension is smaller),
-    ascending.
+    Lanczos from it on.  Vectors are sign-fixed by ``_orientation``.
     """
     from scipy.sparse import csr_array
 
@@ -244,24 +234,20 @@ def solve_geig(A: np.ndarray, M, k_max: int) -> list[EigenPair]:
         raise ArgumentError(f"k_max must be in [1, {dim}], got {k_max}")
     _check_sym("A", A)
     _check_sym("M", M)
-    vals, vecs = _eigh(A, M, min(dim, max(k_max, 2 * _K_KEEP)), eigvals_only=False)
-    return _pairs(A, M, vals, vecs, k_max)
+    return _pairs(A, M, *_eigh(A, M, k_max, eigvals_only=False))
 
 
-def _pairs(A: np.ndarray, M, vals, vecs, k_max: int) -> _Pairs:
-    """The first k_max of the solved pairs (vals, vecs) of A u = lambda M u,
-    vectors sign-fixed by ``_orientation`` and residuals taken against A and
-    M; ``values`` is all of vals."""
-    V = vecs[:, :k_max].copy(order="F")  # each vector contiguous
+def _pairs(A: np.ndarray, M, vals, vecs) -> list[EigenPair]:
+    """The solved pairs (vals, vecs) of A u = lambda M u, vectors sign-fixed
+    by ``_orientation`` and residuals taken against A and M."""
+    V = vecs.copy(order="F")  # each vector contiguous
     V *= np.where([_orientation(v) < 0 for v in V.T], -1.0, 1.0)
     AV = A @ V
-    res = np.linalg.norm(AV - (M @ V) * vals[:k_max], axis=0) / np.linalg.norm(AV, axis=0)
-    pairs = _Pairs(
+    res = np.linalg.norm(AV - (M @ V) * vals, axis=0) / np.linalg.norm(AV, axis=0)
+    return [
         EigenPair(k=k + 1, value=float(vals[k]), vector=V[:, k], residual=float(res[k]))
-        for k in range(k_max)
-    )
-    pairs.values = vals
-    return pairs
+        for k in range(vals.size)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +275,21 @@ def _mirror_basis(K: int, sign: float):
 
 
 def _merge_halves(half, signs: tuple[float, ...]):
-    """The first 2*_K_KEEP values of a pencil (all of them if it is smaller)
-    and their vectors, ascending, from its mirror halves ``signs``.
+    """The first _K_KEEP + 1 values of a pencil (all of them if it is
+    smaller) and their vectors, ascending, from its mirror halves ``signs``.
 
     ``half(sign, count)`` returns the first ``count`` values of one half
-    (all of them if it is smaller) and their full nodal vectors.  A single
-    half is asked for 2*_K_KEEP values and returned as it is, so it may give
-    None in place of the vectors.  Two halves are asked for _K_KEEP + 1 each:
-    on an interval the even and odd values interleave, so that is mostly
-    enough.  A half that gave all _K_KEEP + 1 values, the largest below the
-    merged 2*_K_KEEP-th (the largest merged value, if the halves hold fewer),
-    may hold more below it, and is asked again for 2*_K_KEEP.  Ties keep the
-    order of ``signs``.
+    (all of them if it is smaller) and their full nodal vectors.  Each half
+    is asked once for _K_KEEP + 1.  That is exact: the values a half gives
+    to the merged first _K_KEEP + 1 are a prefix of its own values, at most
+    _K_KEEP + 1 of them.  A single half is returned as it is, so it may give
+    None in place of the vectors.  Ties keep the order of ``signs``.
     """
-    want = 2 * _K_KEEP
-    if len(signs) == 1:
-        return half(signs[0], want)
     solved = [half(sign, _K_KEEP + 1) for sign in signs]
-    limit = np.sort(np.concatenate([v for v, _ in solved]))[:want][-1]
-    solved = [
-        half(sign, want) if v.size > _K_KEEP and v[-1] < limit else (v, u)
-        for sign, (v, u) in zip(signs, solved)
-    ]
+    if len(solved) == 1:
+        return solved[0]
     vals = np.concatenate([v for v, _ in solved])
-    order = np.argsort(vals, kind="stable")[:want]
+    order = np.argsort(vals, kind="stable")[: _K_KEEP + 1]
     return vals[order], np.concatenate([u for _, u in solved], axis=1)[:, order]
 
 
@@ -336,21 +313,23 @@ def _solve_halves(A: np.ndarray, M, signs: tuple[float, ...], eigvals_only: bool
         return (out, None) if eigvals_only else (out[0], P @ out[1])
 
     vals, vecs = _merge_halves(half, signs)
-    if eigvals_only:
-        return vals
-    return _pairs(A, M, vals, vecs, min(_K_KEEP, vals.size))
+    return vals if eigvals_only else _pairs(A, M, vals, vecs)
 
 
 @dataclass(frozen=True, eq=False)
 class SolveContext:
     mesh: Mesh1D
     s: float
-    even_only: bool  # pairs and values are those of the even half alone
+    even_only: bool  # pairs are those of the even half alone
     stiffness: np.ndarray = field(repr=False)
     mass: object = field(repr=False)  # sparse tridiagonal CSR array
+    # first _K_KEEP + 1 eigenpairs (all of them if the dimension is smaller)
     pairs: tuple[EigenPair, ...]
-    # first 2*_K_KEEP eigenvalues (all of them if the dimension is smaller)
-    values: np.ndarray = field(repr=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The eigenvalues of ``pairs``, ascending."""
+        return np.array([p.value for p in self.pairs])
 
 
 @lru_cache(maxsize=1)
@@ -361,19 +340,15 @@ def solve_context(
     beta: float = 2.0,
     even_only: bool = False,
 ) -> SolveContext:
-    """Mesh + assembled forms + leading eigenpairs; the most recent one is kept.
+    """Mesh + assembled forms + the first _K_KEEP + 1 eigenpairs (all of
+    them on a smaller pencil); the most recent one is kept.
 
-    On a mesh symmetric under x -> -x, A and M are block diagonal in the
-    even/odd basis.  There a pencil of full dimension ``_SHIFT_INVERT_DIM``
-    or more is solved as an even and an odd half (``_solve_halves``), and
-    ``even_only`` solves the even half alone at any dimension; any other
-    pencil is solved whole by ``solve_geig``.  The halves fold and lift
-    through one sparse mirror basis, and their vectors are exactly even or
-    odd, so their residuals against A stop at A's own mirror asymmetry (about
-    1e-10 of its largest entry at n = 2048) rather than at rounding.  That
-    asymmetry is the closed-form exterior tail's, on the boundary elements;
-    the rest of A is mirror-symmetric.  One predicate,
-    ``Mesh1D.mirror_symmetric``, decides here and in assembly.
+    On a mesh symmetric under x -> -x (``Mesh1D.mirror_symmetric``, the
+    one predicate here and in assembly), a pencil of full dimension
+    ``_SHIFT_INVERT_DIM`` or more is solved as an even and an odd half
+    (``_solve_halves``; see the module docstring), and ``even_only`` solves
+    the even half alone at any dimension; any other pencil is solved whole
+    by ``solve_geig``.
     """
     mesh = make_mesh(domain, n, beta)
     symmetric = mesh.mirror_symmetric
@@ -385,21 +360,16 @@ def solve_context(
     elif symmetric and A.shape[0] >= _SHIFT_INVERT_DIM:
         pairs = _solve_halves(A, M, (1.0, -1.0))
     else:
-        pairs = solve_geig(A, M, min(_K_KEEP, A.shape[0]))
+        pairs = solve_geig(A, M, min(_K_KEEP + 1, A.shape[0]))
     return SolveContext(
-        mesh=mesh, s=s, even_only=even_only, stiffness=A, mass=M, pairs=tuple(pairs),
-        values=pairs.values,
+        mesh=mesh, s=s, even_only=even_only, stiffness=A, mass=M, pairs=tuple(pairs)
     )
 
 
-def _leading_values(
-    domain: Domain1D, s: float, n: int, beta: float, m: int
-) -> np.ndarray:
-    """The first m eigenvalues of the full problem, without vectors.
-
-    Unlike ``solve_context`` nothing is cached: a Hadamard check reads one
-    value from each perturbed domain and never comes back to it.
-    """
+def _leading_values(domain: Domain1D, s: float, n: int, beta: float, m: int) -> np.ndarray:
+    """The first m eigenvalues of the full problem, without vectors and, unlike
+    ``solve_context``, not cached: a Hadamard check reads one value from each
+    perturbed domain and never comes back to it."""
     mesh = make_mesh(domain, n, beta)
     return _eigh(assemble_gagliardo(mesh, s), assemble_mass(mesh), m, eigvals_only=True)
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import fraclab as fl
 from fraclab.assembly import _pair_tables
 from fraclab.errors import ArgumentError, SupportError, WindowError
+from fraclab.solve import _K_KEEP
 from helpers import cho_factor_shapes
 
 BOX1 = [(-3.0, 3.0)]
@@ -356,8 +357,8 @@ def test_hadamard_even_only_tracks_full_mode():
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_hadamard_even_only_on_fewer_dofs_than_solved_values(n):
-    # K = 15 and 23: the even and odd halves together hold fewer than the 24
-    # values a context solves, and the lookup takes all of them
+    # K = 15 and 23: the odd half has 7 and 11 dofs, fewer than the
+    # _K_KEEP + 1 values it is asked for, and the lookup takes all of them
     bp = right_bp()
     re = fl.hadamard_check(context(n, even_only=True), 2, bp, h=1e-3)
     rf = fl.hadamard_check(context(n), 3, bp, h=1e-3)
@@ -366,8 +367,8 @@ def test_hadamard_even_only_on_fewer_dofs_than_solved_values(n):
 
 
 def test_hadamard_even_only_finds_the_last_kept_mode():
-    # even mode 12 on one interval is full mode 23, near the end of the 24
-    # eigenvalues a context solves; compare with full solves of the
+    # even mode 12 on one interval is full mode 23, past the _K_KEEP + 1
+    # values a full context solves; compare with full solves of the
     # perturbed problems
     bp, h = right_bp(), 1e-3
     rep = fl.hadamard_check(context(64, even_only=True), 12, bp, h=h)
@@ -390,9 +391,12 @@ def test_hadamard_even_only_factors_no_full_form(monkeypatch):
 
 
 def test_hadamard_even_only_refuses_a_mode_past_the_solved_values(monkeypatch):
-    # even mode k sits after the odd values below it; with 24 odd values
-    # below every even one, mode 2 lies past the 24 values of the spectrum
-    monkeypatch.setattr(fl.analysis, "_solve_halves", lambda *args, **kwargs: np.zeros(24))
+    # even mode k sits after the odd values below it; when all _K_KEEP + 1
+    # solved odd values lie below it and the odd half (15 dofs) has more,
+    # the odd values below it are not all known
+    monkeypatch.setattr(
+        fl.analysis, "_solve_halves", lambda *args, **kwargs: np.zeros(_K_KEEP + 1)
+    )
     with pytest.raises(ArgumentError, match="even mode k = 2 not found in the full spectrum"):
         fl.hadamard_check(context(32, even_only=True), 2, right_bp(), h=1e-3)
 
@@ -415,6 +419,26 @@ def test_hadamard_refuses_a_near_degenerate_eigenvalue():
     # quotient followed the other branch (fd_slope -18.5, formula -38.0)
     with pytest.raises(ArgumentError, match="37.184036.*37.184087.*simple eigenvalue"):
         fl.hadamard_check(context(64, even_only=True, domain=ANNULUS), 12, right_bp(ANNULUS))
+
+
+def test_hadamard_refuses_the_last_mode_when_its_upper_neighbour_moves_close():
+    # a full context solves one pair past the _K_KEEP modes a reader may ask
+    # for; move pair 13 to within the finite-difference move of pair 12
+    ctx = context(64)
+    rep = fl.hadamard_check(ctx, _K_KEEP, right_bp(), h=1e-3)
+    pairs = list(ctx.pairs)
+    move = abs(rep.fd_slope) * 2e-3  # |lambda(+h) - lambda(-h)|
+    close = pairs[_K_KEEP - 1].value + 0.5 * move
+    pairs[_K_KEEP] = dataclasses.replace(pairs[_K_KEEP], value=close)
+    moved = dataclasses.replace(ctx, pairs=tuple(pairs))
+    with pytest.raises(ArgumentError, match="simple eigenvalue"):
+        fl.hadamard_check(moved, _K_KEEP, right_bp(), h=1e-3)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+def test_hadamard_refuses_a_step_that_is_not_positive_and_finite(h):
+    with pytest.raises(ArgumentError, match="h must be positive and finite"):
+        fl.hadamard_check(context(32), 1, right_bp(), h=h)
 
 
 def test_hadamard_default_step_is_diameter_scaled():
@@ -449,12 +473,13 @@ def test_spectrum_k_max_out_of_range():
         fl.spectrum_report(context(16, even_only=True), 40)
 
 
-@pytest.mark.parametrize("k_max", [25, 0, -3])
+@pytest.mark.parametrize("k_max", [_K_KEEP + 1, 0, -3])
 def test_spectrum_k_max_beyond_the_solved_values(k_max):
-    # the subspace has 127 dimensions, but a context solves 24 eigenvalues;
-    # a negative k_max used to slice from the end
-    assert len(fl.spectrum_report(context(128), 24).values) == 24
-    with pytest.raises(ArgumentError, match=rf"k_max = {k_max} is outside 1\.\.24,"):
+    # the subspace has 127 dimensions, but a reader may ask a context for
+    # _K_KEEP modes; its pair _K_KEEP + 1 is the last mode's upper
+    # neighbour only; a negative k_max used to slice from the end
+    assert len(fl.spectrum_report(context(128), _K_KEEP).values) == _K_KEEP
+    with pytest.raises(ArgumentError, match=rf"k_max = {k_max} is outside 1\.\.{_K_KEEP},"):
         fl.spectrum_report(context(128), k_max)
 
 

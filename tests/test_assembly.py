@@ -21,6 +21,7 @@ from fraclab import assembly
 from fraclab.assembly import _pair_tables, _scatter_add, _sym_blocks, _tables, _touch_geometry
 from fraclab.errors import (
     ArgumentError,
+    DegenerateError,
     QuadratureError,
     ToleranceError,
 )
@@ -932,6 +933,18 @@ def test_extreme_but_finite_scales_assemble_a_finite_stiffness(interval):
     # turns the overflow warnings of a form out of range into errors
     mesh = fl.make_mesh(fl.make_domain([interval]), 2048, beta=2.0)
     assert np.all(np.isfinite(fl.assemble_gagliardo(mesh, 0.99)))
+
+
+# the first hulls (-10^e, 10^e) on which the closed-form exterior tail's
+# moment of order 2 - 2s overflows, at n = 8, beta = 1; one decade less
+# assembles a finite A without a warning (the suite turns them into errors)
+@pytest.mark.parametrize("s, e", [(0.01, 104), (0.1, 110), (0.25, 124)])
+def test_a_hull_whose_exterior_tail_overflows_is_refused(s, e):
+    below = fl.make_mesh(fl.make_domain([(-(10.0 ** (e - 1)), 10.0 ** (e - 1))]), 8, beta=1.0)
+    assert np.all(np.isfinite(fl.assemble_gagliardo(below, s)))
+    mesh = fl.make_mesh(fl.make_domain([(-(10.0**e), 10.0**e)]), 8, beta=1.0)
+    with pytest.raises(DegenerateError, match=rf"hull \(-1e\+{e}, 1e\+{e}\) is too wide"):
+        fl.assemble_gagliardo(mesh, s)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.99])

@@ -184,6 +184,19 @@ def test_eigen_on_a_non_finite_mesh_or_form_exits_2(tmp_path, capsys, data, mess
     assert message in capsys.readouterr().err
 
 
+def test_eigen_on_a_hull_too_wide_for_the_exterior_tail_exits_2(tmp_path, capsys):
+    # every element is in range, but the exterior tail of the Gagliardo form
+    # overflows on this hull at s = 0.1; one line on stderr, no warning
+    data = {"domain": {"intervals": [[-1e120, 1e120]]}, "n": 8, "beta": 1.0, "s": 0.1}
+    cfg = write_config(tmp_path, {"out": str(tmp_path), **data})
+    assert main(["eigen", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "fraclab: config error: domain hull (-1e+120, 1e+120) is too wide for the "
+        "Gagliardo form at s = 0.1: its exterior tail overflows\n"
+    )
+    assert not (tmp_path / "eigen.csv").exists()
+
+
 # s = 0.30000001 and 0.3 print alike with six significant digits, and the
 # second point's files overwrote the first's
 @pytest.mark.parametrize(

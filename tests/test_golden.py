@@ -19,8 +19,8 @@ relies on fails:
 
 Everything else (mesh points, counts, verdicts, flags, config echoes) must
 match exactly.  Eigenvector signs are part of the outputs, which is why
-``solve_geig`` breaks the tie of a mode antisymmetric about the middle of
-the mesh by a rule rather than by rounding.
+``solve._orientation`` breaks the tie of a mode antisymmetric about the
+middle of the mesh by a rule rather than by rounding.
 
 The copies were recorded from the code before the verify drivers and the
 eigensolves were merged.  To record them again after an intended change of

@@ -105,6 +105,23 @@ def test_geig_k_max_out_of_range():
         fl.solve_geig(np.eye(2), np.eye(2), 3)
 
 
+# the dense path and, from _SHIFT_INVERT_DIM on, shift-invert Lanczos
+@pytest.mark.parametrize("dim", [300, _SHIFT_INVERT_DIM])
+@pytest.mark.parametrize("k", [1, 5])
+def test_geig_solves_exactly_the_pairs_it_returns(monkeypatch, dim, k):
+    asked = []
+    eigh = solve._eigh
+
+    def counted(A, M, m, *args, **kwargs):
+        asked.append(m)
+        return eigh(A, M, m, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "_eigh", counted)
+    pairs = fl.solve_geig(*symmetric_pencil(dim), k)
+    assert asked == [k]
+    assert type(pairs) is list and [p.k for p in pairs] == list(range(1, k + 1))
+
+
 def symmetric_pencil(dim):
     """A = diag(1..dim) plus small dense noise, made symmetric in place, and
     the P1 mass stencil as M."""
@@ -172,7 +189,8 @@ def test_geig_galerkin_monotonicity():
 
 # the two-interval domain has near-degenerate even/odd pairs (relative gaps
 # down to 1.4e-6 among the first 24 at n = 1024), which inverse iteration
-# must still separate
+# must still separate; a context solves _K_KEEP + 1 pairs, one past the
+# modes a reader may ask for
 @pytest.mark.parametrize(
     "intervals, n, even_only",
     [
@@ -188,9 +206,30 @@ def test_context_values_are_the_leading_values_of_a_full_solve(intervals, n, eve
     A, M = ctx.stiffness, ctx.mass
     if even_only:
         A, M = even_half(A), even_half(M)
-    assert ctx.values.size == min(A.shape[0], 2 * _K_KEEP)
+    assert ctx.values.size == min(A.shape[0], _K_KEEP + 1)
     expected = inverted_values(A, M, ctx.values.size)
     np.testing.assert_allclose(ctx.values, expected, rtol=1e-13, atol=0)
+
+
+# mirror meshes of 1, 2 and 3 intervals, each below _SHIFT_INVERT_DIM (solved
+# whole) and from it on (solved as two halves); K = 765 at 3 x 256
+@pytest.mark.parametrize(
+    "intervals, n",
+    [
+        ([(-1.0, 1.0)], 512),
+        ([(-1.0, 1.0)], 1024),
+        ([(-2.0, -1.0), (1.0, 2.0)], 256),
+        ([(-2.0, -1.0), (1.0, 2.0)], 512),
+        ([(-3.0, -2.0), (-1.0, 1.0), (2.0, 3.0)], 256),
+        ([(-3.0, -2.0), (-1.0, 1.0), (2.0, 3.0)], 512),
+    ],
+)
+def test_context_values_are_the_first_values_of_the_whole_pencil(intervals, n):
+    ctx = fl.solve_context(fl.make_domain(intervals), 0.5, n, 2.0, False)
+    assert ctx.mesh.mirror_symmetric
+    whole = fl.solve_geig(ctx.stiffness, ctx.mass, _K_KEEP + 1)
+    assert ctx.values.size == _K_KEEP + 1
+    np.testing.assert_allclose(ctx.values, [p.value for p in whole], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +258,17 @@ def test_shift_invert_pairs_are_accurate_and_m_orthonormal(stiff_forms):
     assert max(p.residual for p in pairs) <= 1e-12
     V = np.column_stack([p.vector for p in pairs])
     assert np.max(np.abs(V.T @ M @ V - np.eye(12))) <= 1e-12
-    assert np.all(np.diff(pairs.values) >= 0)
-    assert pairs.values.size == 2 * _K_KEEP
+    assert np.all(np.diff([p.value for p in pairs]) >= 0)
+    assert len(pairs) == 12
 
 
 def test_shift_invert_reruns_are_bit_identical(stiff_forms):
     A, M = stiff_forms
     first, second = fl.solve_geig(A, M, 12), fl.solve_geig(A, M, 12)
-    assert np.array_equal(first.values, second.values)
+    assert len(first) == len(second) == 12
     for a, b in zip(first, second):
         assert np.array_equal(a.vector, b.vector)
-        assert a.residual == b.residual
+        assert (a.value, a.residual) == (b.value, b.residual)
 
 
 @pytest.mark.parametrize("n, halved", [(2048, True), (512, False)])
@@ -278,8 +317,8 @@ def test_shift_invert_serves_a_wider_mass_band():
     M = 3.0 * np.eye(dim) + np.diag(np.full(dim - 2, 0.5), 2)
     M = M + np.triu(M, 1).T
     pairs = fl.solve_geig(A, M, 4)
-    expected = scipy.linalg.eigh(A, M, eigvals_only=True)[: pairs.values.size]
-    np.testing.assert_allclose(pairs.values, expected, rtol=1e-11, atol=0)
+    expected = scipy.linalg.eigh(A, M, eigvals_only=True)[:4]
+    np.testing.assert_allclose([p.value for p in pairs], expected, rtol=1e-11, atol=0)
 
 
 def test_shift_invert_not_positive_definite_stiffness():
@@ -400,17 +439,17 @@ def test_split_context_matches_the_whole_solve(monkeypatch, intervals, n, s):
     # one factor per half, none of dimension K: the even half holds the
     # centre node when K is odd, and no half is solved twice
     assert shapes == [((K + 1) // 2,) * 2, (K // 2,) * 2]
-    whole = fl.solve_geig(A, M, _K_KEEP)
-    assert ctx.values.size == 2 * _K_KEEP
-    np.testing.assert_allclose(ctx.values, whole.values, rtol=1e-12, atol=0)
+    whole = fl.solve_geig(A, M, _K_KEEP + 1)
+    assert ctx.values.size == _K_KEEP + 1
+    np.testing.assert_allclose(ctx.values, [p.value for p in whole], rtol=1e-12, atol=0)
     V = np.column_stack([p.vector for p in ctx.pairs])
-    assert np.max(np.abs(V.T @ M @ V - np.eye(_K_KEEP))) <= 1e-12
+    assert np.max(np.abs(V.T @ M @ V - np.eye(_K_KEEP + 1))) <= 1e-12
     assert np.array_equal(np.abs(V), np.abs(V[::-1]))  # exactly even or odd
     # against the mirror-averaged pencil, which the halves solve exactly, the
     # residuals are those of a Lanczos solve: about 1e-12 at s = 0.7, as for
     # the whole pencil
     J_A = A[::-1, ::-1]
-    MV = (M @ V) * ctx.values[:_K_KEEP]
+    MV = (M @ V) * ctx.values
     avg = 0.5 * (A + J_A) @ V
     r_avg = np.linalg.norm(avg - MV, axis=0)
     whole_res = max(p.residual for p in whole)
@@ -432,7 +471,7 @@ def test_split_signs_follow_orientation():
         assert solve._orientation(p.vector) > 0
     # even and odd modes alternate on an interval, the ground state even
     even = [np.array_equal(p.vector, p.vector[::-1]) for p in ctx.pairs]
-    assert even == [k % 2 == 0 for k in range(_K_KEEP)]
+    assert even == [k % 2 == 0 for k in range(_K_KEEP + 1)]
 
 
 def test_an_asymmetric_context_is_the_whole_solve(monkeypatch):
@@ -441,8 +480,8 @@ def test_an_asymmetric_context_is_the_whole_solve(monkeypatch):
     ctx = fl.solve_context(fl.make_domain([(-0.3, 0.7)]), 0.5, 1024, 2.0, False)
     K = ctx.stiffness.shape[0]
     assert K >= _SHIFT_INVERT_DIM and shapes == [(K, K)]
-    whole = fl.solve_geig(ctx.stiffness, ctx.mass, _K_KEEP)
-    assert np.array_equal(ctx.values, whole.values)
+    whole = fl.solve_geig(ctx.stiffness, ctx.mass, _K_KEEP + 1)
+    assert len(ctx.pairs) == len(whole) == _K_KEEP + 1
     for a, b in zip(ctx.pairs, whole):
         assert np.array_equal(a.vector, b.vector)
         assert (a.k, a.value, a.residual) == (b.k, b.value, b.residual)
@@ -462,73 +501,61 @@ def test_even_only_context_solves_the_even_half_on_the_full_path(monkeypatch):
 
 def fake_half(spectra, calls):
     """A ``half(sign, count)`` for ``_merge_halves`` whose half ``sign`` has
-    the eigenvalues ``spectra[sign]``; each vector is its value times a
-    column of ones, so the merge's order can be read from the vectors."""
+    the eigenvalues ``spectra[sign]``; each vector is its value times
+    (1, sign), so the merge's order and halves can be read from the vectors."""
 
     def half(sign, count):
         calls.append((sign, count))
         vals = np.asarray(spectra[sign][:count], dtype=float)
-        return vals, np.ones((3, 1)) * vals
+        return vals, np.array([[1.0], [sign]]) * vals
 
     return half
 
 
-def test_merge_interleaved_halves_asks_each_once():
+# interleaved as on an interval; crowded, with the even half holding the
+# first 24 values; small, K = 15, where the halves hold 8 and 7 values
+@pytest.mark.parametrize(
+    "even, odd",
+    [
+        (np.arange(1.0, 60.0, 2.0), np.arange(2.0, 60.0, 2.0)),
+        (np.arange(1.0, 40.0), np.arange(100.0, 140.0)),
+        (np.arange(1.0, 16.0, 2.0), np.arange(2.0, 15.0, 2.0)),
+    ],
+    ids=["interleaved", "crowded", "small"],
+)
+def test_merge_asks_each_half_once(even, odd):
     calls = []
-    spectra = {1.0: np.arange(1.0, 60.0, 2.0), -1.0: np.arange(2.0, 60.0, 2.0)}
+    vals, vecs = solve._merge_halves(fake_half({1.0: even, -1.0: odd}, calls), (1.0, -1.0))
+    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1)]
+    assert vals.tolist() == np.sort(np.concatenate([even, odd]))[: _K_KEEP + 1].tolist()
+    assert np.array_equal(vecs[0], vals)
+    assert np.array_equal(vecs[1], np.where(np.isin(vals, even), vals, -vals))
+
+
+def test_merge_keeps_the_order_of_the_signs_on_ties():
+    # equal values in both halves: the even one comes first
+    calls = []
+    spectra = {1.0: np.arange(1.0, 40.0), -1.0: np.arange(1.0, 40.0)}
     vals, vecs = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
     assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1)]
-    assert vals.tolist() == list(range(1, 2 * _K_KEEP + 1))
-    assert np.array_equal(vecs[0], vals)
-
-
-def test_merge_solves_a_crowded_half_again():
-    # the even half holds the 24 smallest values: its 13th lies below the
-    # merged 24th, so it is asked again for 24
-    calls = []
-    spectra = {1.0: np.arange(1.0, 40.0), -1.0: np.arange(100.0, 140.0)}
-    vals, vecs = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
-    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1), (1.0, 2 * _K_KEEP)]
-    assert vals.tolist() == list(range(1, 2 * _K_KEEP + 1))
-    assert np.array_equal(vecs[0], vals)
-
-
-def test_merge_keeps_a_half_whose_largest_value_ties_the_limit():
-    # merged, 1..13 and 0.5, 1.5, .., 10.5, 13, 50 have 13 as their 24th
-    # value: no value of the even half beyond its 13th can come before it
-    calls = []
-    odd = np.concatenate([np.arange(0.5, 11.0), [13.0, 50.0, 60.0]])
-    spectra = {1.0: np.arange(1.0, 40.0), -1.0: odd}
-    vals, _ = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
-    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1)]
-    assert vals[-2:].tolist() == [12.0, 13.0]
-
-
-def test_merge_takes_all_values_of_halves_smaller_than_the_request():
-    # K = 15: halves of 8 and 7 values hold fewer than 24 together, and a
-    # half that gave fewer values than asked is not asked again
-    calls = []
-    spectra = {1.0: np.arange(1.0, 16.0, 2.0), -1.0: np.arange(2.0, 15.0, 2.0)}
-    vals, vecs = solve._merge_halves(fake_half(spectra, calls), (1.0, -1.0))
-    assert calls == [(1.0, _K_KEEP + 1), (-1.0, _K_KEEP + 1)]
-    assert vals.tolist() == list(range(1, 16))
-    assert np.array_equal(vecs[0], vals)
+    assert vals.tolist() == np.repeat(np.arange(1.0, 8.0), 2)[: _K_KEEP + 1].tolist()
+    assert np.array_equal(np.sign(vecs[1]), np.resize([1.0, -1.0], _K_KEEP + 1))
 
 
 @pytest.mark.parametrize("intervals", [[(-1.0, 1.0)], [(-2.0, -1.0), (1.0, 2.0)]])
 @pytest.mark.parametrize("n", [8, 16, 1024])
 def test_halves_values_only_are_the_leading_values(intervals, n):
     # the odd half alone, as a Hadamard check with even_only solves it: small
-    # pencils have fewer than 24 odd values; at n = 1024 the half goes to
-    # shift-invert Lanczos
+    # pencils have fewer than _K_KEEP + 1 odd values; at n = 1024 the half
+    # goes to shift-invert Lanczos
     mesh = fl.make_mesh(fl.make_domain(intervals), n, beta=2.0)
     A, M = fl.assemble_gagliardo(mesh, 0.5), fl.assemble_mass(mesh)
     P = solve._mirror_basis(A.shape[0], -1.0)
     Ao, Mo = P.T @ A @ P, P.T @ M @ P
     vals = solve._solve_halves(A, M, (-1.0,), eigvals_only=True)
-    assert vals.size == min(Ao.shape[0], 2 * _K_KEEP)
+    assert vals.size == min(Ao.shape[0], _K_KEEP + 1)
     np.testing.assert_allclose(vals, inverted_values(Ao, Mo, vals.size), rtol=1e-12, atol=0)
-    with_vectors = solve._solve_halves(A, M, (-1.0,)).values
+    with_vectors = [p.value for p in solve._solve_halves(A, M, (-1.0,))]
     np.testing.assert_allclose(vals, with_vectors, rtol=1e-13, atol=0)
 
 
